@@ -9,6 +9,7 @@ import argparse
 import concurrent.futures
 import csv
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -18,7 +19,7 @@ import numpy as np
 from . import schemes, verify as verify_mod
 from .config import ConfigError, RunConfig, load_config
 from .objectives import QuadraticSuite
-from .tracing import covered_distances, write_trace_csv, write_trace_meta
+from .tracing import covered_distances, write_json, write_trace_csv, write_trace_meta
 
 RATE_SLOPE_RANGE = (-1.3, -0.7)
 
@@ -83,9 +84,7 @@ def cmd_run(cfg: RunConfig, out_dir: Path, seed_offset: int = 0) -> int:
         "total_dist": _mean_std([m["total"] for m in per_seed]),
         "shortest_dist": _mean_std([m["shortest"] for m in per_seed]),
     }
-    with open(out_dir / "summary.json", "w", encoding="utf-8") as f:
-        json.dump(summary, f, sort_keys=True, indent=2)
-        f.write("\n")
+    write_json(summary, out_dir / "summary.json")
     print(f"wrote {len(per_seed)} trace(s) and summary.json to {out_dir}")
     return 2 if aborted else 0
 
@@ -181,6 +180,8 @@ def cmd_sweep(cfg: RunConfig, etas, out_dir: Path, seed_offset: int = 0, workers
     header_meta = {"config": cfg.raw, "etas": etas, "seed_offset": seed_offset}
     csv_path = out_dir / "sweep.csv"
 
+    # a process pool forks all of its workers at once
+    workers = min(workers, len(cells), os.cpu_count() or 1)
     rows = []
     if workers <= 1:
         with open(csv_path, "w", newline="", encoding="utf-8") as f:
@@ -207,9 +208,7 @@ def cmd_sweep(cfg: RunConfig, etas, out_dir: Path, seed_offset: int = 0, workers
     summary["config"] = cfg.raw
     summary["etas"] = etas
     summary["seed_offset"] = seed_offset
-    with open(out_dir / "sweep_summary.json", "w", encoding="utf-8") as f:
-        json.dump(summary, f, sort_keys=True, indent=2)
-        f.write("\n")
+    write_json(summary, out_dir / "sweep_summary.json")
     print(f"wrote {len(rows)} sweep rows to {csv_path}")
     if any(r["aborted"] for r in rows):
         print("some cells aborted on non-finite losses", file=sys.stderr)
@@ -272,9 +271,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, seed_offset: int = 0) -> int:
         "rate_pass": rate_pass,
         "all_pass": all_pass,
     }
-    with open(out_dir / "verification.json", "w", encoding="utf-8") as f:
-        json.dump(report, f, sort_keys=True, indent=2)
-        f.write("\n")
+    write_json(report, out_dir / "verification.json")
     print(f"wrote {out_dir / 'verification.json'}")
     return 0 if all_pass else 3
 

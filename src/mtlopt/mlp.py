@@ -7,7 +7,7 @@ the tasks are genuinely heterogeneous. Task loss is per-head mean squared
 error.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,60 +19,48 @@ __all__ = ["MLPTopology", "MLPTask", "MLPSuite", "synthetic_mlp_suite", "init_ml
 
 @dataclass(frozen=True)
 class MLPTopology:
+    """Trunk widths and head count, plus the flat parameter layout.
+
+    `layout` is computed once, at construction: one (W slice, W shape,
+    b slice) entry per layer, trunk layers in order, then one per head.
+    """
+
     input_dim: int
     hidden: tuple
     n_tasks: int
+    layout: tuple = field(init=False, repr=False, compare=False)
 
-    def layer_shapes(self):
-        """Trunk (W, b) shapes in order, then one (W, b) pair per head."""
-        shapes = []
-        fan_in = self.input_dim
-        for width in self.hidden:
-            shapes.append(((fan_in, width), (width,)))
-            fan_in = width
-        for _ in range(self.n_tasks):
-            shapes.append(((fan_in, 1), (1,)))
-        return shapes
-
-    def slices(self):
-        out, offset = [], 0
-        for w_shape, b_shape in self.layer_shapes():
-            w_size = int(np.prod(w_shape))
-            b_size = int(np.prod(b_shape))
-            out.append(
-                (slice(offset, offset + w_size), w_shape, slice(offset + w_size, offset + w_size + b_size))
-            )
-            offset += w_size + b_size
-        return out
+    def __post_init__(self):
+        widths = (self.input_dim, *self.hidden)
+        shapes = list(zip(widths, self.hidden)) + [(widths[-1], 1)] * self.n_tasks
+        layout, offset = [], 0
+        for w_shape in shapes:
+            w_stop = offset + w_shape[0] * w_shape[1]
+            b_stop = w_stop + w_shape[1]
+            layout.append((slice(offset, w_stop), w_shape, slice(w_stop, b_stop)))
+            offset = b_stop
+        object.__setattr__(self, "layout", tuple(layout))
 
     @property
     def trunk_size(self) -> int:
-        fan_in, total = self.input_dim, 0
-        for width in self.hidden:
-            total += fan_in * width + width
-            fan_in = width
-        return total
+        return self.head_slice(0).start
 
     @property
     def dim(self) -> int:
-        head = self.hidden[-1] + 1
-        return self.trunk_size + self.n_tasks * head
+        return self.layout[-1][2].stop
 
     def head_slice(self, k: int) -> slice:
-        head = self.hidden[-1] + 1
-        start = self.trunk_size + k * head
-        return slice(start, start + head)
+        w_slice, _, b_slice = self.layout[len(self.hidden) + k]
+        return slice(w_slice.start, b_slice.stop)
 
     def unpack(self, w: np.ndarray):
         """Views into w: list of trunk (W, b), list of head (W, b)."""
-        parts = []
-        for w_slice, w_shape, b_slice in self.slices():
-            parts.append((w[w_slice].reshape(w_shape), w[b_slice]))
+        parts = [(w[w_slice].reshape(w_shape), w[b_slice]) for w_slice, w_shape, b_slice in self.layout]
         n_trunk = len(self.hidden)
         return parts[:n_trunk], parts[n_trunk:]
 
-    def forward_trunk(self, w: np.ndarray, x: np.ndarray):
-        trunk, _ = self.unpack(w)
+    def forward_trunk(self, trunk, x: np.ndarray):
+        """Activations of every trunk layer, input first, given trunk views."""
         activations = [x]
         h = x
         for w_mat, b in trunk:
@@ -81,15 +69,12 @@ class MLPTopology:
         return activations
 
     def task_value(self, w, k, x, y):
-        _, heads = self.unpack(w)
-        h = self.forward_trunk(w, x)[-1]
-        w_head, b_head = heads[k]
-        pred = h @ w_head + b_head
-        return float(np.mean((pred - y) ** 2))
+        trunk, heads = self.unpack(w)
+        return _head_loss(self.forward_trunk(trunk, x)[-1], heads[k], y)
 
     def task_gradient(self, w, k, x, y):
         trunk, heads = self.unpack(w)
-        activations = self.forward_trunk(w, x)
+        activations = self.forward_trunk(trunk, x)
         h_last = activations[-1]
         w_head, b_head = heads[k]
         pred = h_last @ w_head + b_head
@@ -107,6 +92,13 @@ class MLPTopology:
             g_trunk[i][1][...] = d_z.sum(axis=0)
             d_h = d_z @ trunk[i][0].T
         return grad
+
+
+def _head_loss(h, head, y) -> float:
+    """Mean squared error of one linear head on last-layer activations h."""
+    w_head, b_head = head
+    pred = h @ w_head + b_head
+    return float(np.mean((pred - y) ** 2))
 
 
 class _SinusoidTarget:
@@ -165,12 +157,10 @@ class MLPSuite(TaskSuite):
         return Minibatch(payload=(x, [f(x) for f in self.targets]))
 
     def validation_task_losses(self, w: np.ndarray) -> np.ndarray:
-        return np.array(
-            [
-                self.topology.task_value(w, k, self.val_inputs, self.val_targets[k])
-                for k in range(self.n_tasks)
-            ]
-        )
+        # one trunk forward shared by every head
+        trunk, heads = self.topology.unpack(w)
+        h = self.topology.forward_trunk(trunk, self.val_inputs)[-1]
+        return np.array([_head_loss(h, head, y) for head, y in zip(heads, self.val_targets)])
 
     def validation_loss(self, w: np.ndarray) -> float:
         return float(np.mean(self.validation_task_losses(w)))

@@ -126,6 +126,7 @@ class TaskSuite:
         if len(tasks) < 1:
             raise ValueError("suite must contain at least one task")
         self.tasks = list(tasks)
+        self._unit_masks = {}
 
     @property
     def n_tasks(self) -> int:
@@ -141,14 +142,22 @@ class TaskSuite:
         return None
 
     def unit_mask(self, indices) -> np.ndarray | None:
-        """Union of the member tasks' update masks; None when unrestricted."""
-        masks = [self.task_mask(k) for k in indices]
-        if all(m is None for m in masks):
-            return None
-        out = np.zeros(self.dim, dtype=bool)
-        for m in masks:
-            out |= np.ones(self.dim, dtype=bool) if m is None else m
-        return out
+        """Union of the member tasks' update masks; None when unrestricted.
+
+        Task masks are fixed per suite, so each union is built once per unit
+        and returned read-only.
+        """
+        key = tuple(indices)
+        if key not in self._unit_masks:
+            masks = [self.task_mask(k) for k in key]
+            out = None
+            if any(m is not None for m in masks):
+                out = np.zeros(self.dim, dtype=bool)
+                for m in masks:
+                    out |= np.ones(self.dim, dtype=bool) if m is None else m
+                out.flags.writeable = False
+            self._unit_masks[key] = out
+        return self._unit_masks[key]
 
     def sample_minibatch(self, gen: np.random.Generator) -> Minibatch:
         raise NotImplementedError

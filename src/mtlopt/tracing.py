@@ -23,6 +23,7 @@ __all__ = [
     "write_trace_csv",
     "write_trace_meta",
     "read_csv_body",
+    "write_json",
 ]
 
 
@@ -183,8 +184,25 @@ def write_trace_meta(trace: RunTrace, path) -> None:
     if trace.w_final is not None:
         meta["w_final"] = trace.w_final.tolist()
     meta["final_optimizer_states"] = trace.final_states
+    write_json(meta, path)
+
+
+def _finite_or_null(obj):
+    """obj with every non-finite float, at any depth, replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
+def write_json(obj, path) -> None:
+    """Strict JSON (non-finite floats become null), sorted keys, two-space
+    indent and a final newline: the one format of every JSON output."""
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(meta, f, sort_keys=True, indent=2)
+        json.dump(_finite_or_null(obj), f, sort_keys=True, indent=2, allow_nan=False)
         f.write("\n")
 
 

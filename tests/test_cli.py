@@ -1,7 +1,9 @@
+import concurrent.futures
 import json
 
 import pytest
 
+from mtlopt import cli
 from mtlopt.cli import main
 from mtlopt.config import ConfigError, RunConfig
 from mtlopt.tracing import read_csv_body
@@ -228,3 +230,55 @@ def test_inverse_time_needs_quadratic_or_explicit_constants():
     }
     with pytest.raises(ConfigError, match="quadratic"):
         RunConfig(payload)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def test_degenerate_run_and_sweep_write_strict_json(tmp_path):
+    # w0 is the joint optimum, so the validation-best point is the start point
+    # and the distance ratio is undefined
+    payload = minimal_run_config(steps=5, w0=[1.0])
+    payload["objective"] = {"family": "quadratic", "preset": "two_task"}
+    cfg = write_config(tmp_path, payload)
+    run_out, sweep_out = tmp_path / "run", tmp_path / "sweep"
+    assert main(["run", cfg, "--out", str(run_out)]) == 0
+    assert main(["sweep", cfg, "--etas", "0.1", "--out", str(sweep_out)]) == 0
+    written = sorted(run_out.glob("*.json")) + sorted(sweep_out.glob("*.json"))
+    assert len(written) == 3
+    loaded = {p.name: json.loads(p.read_text(), parse_constant=_reject_constant) for p in written}
+    assert loaded["summary.json"]["per_seed"][0]["ratio"] is None
+    assert loaded["sweep_summary.json"]["schemes"][0]["ratio"]["mean"] is None
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+
+    requested = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = concurrent.futures.Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+@pytest.mark.parametrize("cpus, expected", [(64, 3), (2, 2)])
+def test_sweep_workers_clamped_to_cells_and_cpus(tmp_path, monkeypatch, cpus, expected):
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_InlinePool, "requested", [])
+    cfg = write_config(tmp_path, two_task_config(steps=3))
+    out = tmp_path / "sweep"
+    assert main(["sweep", cfg, "--etas", "0.05", "--out", str(out), "--workers", "5000"]) == 0
+    assert _InlinePool.requested == [expected]
+    assert len(read_csv_body(out / "sweep.csv").strip().split("\n")) - 1 == 3

@@ -1,7 +1,7 @@
 import numpy as np
 
 from mtlopt.mlp import init_mlp_params, synthetic_mlp_suite
-from mtlopt.objectives import finite_difference_check
+from mtlopt.objectives import finite_difference_check, two_task_suite
 from mtlopt.params import RngStream
 
 
@@ -84,3 +84,57 @@ def test_tasks_are_heterogeneous():
     for a in range(4):
         for b in range(a + 1, 4):
             assert not np.allclose(ys[a], ys[b])
+
+
+def test_validation_losses_equal_per_task_values_exactly():
+    # the shared trunk forward must give the same bits as one forward per task
+    for suite in (small_suite(), synthetic_mlp_suite(n_tasks=4, dataset_seed=7)):
+        w = init_mlp_params(suite, RngStream(9, "init").gen)
+        w += 0.1 * RngStream(9, "perturb").gen.normal(size=suite.dim)
+        losses = suite.validation_task_losses(w)
+        assert losses.shape == (suite.n_tasks,)
+        for k in range(suite.n_tasks):
+            expected = suite.topology.task_value(w, k, suite.val_inputs, suite.val_targets[k])
+            assert losses[k] == expected
+
+
+def test_layout_tiles_the_parameter_vector_with_views():
+    topology = small_suite().topology
+    covered = []
+    for w_slice, w_shape, b_slice in topology.layout:
+        assert w_slice.stop - w_slice.start == w_shape[0] * w_shape[1]
+        assert b_slice.start == w_slice.stop and b_slice.stop - b_slice.start == w_shape[1]
+        covered += [w_slice, b_slice]
+    assert covered[0].start == 0 and covered[-1].stop == topology.dim
+    assert all(a.stop == b.start for a, b in zip(covered, covered[1:]))  # no gaps, no overlaps
+    n_trunk = len(topology.hidden)
+    assert topology.layout[n_trunk][0].start == topology.trunk_size
+    for k in range(topology.n_tasks):
+        w_slice, _, b_slice = topology.layout[n_trunk + k]
+        assert topology.head_slice(k) == slice(w_slice.start, b_slice.stop)
+
+    w = np.zeros(topology.dim)
+    trunk, heads = topology.unpack(w)
+    assert len(trunk) == n_trunk and len(heads) == topology.n_tasks
+    for i, (w_mat, b) in enumerate(trunk + heads):
+        w_mat[...] = 2 * i + 1
+        b[...] = 2 * i + 2
+    expected = np.concatenate(
+        [np.full(s.stop - s.start, float(j + 1)) for j, s in enumerate(covered)]
+    )
+    np.testing.assert_array_equal(w, expected)
+
+
+def test_unit_mask_is_cached_union_of_task_masks():
+    suite = small_suite()
+    n = suite.n_tasks
+    for unit in [tuple(range(n)), (0,), (2, 0)]:
+        fresh = np.zeros(suite.dim, dtype=bool)
+        for k in unit:
+            fresh |= suite.task_mask(k)
+        mask = suite.unit_mask(unit)
+        np.testing.assert_array_equal(mask, fresh)
+        assert suite.unit_mask(list(unit)) is mask
+        assert not mask.flags.writeable
+    np.testing.assert_array_equal(suite.unit_mask(range(n)), suite.unit_mask(tuple(range(n))))
+    assert two_task_suite().unit_mask((0, 1)) is None  # unrestricted tasks
