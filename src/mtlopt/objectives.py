@@ -176,6 +176,7 @@ class QuadraticSuite(TaskSuite):
         if len(dims) != 1:
             raise DimensionMismatchError(f"tasks disagree on dimension: {sorted(dims)}")
         self._dim = dims.pop()
+        self._halfwidths = np.array([t.noise_halfwidth for t in self.tasks])[:, None]
 
     @property
     def dim(self) -> int:
@@ -184,8 +185,7 @@ class QuadraticSuite(TaskSuite):
     def sample_minibatch(self, gen: np.random.Generator) -> Minibatch:
         # one draw per step regardless of how many tasks get evaluated
         u = gen.uniform(-1.0, 1.0, size=(self.n_tasks, self._dim))
-        halfwidths = np.array([t.noise_halfwidth for t in self.tasks])
-        return Minibatch(payload=u * halfwidths[:, None])
+        return Minibatch(payload=u * self._halfwidths)
 
     def validation_loss(self, w: np.ndarray) -> float:
         # noise-free uniform-average objective

@@ -6,6 +6,7 @@ instead of propagating NaN/Inf through a run.
 """
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -58,9 +59,19 @@ def axpy(w: np.ndarray, direction: np.ndarray, scale: float) -> np.ndarray:
 
 
 def l2_norm(w: np.ndarray) -> float:
-    """Euclidean norm; coincides with the Frobenius norm for flat vectors."""
-    check_finite(w, "l2_norm input")
-    return float(np.linalg.norm(w))
+    """Euclidean norm; coincides with the Frobenius norm for flat vectors.
+
+    The sum of squares overflows for entries above about 1e154; such a vector
+    is rescaled by its largest magnitude, so its norm is still finite when it
+    fits in a float. A vector whose norm is finite keeps the plain result.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(w))
+    if not math.isfinite(norm):  # a finite norm implies finite entries
+        check_finite(w, "l2_norm input")
+        scale = float(np.max(np.abs(w)))
+        norm = scale * float(np.linalg.norm(w / scale))
+    return norm
 
 
 def _label_key(label: str) -> int:

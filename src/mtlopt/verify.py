@@ -7,6 +7,10 @@ is selected uniformly at random, and the iterate follows that task's update.
 The initial iterate is indexed 1, so the expected optimality gap "at T" is
 measured after T-1 update steps.
 
+Each pass steps all its R replicates in lockstep, with array ops over an (R, d)
+array of iterates. Replicate r draws from its own streams, data[r] and
+task-order[r], so every number equals that of the replicate stepped alone.
+
 Statistical policy: the bound is an upper bound in expectation, so a check
 passes when the Monte-Carlo estimate does not exceed it by more than three
 standard errors. The uniform gradient-norm bound has no closed form for
@@ -21,13 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objectives import QuadraticSuite, suite_constants
-from .params import RngStream, l2_norm
+from .params import RngStream, check_finite, l2_norm
 from .schemes import theorem_schedule
 
 __all__ = [
     "ScheduleError",
     "BoundInputs",
-    "StepObservables",
     "theorem_bound",
     "theorem_bound_max_form",
     "estimate_grad_bound",
@@ -99,42 +102,47 @@ def theorem_bound_max_form(inputs: BoundInputs, t: int) -> float:
     return 0.5 * inputs.smoothness * v / (inputs.offset + t)
 
 
-@dataclass
-class StepObservables:
-    """Everything observable at one selection step, before the update."""
-
-    t: int
-    eta: float
-    w: np.ndarray
-    grads: list
-    selected: int
-
-    def candidates(self):
-        """All per-task candidate SGD updates from the current iterate."""
-        return [self.w - self.eta * g for g in self.grads]
-
-    def v_bar(self) -> np.ndarray:
-        """Average of the candidates; equals w - eta * (mean gradient)."""
-        return self.w - self.eta * np.mean(self.grads, axis=0)
-
-    def next_w(self) -> np.ndarray:
-        return self.w - self.eta * self.grads[self.selected]
+# Array ops over replicates. Stacked matmuls run each product through the same
+# kernel as one vector's `matrix @ r` or `r @ r`, so they reproduce the numbers
+# of a per-replicate loop bit for bit; einsum sums in another order.
+def _matvec(mats, vecs):
+    return (mats @ vecs[..., None])[..., 0]
 
 
-def _selection_steps(suite, schedule, w0, n_steps, seed, replicate, eta_scale=1.0):
-    """Yield StepObservables for t = 1..n_steps, advancing by the selected
-    task's update. Stream labels are scoped per replicate."""
-    data_gen = RngStream(seed, f"data[{replicate}]").gen
-    sel_gen = RngStream(seed, f"task-order[{replicate}]").gen
-    w = np.array(w0, dtype=np.float64)
+def _dot(a, b):
+    return (a[..., None, :] @ b[..., None])[..., 0, 0]
+
+
+def _norms(x):  # np.linalg.norm of every vector along the last axis
+    return np.sqrt(_dot(x, x))
+
+
+def _max_grad_norm(G) -> float:
+    check_finite(G, "stochastic gradients")
+    return float(_norms(G).max())
+
+
+def _lockstep(suite, schedule, w0, n_steps, replicates, seed, eta_scale=1.0):
+    """Yield (t, eta, W, G, sel) for t = 1..n_steps: the iterates W (R, d)
+    before the update, every task's stochastic gradient there G (R, n, d) and
+    the selected tasks sel (R,). Replicate r's noise is one sample_minibatch
+    call per step on its stream data[r]."""
     n = suite.n_tasks
+    data = [RngStream(seed, f"data[{r}]").gen for r in range(replicates)]
+    # one bulk draw yields the same values as n_steps draws of integers(n)
+    order = np.array([RngStream(seed, f"task-order[{r}]").gen.integers(n, size=n_steps)
+                      for r in range(replicates)])
+    mats = np.stack([task.matrix for task in suite.tasks])
+    centers = np.stack([task.center for task in suite.tasks])
+    rows = np.arange(replicates)
+    W = np.tile(np.asarray(w0, dtype=np.float64), (replicates, 1))
     for t in range(1, n_steps + 1):
         eta = eta_scale * schedule.at(t)
-        xi = suite.sample_minibatch(data_gen)
-        grads = [task.gradient(w, xi) for task in suite.tasks]
-        obs = StepObservables(t=t, eta=eta, w=w, grads=grads, selected=int(sel_gen.integers(n)))
-        yield obs
-        w = obs.next_w()
+        noise = np.stack([suite.sample_minibatch(gen).payload for gen in data])
+        G = _matvec(mats, W[:, None, :] - centers) + noise
+        sel = order[:, t - 1]
+        yield t, eta, W, G, sel
+        W = W - eta * G[rows, sel]
 
 
 def estimate_grad_bound(
@@ -142,14 +150,9 @@ def estimate_grad_bound(
 ) -> float:
     """Empirical uniform gradient-norm bound from a pre-run on the same seeds."""
     worst = 0.0
-    for r in range(replicates):
-        for obs in _selection_steps(suite, schedule, w0, n_steps, seed, r, eta_scale):
-            worst = max(worst, max(l2_norm(g) for g in obs.grads))
+    for _, _, _, G, _ in _lockstep(suite, schedule, w0, n_steps, replicates, seed, eta_scale):
+        worst = max(worst, _max_grad_norm(G))
     return worst * safety
-
-
-def _average_gap(suite, w, f_star) -> float:
-    return float(np.mean([t.exact_value(w) for t in suite.tasks])) - f_star
 
 
 def verify_theorem(
@@ -187,16 +190,18 @@ def verify_theorem(
         n_tasks=suite.n_tasks,
     )
 
-    wanted = set(T_list)
-    errors = {t: [] for t in T_list}
-    for r in range(replicates):
-        for obs in _selection_steps(suite, schedule, w0, n_steps, seed, r, eta_scale):
-            if obs.t in wanted:
-                errors[obs.t].append(_average_gap(suite, obs.w, consts.f_star))
+    mats = np.stack([task.matrix for task in suite.tasks])
+    centers = np.stack([task.center for task in suite.tasks])
+    gaps = {}
+    for t, _, W, _, _ in _lockstep(suite, schedule, w0, n_steps, replicates, seed, eta_scale):
+        if t in T_list:
+            D = W[:, None, :] - centers
+            task_values = 0.5 * _dot(D, _matvec(mats, D))
+            gaps[t] = task_values.mean(axis=1) - consts.f_star
 
     rows = []
     for t in T_list:
-        vals = np.array(errors[t])
+        vals = gaps[t]
         est = float(vals.mean())
         std = float(vals.std(ddof=1))
         se = std / np.sqrt(replicates)
@@ -258,28 +263,26 @@ def verify_lemma1(
     mu = consts.strong_convexity
     noise_term = float(np.sum(np.square(consts.sigmas))) / n**2
 
-    excess = [[] for _ in range(n_steps)]  # lhs - contraction, per step
-    lhs = [[] for _ in range(n_steps)]
-    for r in range(replicates):
-        for obs in _selection_steps(suite, schedule, w0, n_steps, seed, r, eta_scale):
-            vbar_sq = l2_norm(obs.v_bar() - consts.w_star) ** 2
-            here_sq = l2_norm(obs.w - consts.w_star) ** 2
-            lhs[obs.t - 1].append(vbar_sq)
-            excess[obs.t - 1].append(vbar_sq - (1.0 - mu * obs.eta) * here_sq)
+    excess, lhs = [], []  # per step: lhs - contraction, and lhs, over replicates
+    for _, eta, W, G, _ in _lockstep(suite, schedule, w0, n_steps, replicates, seed, eta_scale):
+        vbar = W - eta * G.mean(axis=1)  # the average of the candidate updates
+        check_finite(vbar, "averaged candidate update")  # non-finite whenever W is
+        vbar_sq = _norms(vbar - consts.w_star) ** 2
+        here_sq = _norms(W - consts.w_star) ** 2
+        lhs.append(vbar_sq)
+        excess.append(vbar_sq - (1.0 - mu * eta) * here_sq)
 
     rows = []
-    for i in range(n_steps):
-        t = i + 1
+    for t, (vals, lhs_t) in enumerate(zip(excess, lhs), start=1):
         eta = eta_scale * schedule.at(t)
         rhs = 2.0 * consts.smoothness * eta**2 * consts.gamma_het + eta**2 * noise_term
-        vals = np.array(excess[i])
         est = float(vals.mean())
         se = float(vals.std(ddof=1)) / np.sqrt(replicates) if replicates > 1 else 0.0
         rows.append(
             {
                 "t": t,
                 "eta": eta,
-                "lhs_mean": float(np.mean(lhs[i])),
+                "lhs_mean": float(lhs_t.mean()),
                 "excess_mean": est,
                 "rhs": rhs,
                 "std_error": se,
@@ -324,29 +327,26 @@ def verify_lemma2(
         if e_now < e_next - 1e-12 or e_now > 2.0 * e_next + 1e-12:
             raise ScheduleError(f"step {t}: schedule must be non-increasing with eta_t <= 2*eta_(t+1)")
     w0 = np.asarray(w0, dtype=np.float64)
-    n = suite.n_tasks
 
     supplied = grad_bound is not None
     if not supplied:
         grad_bound = estimate_grad_bound(suite, schedule, n_steps, replicates, seed, w0)
 
-    enum = [[] for _ in range(n_steps)]  # exact expectation over the selection
-    sampled = [[] for _ in range(n_steps)]  # the run's own selection (MC cross-check)
+    # per step: exact expectation over the selection, and the run's own
+    # selection (MC cross-check)
+    enum, sampled = [], []
     observed_max = 0.0
-    for r in range(replicates):
-        for obs in _selection_steps(suite, schedule, w0, n_steps, seed, r):
-            observed_max = max(observed_max, max(l2_norm(g) for g in obs.grads))
-            vbar = obs.v_bar()
-            dists = [l2_norm(v - vbar) ** 2 for v in obs.candidates()]
-            enum[obs.t - 1].append(float(np.mean(dists)))
-            sampled[obs.t - 1].append(dists[obs.selected])
+    for _, eta, W, G, sel in _lockstep(suite, schedule, w0, n_steps, replicates, seed):
+        observed_max = max(observed_max, _max_grad_norm(G))
+        candidates = W[:, None, :] - eta * G
+        vbar = W - eta * G.mean(axis=1)
+        dists = _norms(candidates - vbar[:, None, :]) ** 2
+        enum.append(dists.mean(axis=1))
+        sampled.append(dists[np.arange(replicates), sel])
 
     rows = []
-    for i in range(n_steps):
-        t = i + 1
+    for t, (enum_vals, mc_vals) in enumerate(zip(enum, sampled), start=1):
         bound = (schedule.at(t) * grad_bound) ** 2
-        enum_vals = np.array(enum[i])
-        mc_vals = np.array(sampled[i])
         est = float(enum_vals.mean())
         se = float(enum_vals.std(ddof=1)) / np.sqrt(replicates) if replicates > 1 else 0.0
         mc_se = float(mc_vals.std(ddof=1)) / np.sqrt(replicates) if replicates > 1 else 0.0

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +59,17 @@ def test_l2_norm_worked_examples():
 def test_l2_norm_rejects_non_finite():
     with pytest.raises(NonFiniteError):
         l2_norm(np.array([1.0, np.nan]))
+
+
+def test_l2_norm_of_huge_finite_vector_is_finite_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm = l2_norm(np.array([1e200, 1e200]))
+        with pytest.raises(NonFiniteError):
+            l2_norm(np.array([1e200, np.inf]))
+    expected = math.sqrt(2.0) * 1e200
+    assert math.isfinite(norm)
+    assert abs(norm - expected) <= 1e-15 * expected
 
 
 @given(st.integers(1, 8).flatmap(lambda d: st.tuples(*(arrays(np.float64, d, elements=finite_floats),) * 3)))

@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
 
-from mtlopt.objectives import QuadraticSuite, QuadraticTask, two_task_suite
+from mtlopt.objectives import (
+    QuadraticSuite,
+    QuadraticTask,
+    five_task_suite,
+    suite_constants,
+    two_task_suite,
+)
+from mtlopt.params import RngStream
 from mtlopt.schemes import theorem_schedule
 from mtlopt.verify import (
     BoundInputs,
     ScheduleError,
+    _lockstep,
     estimate_grad_bound,
     fit_rate,
     theorem_bound,
@@ -87,6 +95,59 @@ def test_bound_inputs_validation():
         inputs(offset=0.5, smoothness=2.0)  # below 2L/mu - 1
     with pytest.raises(ValueError):
         inputs(gamma_het=-0.1)
+
+
+# ------------------------------------------------------------ lockstep engine
+
+
+def per_replicate_steps(suite, schedule, w0, n_steps, seed, replicate):
+    """Reference: one replicate stepped alone, one task gradient at a time."""
+    data_gen = RngStream(seed, f"data[{replicate}]").gen
+    sel_gen = RngStream(seed, f"task-order[{replicate}]").gen
+    w = np.array(w0, dtype=np.float64)
+    for t in range(1, n_steps + 1):
+        eta = schedule.at(t)
+        xi = suite.sample_minibatch(data_gen)
+        grads = np.array([task.gradient(w, xi) for task in suite.tasks])
+        selected = int(sel_gen.integers(suite.n_tasks))
+        yield t, eta, w, grads, selected
+        w = w - eta * grads[selected]
+
+
+def shipped_five_task_setup():
+    suite = five_task_suite()
+    consts = suite_constants(suite)
+    return suite, theorem_schedule(consts.smoothness, consts.strong_convexity), np.zeros(suite.dim)
+
+
+def relative_error(got, want):
+    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), np.finfo(float).tiny))
+
+
+def test_lockstep_engine_matches_per_replicate_reference():
+    suite, schedule, w0 = shipped_five_task_setup()
+    R, T, seed = 4, 30, 3
+    refs = [list(per_replicate_steps(suite, schedule, w0, T, seed, r)) for r in range(R)]
+    steps = 0
+    for t, eta, W, G, sel in _lockstep(suite, schedule, w0, T, R, seed):
+        assert W.shape == (R, suite.dim) and G.shape == (R, suite.n_tasks, suite.dim)
+        for r in range(R):
+            t_ref, eta_ref, w_ref, g_ref, sel_ref = refs[r][t - 1]
+            assert (t, eta, int(sel[r])) == (t_ref, eta_ref, sel_ref)
+            assert relative_error(W[r], w_ref) <= 1e-12
+            assert relative_error(G[r], g_ref) <= 1e-12
+        steps += 1
+    assert steps == T
+
+
+def test_lockstep_trajectory_does_not_depend_on_replicate_count():
+    suite, schedule, w0 = shipped_five_task_setup()
+    few = _lockstep(suite, schedule, w0, 30, 2, seed=3)
+    many = _lockstep(suite, schedule, w0, 30, 5, seed=3)
+    for (_, _, W2, G2, sel2), (_, _, W5, G5, sel5) in zip(few, many):
+        assert np.array_equal(W2, W5[:2])
+        assert np.array_equal(G2, G5[:2])
+        assert np.array_equal(sel2, sel5[:2])
 
 
 # ------------------------------------------------------------ theorem check
