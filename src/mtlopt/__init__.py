@@ -15,8 +15,6 @@ from .objectives import (
     QuadraticTask,
     TaskObjective,
     TaskSuite,
-    aggregated_gradient,
-    aggregated_loss,
     finite_difference_check,
     five_task_suite,
     suite_constants,
@@ -26,15 +24,11 @@ from .mlp import MLPSuite, init_mlp_params, synthetic_mlp_suite
 from .optimizers import OptimizerRule, OptimizerState, apply, clone_state, fresh_state
 from .schemes import (
     ConstantLR,
-    Grouping,
     InverseTimeLR,
     SchemeConfig,
-    grouped_step,
-    io_step,
-    ius_step,
     make_grouping,
     run,
-    sus_step,
+    step,
     theorem_schedule,
 )
 from .tracing import RunTrace, best_validation_point, covered_distances

@@ -58,7 +58,7 @@ def _execute(cfg: RunConfig, scheme_cfg, seed: int, eta=None):
         "aborted": trace.aborted,
     }
     if trace.val_task_losses:
-        metrics["per_task_best_val"] = np.stack(trace.val_task_losses).min(axis=0).tolist()
+        metrics["per_task_best_val"] = trace.best_val_task_losses
     return trace, metrics
 
 
@@ -109,13 +109,19 @@ def _sweep_cell(raw_config: dict, scheme_index: int, eta: float, seed: int) -> d
     }
 
 
-def _write_sweep_csv(path: Path, header_meta: dict, rows):
+def _write_sweep_csv(path: Path, header_meta: dict, rows) -> list:
+    """Write `rows` under the config header, flushing each one as it arrives so
+    that partial results survive an interruption; returns the rows written."""
+    written = []
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write(f"# config: {json.dumps(header_meta, sort_keys=True)}\n")
         writer = csv.writer(f)
         writer.writerow(SWEEP_COLUMNS)
         for row in rows:
             writer.writerow([repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in SWEEP_COLUMNS])
+            f.flush()
+            written.append(row)
+    return written
 
 
 def _ordinal_ranks(values):
@@ -182,24 +188,13 @@ def cmd_sweep(cfg: RunConfig, etas, out_dir: Path, seed_offset: int = 0, workers
 
     # a process pool forks all of its workers at once
     workers = min(workers, len(cells), os.cpu_count() or 1)
-    rows = []
     if workers <= 1:
-        with open(csv_path, "w", newline="", encoding="utf-8") as f:
-            f.write(f"# config: {json.dumps(header_meta, sort_keys=True)}\n")
-            writer = csv.writer(f)
-            writer.writerow(SWEEP_COLUMNS)
-            for i, eta, seed in cells:
-                row = _sweep_cell(cfg.raw, i, eta, seed)
-                rows.append(row)
-                writer.writerow(
-                    [repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in SWEEP_COLUMNS]
-                )
-                f.flush()  # partial results survive interruption
+        rows = _write_sweep_csv(csv_path, header_meta, (_sweep_cell(cfg.raw, *cell) for cell in cells))
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_sweep_cell, cfg.raw, i, eta, seed): (i, eta, seed) for i, eta, seed in cells}
-            for fut in concurrent.futures.as_completed(futures):
-                rows.append(fut.result())
+            futures = [pool.submit(_sweep_cell, cfg.raw, *cell) for cell in cells]
+            done = concurrent.futures.as_completed(futures)
+            rows = _write_sweep_csv(csv_path, header_meta, (fut.result() for fut in done))
     # deterministic final order regardless of completion order
     rows.sort(key=lambda r: (r["scheme_index"], r["eta"], r["seed"]))
     _write_sweep_csv(csv_path, header_meta, rows)

@@ -162,9 +162,6 @@ class MLPSuite(TaskSuite):
         h = self.topology.forward_trunk(trunk, self.val_inputs)[-1]
         return np.array([_head_loss(h, head, y) for head, y in zip(heads, self.val_targets)])
 
-    def validation_loss(self, w: np.ndarray) -> float:
-        return float(np.mean(self.validation_task_losses(w)))
-
 
 def synthetic_mlp_suite(
     n_tasks: int = 4,

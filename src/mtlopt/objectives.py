@@ -11,7 +11,7 @@ from typing import Any
 
 import numpy as np
 
-from .params import DimensionMismatchError, as_params, check_finite
+from .params import DimensionMismatchError, as_params
 from .params import RngStream
 
 __all__ = [
@@ -21,8 +21,6 @@ __all__ = [
     "TaskSuite",
     "QuadraticSuite",
     "SuiteConstants",
-    "aggregated_loss",
-    "aggregated_gradient",
     "finite_difference_check",
     "suite_constants",
     "two_task_suite",
@@ -116,10 +114,10 @@ class QuadraticTask(TaskObjective):
 class TaskSuite:
     """A list of tasks over one shared parameter space, uniform unit weights.
 
-    Subclasses define minibatch sampling and, when supported, a noise-free
-    validation loss. `shared_mask`/`task_mask` describe which coordinates are
-    shared across tasks and which ones a given task's update may touch (None
-    means all of them).
+    Subclasses define minibatch sampling and, when supported, noise-free
+    per-task validation losses. `shared_mask`/`task_mask` describe which
+    coordinates are shared across tasks and which ones a given task's update
+    may touch (None means all of them).
     """
 
     def __init__(self, tasks):
@@ -162,9 +160,6 @@ class TaskSuite:
     def sample_minibatch(self, gen: np.random.Generator) -> Minibatch:
         raise NotImplementedError
 
-    def validation_loss(self, w: np.ndarray) -> float | None:
-        return None
-
     def validation_task_losses(self, w: np.ndarray) -> np.ndarray | None:
         return None
 
@@ -187,31 +182,9 @@ class QuadraticSuite(TaskSuite):
         u = gen.uniform(-1.0, 1.0, size=(self.n_tasks, self._dim))
         return Minibatch(payload=u * self._halfwidths)
 
-    def validation_loss(self, w: np.ndarray) -> float:
-        # noise-free uniform-average objective
-        return float(np.mean([t.exact_value(w) for t in self.tasks]))
-
     def validation_task_losses(self, w: np.ndarray) -> np.ndarray:
+        # noise-free per-task objectives; their mean is the validation loss
         return np.array([t.exact_value(w) for t in self.tasks])
-
-
-def aggregated_loss(suite: TaskSuite, w: np.ndarray, xi: Minibatch, average: bool = False) -> float:
-    """Sum of task values at (w, xi); `average` gives the uniform mean instead."""
-    total = sum(t.value(w, xi) for t in suite.tasks)
-    return total / suite.n_tasks if average else total
-
-
-def aggregated_gradient(suite: TaskSuite, w: np.ndarray, xi: Minibatch) -> np.ndarray:
-    out = np.zeros_like(w)
-    for t in suite.tasks:
-        g = t.gradient(w, xi)
-        if g.shape != w.shape:
-            raise DimensionMismatchError(
-                f"task {t.index} gradient shape {g.shape} != parameter shape {w.shape}"
-            )
-        out += g
-    check_finite(out, "aggregated gradient")
-    return out
 
 
 def finite_difference_check(task: TaskObjective, w: np.ndarray, xi: Minibatch, h: float = 1e-5) -> float:

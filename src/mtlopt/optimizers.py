@@ -88,7 +88,11 @@ def fresh_state(rule: OptimizerRule, dim: int) -> OptimizerState:
 
 
 def apply(rule: OptimizerRule, state: OptimizerState, g: np.ndarray) -> np.ndarray:
-    """Advance `state` with gradient `g` and return the adjusted direction."""
+    """Advance `state` with gradient `g` and return the adjusted direction.
+
+    It rebinds state.m, state.v and state.step and never writes into the old
+    arrays, so restoring the three references undoes the update.
+    """
     if g.shape != state.m.shape:
         raise ValueError(f"gradient shape {g.shape} != state shape {state.m.shape}")
     if not np.all(np.isfinite(g)):

@@ -1,12 +1,19 @@
-"""Update schemes over a task suite: one shared aggregated step per minibatch,
-alternating per-task steps through a shared optimizer, alternating steps with
-one optimizer per task, and alternating steps over random balanced task
-groups.
+"""Update schemes over a task suite, all driven by one engine, `step`.
+
+Each update descends the summed gradient of one unit of tasks through an
+optimizer state. The shared scheme (`sus`) has one unit of every task; the
+alternating schemes (`ius`, `io`) have one unit per task, or one per random
+balanced task group, and either share one optimizer state (`ius`) or give
+each unit its own (`io`).
 
 Grouping with one group reproduces the shared scheme exactly, and grouping
 with one group per task reproduces the ungrouped alternating schemes exactly
 (same seed, bit-identical trajectories). Groups are labeled canonically by
 their smallest member so those equivalences hold at the bit level.
+
+Updates are transactional: one that raises NonFiniteError leaves the
+parameters and its optimizer state as they were, so an aborted run reports
+the state of its last update that landed.
 """
 
 from dataclasses import dataclass
@@ -22,12 +29,8 @@ __all__ = [
     "InverseTimeLR",
     "theorem_schedule",
     "SchemeConfig",
-    "Grouping",
     "make_grouping",
-    "sus_step",
-    "ius_step",
-    "io_step",
-    "grouped_step",
+    "step",
     "run",
 ]
 
@@ -102,19 +105,9 @@ class SchemeConfig:
         }
 
 
-@dataclass(frozen=True)
-class Grouping:
-    """Balanced partition of task indices; group l holds groups[l]."""
-
-    groups: tuple
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.groups)
-
-
-def make_grouping(n_tasks: int, n_groups: int, gen: np.random.Generator) -> Grouping:
-    """Uniformly random balanced partition; sizes differ by at most one.
+def make_grouping(n_tasks: int, n_groups: int, gen: np.random.Generator) -> tuple:
+    """Uniformly random balanced partition, as a tuple of groups of task
+    indices; sizes differ by at most one.
 
     Groups are relabeled by their smallest member, which makes singleton
     groupings coincide with task indices.
@@ -124,57 +117,47 @@ def make_grouping(n_tasks: int, n_groups: int, gen: np.random.Generator) -> Grou
     perm = gen.permutation(n_tasks)
     buckets = [sorted(int(x) for x in perm[i::n_groups]) for i in range(n_groups)]
     buckets.sort(key=lambda b: b[0])
-    return Grouping(groups=tuple(tuple(b) for b in buckets))
+    return tuple(tuple(b) for b in buckets)
 
 
-def _unit_update(w, suite, unit, rule, state, eta, xi):
-    """One individual update: descend the summed gradient of `unit`'s tasks,
-    restricted to the coordinates those tasks may touch."""
-    g = np.zeros_like(w)
-    for k in unit:
-        g += suite.tasks[k].gradient(w, xi)
-    direction = optimizers.apply(rule, state, g)
-    mask = suite.unit_mask(unit)
-    if mask is not None:
-        direction = np.where(mask, direction, 0.0)
-    return axpy(w, direction, -eta)
+def step(w, suite, units, rule, states, eta, xi, order):
+    """Update units[u] for each u in `order`; yield (u, loss, w) after each.
 
-
-def sus_step(w, suite, rule, state, eta, xi):
-    """Shared update: one summed gradient, one optimizer application."""
-    return _unit_update(w, suite, tuple(range(suite.n_tasks)), rule, state, eta, xi)
-
-
-def ius_step(w, suite, rule, state, eta, xi, order):
-    """Alternating per-task updates through one shared optimizer state; each
-    gradient is evaluated at the freshly updated parameters."""
-    for k in order:
-        w = _unit_update(w, suite, (int(k),), rule, state, eta, xi)
-    return w
-
-
-def io_step(w, suite, rule, states, eta, xi, order):
-    """Alternating per-task updates, each through its own optimizer state, so
-    no task's moving average ever sees another task's gradients."""
-    if len(states) != suite.n_tasks:
-        raise ValueError(f"need one state per task ({suite.n_tasks}), got {len(states)}")
-    for k in order:
-        w = _unit_update(w, suite, (int(k),), rule, states[int(k)], eta, xi)
-    return w
-
-
-def grouped_step(w, suite, grouping, rule, states, eta, xi, order):
-    """Alternating per-group updates; each group descends the sum of its
-    members' gradients. One state means a shared optimizer, one state per
-    group means individual optimizers."""
-    if len(states) not in (1, grouping.n_groups):
-        raise ValueError(
-            f"need 1 or {grouping.n_groups} optimizer states, got {len(states)}"
-        )
-    for l in order:
-        state = states[0] if len(states) == 1 else states[int(l)]
-        w = _unit_update(w, suite, grouping.groups[int(l)], rule, state, eta, xi)
-    return w
+    An update descends the summed gradient of the unit's tasks at the
+    parameters the previous update left, through states[u] (states[0] when one
+    state is shared), restricted to the coordinates those tasks may touch; the
+    loss is the unit's summed value there. `xi` is the minibatch of every
+    update, or a callable that draws a fresh one per update.
+    """
+    if len(states) not in (1, len(units)):
+        raise ValueError(f"need 1 or {len(units)} optimizer states, got {len(states)}")
+    draw = xi if callable(xi) else lambda: xi
+    for u in order:
+        u = int(u)
+        unit = units[u]
+        state = states[0] if len(states) == 1 else states[u]
+        batch = draw()
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss = sum(suite.tasks[k].value(w, batch) for k in unit)
+            if not np.isfinite(loss):
+                label = "+".join(str(k) for k in unit)
+                raise NonFiniteError(f"training loss for unit {label} is non-finite")
+            g = np.zeros_like(w)
+            for k in unit:
+                g += suite.tasks[k].gradient(w, batch)
+            # apply rebinds m, v and step, never writes into them, so keeping
+            # the three references is enough to undo an update that fails
+            saved = state.m, state.v, state.step
+            try:
+                direction = optimizers.apply(rule, state, g)
+                mask = suite.unit_mask(unit)
+                if mask is not None:
+                    direction = np.where(mask, direction, 0.0)
+                w = axpy(w, direction, -eta)
+            except NonFiniteError:
+                state.m, state.v, state.step = saved
+                raise
+        yield u, loss, w
 
 
 def _sample_order(policy: str, n_units: int, gen: np.random.Generator) -> np.ndarray:
@@ -187,15 +170,12 @@ def _sample_order(policy: str, n_units: int, gen: np.random.Generator) -> np.nda
 
 def _materialize_units(config: SchemeConfig, suite, seed: int):
     n = suite.n_tasks
-    if config.n_groups is not None and not 1 <= config.n_groups <= n:
-        raise ValueError(f"n_groups must be in [1, {n}], got {config.n_groups}")
     if config.scheme == "sus":
         units = [tuple(range(n))]
     elif config.n_groups is None or config.n_groups == n:
         units = [(k,) for k in range(n)]
     else:
-        grouping = make_grouping(n, config.n_groups, RngStream(seed, "grouping").gen)
-        units = list(grouping.groups)
+        units = list(make_grouping(n, config.n_groups, RngStream(seed, "grouping").gen))
     if config.scheme == "io":
         states = [optimizers.fresh_state(config.optimizer, suite.dim) for _ in units]
     else:
@@ -228,7 +208,6 @@ def run(
         raise ValueError(f"w0 dimension {w.size} != suite dimension {suite.dim}")
     units, states = _materialize_units(config, suite, seed)
     labels = ["+".join(str(k) for k in unit) for unit in units]
-    rule = config.optimizer
     shared_mask = suite.shared_mask
     data_gen = RngStream(seed, "data").gen
     order_gen = RngStream(seed, "task-order").gen
@@ -250,7 +229,7 @@ def run(
     if snapshot_every:
         trace.snapshots.append((0, 0, w.copy()))
 
-    def record_validation(step, current_w):
+    def record_validation(t, current_w):
         with np.errstate(over="ignore", invalid="ignore"):
             task_losses = suite.validation_task_losses(current_w)
         if task_losses is None:
@@ -258,41 +237,24 @@ def run(
         val = float(np.mean(task_losses))
         if not np.isfinite(val):
             raise NonFiniteError("validation loss is non-finite")
-        trace.add_validation(step, val, task_losses)
+        trace.add_validation(t, val, task_losses)
         if trace.best_val_loss is None or val < trace.best_val_loss:
             trace.best_val_loss = val
-            trace.best_val_step = step
+            trace.best_val_step = t
             trace.w_best = current_w.copy()
 
+    def draw():
+        return suite.sample_minibatch(data_gen)
+
+    t = 0
     try:
         record_validation(0, w)
-    except NonFiniteError as exc:
-        trace.aborted = True
-        trace.abort_reason = f"step 0: {exc}"
-        trace.w_final = w.copy()
-        trace.w_best = w.copy()
-        trace.best_val_step = 0
-        trace.final_states = [s.to_dict() for s in states]
-        return trace
-
-    for t in range(1, n_steps + 1):
-        eta = config.lr.at(t)
-        xi = None
-        if not config.fresh_minibatch_per_task:
-            xi = suite.sample_minibatch(data_gen)
-        order = _sample_order(config.task_order, len(units), order_gen)
-        try:
-            for sub_i, u in enumerate(order):
-                u = int(u)
-                unit = units[u]
-                state = states[0] if len(states) == 1 else states[u]
-                if config.fresh_minibatch_per_task:
-                    xi = suite.sample_minibatch(data_gen)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    loss = sum(suite.tasks[k].value(w, xi) for k in unit)
-                    if not np.isfinite(loss):
-                        raise NonFiniteError(f"training loss for unit {labels[u]} is non-finite")
-                    w_new = _unit_update(w, suite, unit, rule, state, eta, xi)
+        for t in range(1, n_steps + 1):
+            eta = config.lr.at(t)
+            xi = draw if config.fresh_minibatch_per_task else draw()
+            order = _sample_order(config.task_order, len(units), order_gen)
+            updates = step(w, suite, units, config.optimizer, states, eta, xi, order)
+            for sub_i, (u, loss, w_new) in enumerate(updates):
                 step_vec = w_new - w
                 if shared_mask is not None:
                     step_vec = step_vec[shared_mask]
@@ -300,23 +262,17 @@ def run(
                 w = w_new
                 if snapshot_every == 1:
                     trace.snapshots.append((t, sub_i, w.copy()))
-        except NonFiniteError as exc:
-            trace.aborted = True
-            trace.abort_reason = f"step {t}: {exc}"
-            break
-        if validation_every and t % validation_every == 0:
-            try:
+            if validation_every and t % validation_every == 0:
                 record_validation(t, w)
-            except NonFiniteError as exc:
-                trace.aborted = True
-                trace.abort_reason = f"step {t}: {exc}"
-                break
-        if snapshot_every > 1 and t % snapshot_every == 0:
-            trace.snapshots.append((t, len(order) - 1, w.copy()))
+            if snapshot_every > 1 and t % snapshot_every == 0:
+                trace.snapshots.append((t, len(order) - 1, w.copy()))
+    except NonFiniteError as exc:
+        trace.aborted = True
+        trace.abort_reason = f"step {t}: {exc}"
 
     trace.w_final = w.copy()
     if trace.w_best is None:
-        # no validation support: measure at the endpoint
+        # no validation support, or an abort at step 0: measure at the endpoint
         trace.w_best = w.copy()
         trace.best_val_step = trace.n_steps_executed
     trace.final_states = [s.to_dict() for s in states]

@@ -52,6 +52,14 @@ class RunTrace:
     def n_steps_executed(self) -> int:
         return self.steps[-1] if self.steps else 0
 
+    @property
+    def best_val_task_losses(self) -> list | None:
+        """Each task's own minimum over the validation steps (not the task
+        losses at best_val_step); None without per-task validation."""
+        if not self.val_task_losses:
+            return None
+        return np.stack(self.val_task_losses).min(axis=0).tolist()
+
     def add_row(self, step, label, train_loss, displacement):
         cum = (self.cumulative[-1] if self.cumulative else 0.0) + displacement
         self.steps.append(step)
@@ -95,14 +103,6 @@ class DistanceReport:
     ratio: float  # nan when degenerate
     degenerate: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "shortest": self.shortest,
-            "ratio": None if self.degenerate else self.ratio,
-            "degenerate": self.degenerate,
-        }
-
 
 def best_validation_point(trace: RunTrace):
     """(step, value) of the validation minimum; first occurrence wins ties."""
@@ -125,15 +125,14 @@ def covered_distances(
     distance from the start to that point, and their ratio.
 
     Defaults come from the trace itself. A zero straight-line distance is a
-    degenerate case: the ratio is undefined and flagged.
+    degenerate case: the ratio is undefined and flagged. A trace without rows
+    (a run that aborted before its first update landed) is such a case.
     """
-    if not trace.steps:
-        raise ValueError("trace is empty")
     w0 = trace.w0 if w0 is None else w0
     w_best = trace.w_best if w_best is None else w_best
     if w0 is None or w_best is None:
         raise ValueError("trace lacks start/best snapshots; pass w0 and w_best")
-    best_step = trace.best_val_step if trace.best_val_step is not None else trace.steps[-1]
+    best_step = trace.best_val_step if trace.best_val_step is not None else trace.n_steps_executed
     total = 0.0
     for s, d in zip(trace.steps, trace.displacements):
         if s <= best_step:
@@ -179,8 +178,7 @@ def write_trace_meta(trace: RunTrace, path) -> None:
     meta["best_val_step"] = trace.best_val_step
     meta["best_val_loss"] = trace.best_val_loss
     if trace.val_task_losses:
-        stacked = np.stack(trace.val_task_losses)
-        meta["best_val_task_losses"] = stacked.min(axis=0).tolist()
+        meta["best_val_task_losses"] = trace.best_val_task_losses
     if trace.w_final is not None:
         meta["w_final"] = trace.w_final.tolist()
     meta["final_optimizer_states"] = trace.final_states

@@ -27,7 +27,7 @@ from mtlopt.objectives import (
 )
 from mtlopt.optimizers import OptimizerRule, fresh_state
 from mtlopt.params import RngStream
-from mtlopt.schemes import ConstantLR, SchemeConfig, io_step, ius_step, run
+from mtlopt.schemes import ConstantLR, SchemeConfig, run, step
 from mtlopt.tracing import RunTrace, covered_distances, read_csv_body, write_trace_csv
 from mtlopt.verify import fit_rate, verify_lemma1, verify_lemma2, verify_theorem
 
@@ -197,15 +197,16 @@ def test_criterion_5_optimizer_state_separation():
     suite = _ConstantGradientSuite([[1.0], [-1.0]])
     mom = OptimizerRule.momentum(0.9)
     xi = Minibatch(None)
+    units = [(0,), (1,)]
     for eta in (1.0, 0.1):
         shared = fresh_state(mom, 1)
         w = np.zeros(1)
-        after = ius_step(w, suite, mom, shared, eta, xi, [0, 1])
+        *_, (_, _, after) = step(w, suite, units, mom, [shared], eta, xi, [0, 1])
         assert after[0] - w[0] == -0.9 * eta  # exact
 
         states = [fresh_state(mom, 1), fresh_state(mom, 1)]
-        w1 = io_step(np.zeros(1), suite, mom, states, eta, xi, [0, 1])
-        w2 = io_step(w1, suite, mom, states, eta, xi, [0, 1])
+        *_, (_, _, w1) = step(np.zeros(1), suite, units, mom, states, eta, xi, [0, 1])
+        *_, (_, _, w2) = step(w1, suite, units, mom, states, eta, xi, [0, 1])
         assert w1[0] == 0.0 and w2[0] == 0.0  # per-round net displacement
     report_pass(5, "shared state drifts -0.9*eta in round 1; individual states cancel exactly")
 

@@ -158,6 +158,33 @@ def test_numerical_abort_exit_code(tmp_path, capsys):
     assert "aborted" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # the validation loss at step 0 is non-finite
+        {"objective": {"family": "quadratic", "preset": "two_task"}, "w0": [1e200]},
+        # the first update overflows in the parameter update
+        {
+            "objective": {"family": "quadratic", "tasks": [{"matrix": [[1.0]], "center": [0.0], "noise_sigma": 0.0}]},
+            "scheme": {"kind": "ius", "optimizer": {"kind": "momentum"}, "lr": {"kind": "constant", "eta": 1e160}},
+            "w0": [1e150],
+        },
+    ],
+)
+def test_abort_before_first_update_writes_outputs(tmp_path, overrides):
+    cfg = write_config(tmp_path, minimal_run_config(**overrides))
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert read_csv_body(out / "trace_seed0.csv") == "step,task_or_group,train_loss,val_loss,displacement,cumulative_total\n"
+    meta = json.loads((out / "trace_seed0.meta.json").read_text(), parse_constant=_reject_constant)
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
+    assert meta["aborted"] is True and meta["best_val_step"] == 0
+    assert meta["final_optimizer_states"][0]["step"] == 0
+    seed = summary["per_seed"][0]
+    assert seed["aborted"] is True
+    assert (seed["total"], seed["shortest"], seed["ratio"]) == (0.0, 0.0, None)
+
+
 def test_verify_cli_small_config(tmp_path, capsys):
     payload = {
         "objective": {"family": "quadratic", "preset": "two_task"},
@@ -268,7 +295,10 @@ class _InlinePool:
 
     def submit(self, fn, *args):
         fut = concurrent.futures.Future()
-        fut.set_result(fn(*args))
+        try:
+            fut.set_result(fn(*args))
+        except Exception as exc:  # a pool hands a cell's error back through its future
+            fut.set_exception(exc)
         return fut
 
 
@@ -282,3 +312,29 @@ def test_sweep_workers_clamped_to_cells_and_cpus(tmp_path, monkeypatch, cpus, ex
     assert main(["sweep", cfg, "--etas", "0.05", "--out", str(out), "--workers", "5000"]) == 0
     assert _InlinePool.requested == [expected]
     assert len(read_csv_body(out / "sweep.csv").strip().split("\n")) - 1 == 3
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_streams_rows_until_a_cell_fails(tmp_path, monkeypatch, workers):
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    # completion order is submission order, as if the cells finished in turn
+    monkeypatch.setattr(cli.concurrent.futures, "as_completed", iter)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    real_cell = cli._sweep_cell
+    calls = []
+
+    def failing_second_cell(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("cell failed")
+        return real_cell(*args)
+
+    monkeypatch.setattr(cli, "_sweep_cell", failing_second_cell)
+    cfg = write_config(tmp_path, two_task_config(steps=3))
+    out = tmp_path / "sweep"
+    with pytest.raises(RuntimeError, match="cell failed"):
+        main(["sweep", cfg, "--etas", "0.05", "--out", str(out), "--workers", str(workers)])
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[0].startswith("# config: ")
+    assert lines[1] == ",".join(cli.SWEEP_COLUMNS)
+    assert len(lines) == 3 and lines[2].startswith("0.05,ius,2,0,")

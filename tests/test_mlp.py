@@ -2,7 +2,9 @@ import numpy as np
 
 from mtlopt.mlp import init_mlp_params, synthetic_mlp_suite
 from mtlopt.objectives import finite_difference_check, two_task_suite
+from mtlopt.optimizers import OptimizerRule
 from mtlopt.params import RngStream
+from mtlopt.schemes import ConstantLR, SchemeConfig, run
 
 
 def small_suite():
@@ -62,7 +64,7 @@ def test_init_and_targets_deterministic():
     wa = init_mlp_params(a, RngStream(3, "init").gen)
     wb = init_mlp_params(b, RngStream(3, "init").gen)
     np.testing.assert_array_equal(wa, wb)
-    assert a.validation_loss(wa) == b.validation_loss(wb)
+    np.testing.assert_array_equal(a.validation_task_losses(wa), b.validation_task_losses(wb))
     x = RngStream(4, "data").gen.uniform(-1, 1, size=(5, 2))
     np.testing.assert_array_equal(a.targets[1](x), b.targets[1](x))
 
@@ -71,7 +73,11 @@ def test_validation_loss_is_mean_of_task_losses():
     suite = small_suite()
     w = init_mlp_params(suite, RngStream(6, "init").gen)
     per_task = suite.validation_task_losses(w)
-    assert suite.validation_loss(w) == float(np.mean(per_task))
+    # the validation loss a run records is the mean of the task losses
+    config = SchemeConfig(scheme="sus", optimizer=OptimizerRule.sgd(), lr=ConstantLR(0.01))
+    trace = run(config, suite, w, 1, seed=0)
+    assert trace.val_losses[0] == float(np.mean(per_task))
+    np.testing.assert_array_equal(trace.val_task_losses[0], per_task)
     assert np.all(per_task >= 0.0)
 
 

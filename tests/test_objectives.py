@@ -7,14 +7,14 @@ from mtlopt.objectives import (
     Minibatch,
     QuadraticSuite,
     QuadraticTask,
-    aggregated_gradient,
-    aggregated_loss,
     finite_difference_check,
     five_task_suite,
     suite_constants,
     two_task_suite,
 )
+from mtlopt.optimizers import OptimizerRule, fresh_state
 from mtlopt.params import DimensionMismatchError, RngStream
+from mtlopt.schemes import step
 
 
 def noiseless_pair():
@@ -25,41 +25,49 @@ def empty_batch(suite):
     return Minibatch(payload=np.zeros((suite.n_tasks, suite.dim)))
 
 
+def all_task_update(suite, w, xi):
+    """Loss and optimizer state of one update of the all-task unit from a fresh
+    momentum state: the loss is the summed task value at w and, since
+    0.9*0 + g == g, the state's m is the summed gradient."""
+    mom = OptimizerRule.momentum(0.9)
+    state = fresh_state(mom, suite.dim)
+    [(_, loss, _)] = step(w, suite, [tuple(range(suite.n_tasks))], mom, [state], 1.0, xi, [0])
+    return loss, state
+
+
 def test_aggregated_loss_worked_example():
     suite = noiseless_pair()
     w = np.array([1.0])
     xi = empty_batch(suite)
-    assert aggregated_loss(suite, w, xi) == 1.0
-    assert aggregated_loss(suite, w, xi, average=True) == 0.5
+    assert all_task_update(suite, w, xi)[0] == 1.0
 
 
 def test_aggregated_loss_single_task_identity():
     suite = QuadraticSuite([QuadraticTask(0, [[2.0]], [1.0])])
     w = np.array([3.0])
     xi = empty_batch(suite)
-    assert aggregated_loss(suite, w, xi) == suite.tasks[0].value(w, xi)
+    assert all_task_update(suite, w, xi)[0] == suite.tasks[0].value(w, xi)
 
 
 def test_aggregated_loss_zero_at_common_minimizer():
     suite = QuadraticSuite(
         [QuadraticTask(0, [[1.0]], [1.5]), QuadraticTask(1, [[3.0]], [1.5])]
     )
-    assert aggregated_loss(suite, np.array([1.5]), empty_batch(suite)) == 0.0
+    assert all_task_update(suite, np.array([1.5]), empty_batch(suite))[0] == 0.0
 
 
 def test_aggregated_gradient_worked_example():
     suite = noiseless_pair()
-    g = aggregated_gradient(suite, np.array([1.0]), empty_batch(suite))
-    np.testing.assert_array_equal(g, [0.0])
+    _, state = all_task_update(suite, np.array([1.0]), empty_batch(suite))
+    np.testing.assert_array_equal(state.m, [0.0])
 
 
 def test_aggregated_gradient_symmetric_pair_cancels():
     suite = QuadraticSuite(
         [QuadraticTask(0, [[1.0]], [-2.0]), QuadraticTask(1, [[1.0]], [2.0])]
     )
-    np.testing.assert_array_equal(
-        aggregated_gradient(suite, np.array([0.0]), empty_batch(suite)), [0.0]
-    )
+    _, state = all_task_update(suite, np.array([0.0]), empty_batch(suite))
+    np.testing.assert_array_equal(state.m, [0.0])
 
 
 def test_aggregated_gradient_equals_per_task_sum():
@@ -68,7 +76,7 @@ def test_aggregated_gradient_equals_per_task_sum():
     xi = suite.sample_minibatch(gen)
     w = gen.normal(size=suite.dim)
     total = sum(t.gradient(w, xi) for t in suite.tasks)
-    np.testing.assert_array_equal(aggregated_gradient(suite, w, xi), total)
+    np.testing.assert_array_equal(all_task_update(suite, w, xi)[1].m, total)
 
 
 def test_minibatch_is_reusable():

@@ -18,12 +18,9 @@ from mtlopt.params import RngStream
 from mtlopt.schemes import (
     ConstantLR,
     SchemeConfig,
-    grouped_step,
-    io_step,
-    ius_step,
     make_grouping,
     run,
-    sus_step,
+    step,
     theorem_schedule,
 )
 
@@ -36,6 +33,22 @@ def noiseless_pair():
 
 def empty_batch(suite):
     return Minibatch(payload=np.zeros((suite.n_tasks, suite.dim)))
+
+
+def shared_unit(suite):
+    """The one unit of the shared scheme: every task."""
+    return [tuple(range(suite.n_tasks))]
+
+
+def task_units(suite):
+    """The units of the ungrouped alternating schemes: one per task."""
+    return [(k,) for k in range(suite.n_tasks)]
+
+
+def final_w(updates):
+    """The parameters after the last update of a `step` generator."""
+    *_, (_, _, w) = updates
+    return w
 
 
 class ConstantGradientTask(TaskObjective):
@@ -88,23 +101,26 @@ def test_sus_step_worked_examples():
     suite = noiseless_pair()
     xi = empty_batch(suite)
     st0 = fresh_state(SGD, 1)
-    np.testing.assert_allclose(sus_step(np.array([1.0]), suite, SGD, st0, 0.1, xi), [1.0])
+    out0 = final_w(step(np.array([1.0]), suite, shared_unit(suite), SGD, [st0], 0.1, xi, [0]))
+    np.testing.assert_allclose(out0, [1.0])
     st1 = fresh_state(SGD, 1)
-    np.testing.assert_allclose(sus_step(np.array([0.0]), suite, SGD, st1, 0.1, xi), [0.2])
+    out1 = final_w(step(np.array([0.0]), suite, shared_unit(suite), SGD, [st1], 0.1, xi, [0]))
+    np.testing.assert_allclose(out1, [0.2])
 
 
 def test_sus_single_task_equals_plain_step():
     suite = QuadraticSuite([QuadraticTask(0, [[2.0]], [1.0])])
     xi = empty_batch(suite)
-    out = sus_step(np.array([0.0]), suite, SGD, fresh_state(SGD, 1), 0.1, xi)
+    out = final_w(step(np.array([0.0]), suite, shared_unit(suite), SGD, [fresh_state(SGD, 1)], 0.1, xi, [0]))
     np.testing.assert_allclose(out, [0.0 - 0.1 * 2.0 * (0.0 - 1.0)])
 
 
 def test_ius_step_order_matters():
     suite = noiseless_pair()
     xi = empty_batch(suite)
-    fwd = ius_step(np.array([1.0]), suite, SGD, fresh_state(SGD, 1), 0.1, xi, [0, 1])
-    rev = ius_step(np.array([1.0]), suite, SGD, fresh_state(SGD, 1), 0.1, xi, [1, 0])
+    units = task_units(suite)
+    fwd = final_w(step(np.array([1.0]), suite, units, SGD, [fresh_state(SGD, 1)], 0.1, xi, [0, 1]))
+    rev = final_w(step(np.array([1.0]), suite, units, SGD, [fresh_state(SGD, 1)], 0.1, xi, [1, 0]))
     np.testing.assert_allclose(fwd, [1.01])
     np.testing.assert_allclose(rev, [0.99])
 
@@ -112,8 +128,8 @@ def test_ius_step_order_matters():
 def test_ius_single_task_equals_sus():
     suite = QuadraticSuite([QuadraticTask(0, [[1.0]], [2.0])])
     xi = empty_batch(suite)
-    a = ius_step(np.array([0.5]), suite, SGD, fresh_state(SGD, 1), 0.2, xi, [0])
-    b = sus_step(np.array([0.5]), suite, SGD, fresh_state(SGD, 1), 0.2, xi)
+    a = final_w(step(np.array([0.5]), suite, task_units(suite), SGD, [fresh_state(SGD, 1)], 0.2, xi, [0]))
+    b = final_w(step(np.array([0.5]), suite, shared_unit(suite), SGD, [fresh_state(SGD, 1)], 0.2, xi, [0]))
     np.testing.assert_array_equal(a, b)
 
 
@@ -121,34 +137,63 @@ def test_io_step_with_sgd_bit_equals_ius():
     suite = two_task_suite(noise_sigma=0.4)
     xi = suite.sample_minibatch(RngStream(0, "data").gen)
     w = np.array([0.3])
-    a = ius_step(w, suite, SGD, fresh_state(SGD, 1), 0.1, xi, [1, 0])
-    b = io_step(w, suite, SGD, [fresh_state(SGD, 1) for _ in range(2)], 0.1, xi, [1, 0])
+    units = task_units(suite)
+    a = final_w(step(w, suite, units, SGD, [fresh_state(SGD, 1)], 0.1, xi, [1, 0]))
+    b = final_w(step(w, suite, units, SGD, [fresh_state(SGD, 1) for _ in range(2)], 0.1, xi, [1, 0]))
     np.testing.assert_array_equal(a, b)
 
 
 def test_momentum_memory_leak_hand_trace():
     # constant gradients +1 / -1: shared state drifts, per-task states cancel
     suite = ConstantGradientSuite([[1.0], [-1.0]])
+    units = task_units(suite)
     mom = OptimizerRule.momentum(0.9)
     eta = 1.0
     xi = Minibatch(None)
 
     w = np.zeros(1)
     shared = fresh_state(mom, 1)
-    w_ius = ius_step(w, suite, mom, shared, eta, xi, [0, 1])
+    w_ius = final_w(step(w, suite, units, mom, [shared], eta, xi, [0, 1]))
     np.testing.assert_allclose(w_ius - w, [-0.9 * eta])
 
     states = [fresh_state(mom, 1), fresh_state(mom, 1)]
-    w1 = io_step(w, suite, mom, states, eta, xi, [0, 1])
+    w1 = final_w(step(w, suite, units, mom, states, eta, xi, [0, 1]))
     np.testing.assert_allclose(w1 - w, [0.0])
-    w2 = io_step(w1, suite, mom, states, eta, xi, [0, 1])
+    w2 = final_w(step(w1, suite, units, mom, states, eta, xi, [0, 1]))
     np.testing.assert_allclose(w2 - w1, [0.0])
 
 
-def test_io_step_requires_state_per_task():
+def test_step_yields_unit_loss_and_parameters_per_update():
     suite = noiseless_pair()
-    with pytest.raises(ValueError):
-        io_step(np.array([0.0]), suite, SGD, [fresh_state(SGD, 1)], 0.1, empty_batch(suite), [0, 1])
+    xi = empty_batch(suite)
+    w0 = np.array([1.0])
+    updates = list(step(w0, suite, task_units(suite), SGD, [fresh_state(SGD, 1)], 0.1, xi, [1, 0]))
+    assert [u for u, _, _ in updates] == [1, 0]
+    # task 1 at w=1: 0.5*(1-2)^2; then task 0 at w=1.1: 0.5*1.1^2
+    assert updates[0][1] == 0.5
+    assert updates[1][1] == pytest.approx(0.5 * 1.1**2)
+    np.testing.assert_allclose(updates[0][2], [1.1])
+    np.testing.assert_allclose(updates[1][2], [0.99])
+
+
+def test_step_draws_one_minibatch_per_update_from_a_callable():
+    suite = two_task_suite(noise_sigma=0.5)
+    gen_a, gen_b = RngStream(2, "data").gen, RngStream(2, "data").gen
+    drawn = []
+
+    def draw():
+        drawn.append(suite.sample_minibatch(gen_a))
+        return drawn[-1]
+
+    w0 = np.array([0.4])
+    units = task_units(suite)
+    fresh = final_w(step(w0, suite, units, SGD, [fresh_state(SGD, 1)], 0.1, draw, [0, 1, 1]))
+    assert len(drawn) == 3
+    w = w0
+    for k in (0, 1, 1):
+        xi = suite.sample_minibatch(gen_b)
+        w = final_w(step(w, suite, units, SGD, [fresh_state(SGD, 1)], 0.1, xi, [k]))
+    np.testing.assert_array_equal(fresh, w)
 
 
 # ---------------------------------------------------------------- grouping
@@ -157,16 +202,16 @@ def test_io_step_requires_state_per_task():
 def test_grouping_degenerate_cases():
     gen = RngStream(0, "grouping").gen
     singletons = make_grouping(4, 4, gen)
-    assert singletons.groups == ((0,), (1,), (2,), (3,))
+    assert singletons == ((0,), (1,), (2,), (3,))
     everything = make_grouping(4, 1, gen)
-    assert everything.groups == ((0, 1, 2, 3),)
+    assert everything == ((0, 1, 2, 3),)
 
 
 def test_grouping_forty_tasks_eight_groups():
     g = make_grouping(40, 8, RngStream(3, "grouping").gen)
-    sizes = [len(grp) for grp in g.groups]
+    sizes = [len(grp) for grp in g]
     assert sizes == [5] * 8
-    assert sorted(k for grp in g.groups for k in grp) == list(range(40))
+    assert sorted(k for grp in g for k in grp) == list(range(40))
 
 
 def test_grouping_rejects_bad_counts():
@@ -182,9 +227,9 @@ def test_grouping_rejects_bad_counts():
 def test_grouping_balanced_partition_property(args):
     n, n_hat, seed = args
     g = make_grouping(n, n_hat, RngStream(seed, "grouping").gen)
-    sizes = [len(grp) for grp in g.groups]
+    sizes = [len(grp) for grp in g]
     assert max(sizes) - min(sizes) <= 1
-    assert sorted(k for grp in g.groups for k in grp) == list(range(n))
+    assert sorted(k for grp in g for k in grp) == list(range(n))
 
 
 def test_grouping_deterministic_given_seed():
@@ -197,9 +242,7 @@ def test_grouped_step_matches_worked_ius_example():
     suite = noiseless_pair()
     xi = empty_batch(suite)
     grouping = make_grouping(2, 2, RngStream(0, "grouping").gen)
-    out = grouped_step(
-        np.array([1.0]), suite, grouping, SGD, [fresh_state(SGD, 1)], 0.1, xi, [0, 1]
-    )
+    out = final_w(step(np.array([1.0]), suite, grouping, SGD, [fresh_state(SGD, 1)], 0.1, xi, [0, 1]))
     np.testing.assert_allclose(out, [1.01])
 
 
@@ -207,10 +250,10 @@ def test_grouped_step_state_count_validation():
     suite = noiseless_pair()
     grouping = make_grouping(2, 2, RngStream(0, "grouping").gen)
     with pytest.raises(ValueError):
-        grouped_step(
+        final_w(step(
             np.array([0.0]), suite, grouping, SGD,
             [fresh_state(SGD, 1)] * 3, 0.1, empty_batch(suite), [0, 1],
-        )
+        ))
 
 
 # ---------------------------------------------------------------- run loop
@@ -338,6 +381,39 @@ def test_non_finite_loss_aborts_with_diagnostic():
     assert trace.aborted
     assert trace.abort_reason and "step" in trace.abort_reason
     assert trace.n_steps_executed < 400
+
+
+@pytest.mark.parametrize("opt", [SGD, OptimizerRule.momentum(0.9), OptimizerRule.adam()])
+def test_abort_in_update_leaves_optimizer_state_of_last_landed_update(opt):
+    # 0.5*w^2 at w0 = 1e150: the loss is finite, but w0 - 1e160*direction
+    # overflows, so the first update fails in the parameter update (adam's
+    # unit-size direction lands once and the next loss overflows instead)
+    suite = QuadraticSuite([QuadraticTask(0, [[1.0]], [0.0])])
+    trace = run(cfg("ius", opt=opt, eta=1e160), suite, np.array([1e150]), 5, seed=0)
+    assert trace.aborted
+    landed = len(trace.steps)
+    assert trace.final_states[0]["step"] == landed
+    if opt.kind == "momentum":
+        assert landed == 0
+        assert trace.final_states[0]["m"] == [0.0]
+        np.testing.assert_array_equal(trace.w_final, [1e150])
+
+
+def test_abort_mid_run_keeps_each_state_at_its_last_landed_update():
+    # linear tasks keep every loss finite while momentum grows the steps until
+    # the parameter update overflows, after several updates per state landed
+    suite = ConstantGradientSuite([[1.0], [1.0]])
+    trace = run(cfg("io", opt=OptimizerRule.momentum(0.9), eta=1e307), suite, np.zeros(1), 50, seed=0)
+    assert trace.aborted and "axpy" in trace.abort_reason
+    for k, state in enumerate(trace.final_states):
+        landed = trace.labels.count(str(k))
+        assert landed > 0
+        assert state["step"] == landed
+        m = 0.0
+        for _ in range(landed):
+            m = 0.9 * m + 1.0
+        assert state["m"] == [m]
+    assert np.isfinite(trace.w_final).all()
 
 
 def test_fresh_minibatch_mode_changes_draws_but_stays_deterministic():
