@@ -21,7 +21,7 @@ from .objectives import (
     two_task_suite,
 )
 from .mlp import MLPSuite, init_mlp_params, synthetic_mlp_suite
-from .optimizers import OptimizerRule, OptimizerState, apply, clone_state, fresh_state
+from .optimizers import OptimizerRule, OptimizerState, apply, fresh_state
 from .schemes import (
     ConstantLR,
     InverseTimeLR,
@@ -31,7 +31,7 @@ from .schemes import (
     step,
     theorem_schedule,
 )
-from .tracing import RunTrace, best_validation_point, covered_distances
+from .tracing import RunTrace, covered_distances
 from .verify import (
     BoundInputs,
     ScheduleError,

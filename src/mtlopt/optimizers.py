@@ -1,18 +1,17 @@
-"""Moving-average optimizer rules with explicit, clonable state.
+"""Moving-average optimizer rules with explicit state.
 
 The rule maps a raw gradient to an adjusted descent direction; the learning
 rate is applied outside, by the update scheme. Keeping state explicit is what
 lets a scheme hold one shared state or one independent state per task.
 """
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from .params import NonFiniteError, check_finite
 
-__all__ = ["OptimizerRule", "OptimizerState", "fresh_state", "apply", "clone_state"]
+__all__ = ["OptimizerRule", "OptimizerState", "fresh_state", "apply"]
 
 _KINDS = ("sgd", "momentum", "adam")
 
@@ -59,7 +58,7 @@ class OptimizerState:
     """First/second moment accumulators plus a step counter.
 
     Fresh state has zero accumulators and counter 0. States are single-owner
-    mutable; use clone_state for independent copies.
+    and mutable; to_dict/from_dict give an independent copy.
     """
 
     m: np.ndarray
@@ -95,7 +94,7 @@ def apply(rule: OptimizerRule, state: OptimizerState, g: np.ndarray) -> np.ndarr
     """
     if g.shape != state.m.shape:
         raise ValueError(f"gradient shape {g.shape} != state shape {state.m.shape}")
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NonFiniteError("non-finite gradient passed to optimizer")
     state.step += 1
     if rule.kind == "sgd":
@@ -113,7 +112,3 @@ def apply(rule: OptimizerRule, state: OptimizerState, g: np.ndarray) -> np.ndarr
     check_finite(out, "adam direction")
     return out
 
-
-def clone_state(state: OptimizerState) -> OptimizerState:
-    """Deep, independent copy; applying to one copy leaves the other unchanged."""
-    return copy.deepcopy(state)

@@ -41,7 +41,7 @@ def as_params(values) -> np.ndarray:
 
 
 def check_finite(arr: np.ndarray, context: str = "value") -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite entries in {context}")
 
 
@@ -51,7 +51,7 @@ def axpy(w: np.ndarray, direction: np.ndarray, scale: float) -> np.ndarray:
         raise DimensionMismatchError(
             f"dimension mismatch: {w.shape} vs {direction.shape}"
         )
-    if not np.isfinite(scale):
+    if not math.isfinite(scale):
         raise NonFiniteError("non-finite scale in axpy")
     out = w + scale * direction
     check_finite(out, "axpy result")
@@ -59,14 +59,19 @@ def axpy(w: np.ndarray, direction: np.ndarray, scale: float) -> np.ndarray:
 
 
 def l2_norm(w: np.ndarray) -> float:
-    """Euclidean norm; coincides with the Frobenius norm for flat vectors.
+    """Euclidean norm; the Frobenius norm for any other shape.
+
+    Byte contract: for a float64 array whose norm is finite, the result is
+    bit for bit float(np.linalg.norm(w)). It runs the same ravel, dot and
+    correctly rounded square root without np.linalg.norm's dispatch.
 
     The sum of squares overflows for entries above about 1e154; such a vector
     is rescaled by its largest magnitude, so its norm is still finite when it
-    fits in a float. A vector whose norm is finite keeps the plain result.
+    fits in a float.
     """
+    x = w.ravel(order="K")
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(w))
+        norm = math.sqrt(float(x.dot(x)))
     if not math.isfinite(norm):  # a finite norm implies finite entries
         check_finite(w, "l2_norm input")
         scale = float(np.max(np.abs(w)))

@@ -16,6 +16,7 @@ parameters and its optimizer state as they were, so an aborted run reports
 the state of its last update that landed.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,10 +140,10 @@ def step(w, suite, units, rule, states, eta, xi, order):
         batch = draw()
         with np.errstate(over="ignore", invalid="ignore"):
             loss = sum(suite.tasks[k].value(w, batch) for k in unit)
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 label = "+".join(str(k) for k in unit)
                 raise NonFiniteError(f"training loss for unit {label} is non-finite")
-            g = np.zeros_like(w)
+            g = np.zeros(w.shape)
             for k in unit:
                 g += suite.tasks[k].gradient(w, batch)
             # apply rebinds m, v and step, never writes into them, so keeping
@@ -234,8 +235,8 @@ def run(
             task_losses = suite.validation_task_losses(current_w)
         if task_losses is None:
             return
-        val = float(np.mean(task_losses))
-        if not np.isfinite(val):
+        val = float(task_losses.sum() / task_losses.size)  # the bits of np.mean
+        if not math.isfinite(val):
             raise NonFiniteError("validation loss is non-finite")
         trace.add_validation(t, val, task_losses)
         if trace.best_val_loss is None or val < trace.best_val_loss:

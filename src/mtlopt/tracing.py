@@ -6,7 +6,6 @@ step, and the snapshots needed to recompute distances independently.
 Displacements are always measured over the shared parameter subspace.
 """
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -19,7 +18,6 @@ __all__ = [
     "RunTrace",
     "DistanceReport",
     "covered_distances",
-    "best_validation_point",
     "write_trace_csv",
     "write_trace_meta",
     "read_csv_body",
@@ -75,25 +73,13 @@ class RunTrace:
             self.val_task_losses.append(np.asarray(task_losses))
 
     def rows(self):
-        """CSV body rows; val_loss appears on the last row of its step."""
-        val_by_step = dict(zip(self.val_steps, self.val_losses))
-        last_row_of_step = {}
-        for i, s in enumerate(self.steps):
-            last_row_of_step[s] = i
-        out = []
-        for i, s in enumerate(self.steps):
-            val = val_by_step.get(s) if last_row_of_step[s] == i else None
-            out.append(
-                (
-                    s,
-                    self.labels[i],
-                    self.train_losses[i],
-                    val,
-                    self.displacements[i],
-                    self.cumulative[i],
-                )
-            )
-        return out
+        """Yield the CSV body rows; val_loss appears on the last row of its
+        step."""
+        last_row_of_step = {s: i for i, s in enumerate(self.steps)}
+        val_at_row = {last_row_of_step[s]: v for s, v in zip(self.val_steps, self.val_losses)
+                      if s in last_row_of_step}
+        for i, row in enumerate(zip(self.steps, self.labels, self.train_losses)):
+            yield (*row, val_at_row.get(i), self.displacements[i], self.cumulative[i])
 
 
 @dataclass(frozen=True)
@@ -102,17 +88,6 @@ class DistanceReport:
     shortest: float
     ratio: float  # nan when degenerate
     degenerate: bool
-
-
-def best_validation_point(trace: RunTrace):
-    """(step, value) of the validation minimum; first occurrence wins ties."""
-    if not trace.val_steps:
-        raise ValueError("trace has no validation records")
-    best_i = 0
-    for i, v in enumerate(trace.val_losses):
-        if v < trace.val_losses[best_i]:
-            best_i = i
-    return trace.val_steps[best_i], trace.val_losses[best_i]
 
 
 def covered_distances(
@@ -161,13 +136,16 @@ def write_trace_csv(trace: RunTrace, path) -> None:
     """CSV body plus '#' header comments embedding the resolved config.
 
     No timestamps anywhere, so identical runs produce byte-identical files.
+    Byte contract: every row is the text csv.writer (excel dialect) gives for
+    its fields formatted by _fmt, written row by row: the fields joined by
+    commas, then CR LF. None of them needs quoting: they are ints, float
+    reprs, empty, or labels of task indices joined by '+'.
     """
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write(f"# config: {json.dumps(trace.meta, sort_keys=True)}\n")
-        writer = csv.writer(f)
-        writer.writerow(_CSV_COLUMNS)
+        f.write(",".join(_CSV_COLUMNS) + "\r\n")
         for row in trace.rows():
-            writer.writerow([_fmt(x) for x in row])
+            f.write(",".join(map(_fmt, row)) + "\r\n")
 
 
 def write_trace_meta(trace: RunTrace, path) -> None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import QuadraticSuite, suite_constants
+from .objectives import QuadraticSuite, _dot, _matvec, suite_constants
 from .params import RngStream, check_finite, l2_norm
 from .schemes import theorem_schedule
 
@@ -102,17 +102,6 @@ def theorem_bound_max_form(inputs: BoundInputs, t: int) -> float:
     return 0.5 * inputs.smoothness * v / (inputs.offset + t)
 
 
-# Array ops over replicates. Stacked matmuls run each product through the same
-# kernel as one vector's `matrix @ r` or `r @ r`, so they reproduce the numbers
-# of a per-replicate loop bit for bit; einsum sums in another order.
-def _matvec(mats, vecs):
-    return (mats @ vecs[..., None])[..., 0]
-
-
-def _dot(a, b):
-    return (a[..., None, :] @ b[..., None])[..., 0, 0]
-
-
 def _norms(x):  # np.linalg.norm of every vector along the last axis
     return np.sqrt(_dot(x, x))
 
@@ -132,14 +121,12 @@ def _lockstep(suite, schedule, w0, n_steps, replicates, seed, eta_scale=1.0):
     # one bulk draw yields the same values as n_steps draws of integers(n)
     order = np.array([RngStream(seed, f"task-order[{r}]").gen.integers(n, size=n_steps)
                       for r in range(replicates)])
-    mats = np.stack([task.matrix for task in suite.tasks])
-    centers = np.stack([task.center for task in suite.tasks])
     rows = np.arange(replicates)
     W = np.tile(np.asarray(w0, dtype=np.float64), (replicates, 1))
     for t in range(1, n_steps + 1):
         eta = eta_scale * schedule.at(t)
         noise = np.stack([suite.sample_minibatch(gen).payload for gen in data])
-        G = _matvec(mats, W[:, None, :] - centers) + noise
+        G = _matvec(suite.matrices, W[:, None, :] - suite.centers) + noise
         sel = order[:, t - 1]
         yield t, eta, W, G, sel
         W = W - eta * G[rows, sel]
@@ -190,13 +177,11 @@ def verify_theorem(
         n_tasks=suite.n_tasks,
     )
 
-    mats = np.stack([task.matrix for task in suite.tasks])
-    centers = np.stack([task.center for task in suite.tasks])
     gaps = {}
     for t, _, W, _, _ in _lockstep(suite, schedule, w0, n_steps, replicates, seed, eta_scale):
         if t in T_list:
-            D = W[:, None, :] - centers
-            task_values = 0.5 * _dot(D, _matvec(mats, D))
+            D = W[:, None, :] - suite.centers
+            task_values = 0.5 * _dot(D, _matvec(suite.matrices, D))
             gaps[t] = task_values.mean(axis=1) - consts.f_star
 
     rows = []

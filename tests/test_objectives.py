@@ -185,3 +185,15 @@ def test_dimension_mismatch_detected():
 def test_quadratic_requires_symmetric_matrix():
     with pytest.raises(ValueError):
         QuadraticTask(0, [[1.0, 0.5], [0.0, 1.0]], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("suite", [two_task_suite(), five_task_suite()], ids=["two_task", "five_task"])
+def test_stacked_validation_equals_per_task_exact_values(suite):
+    gen = np.random.default_rng(5)
+    points = [gen.standard_normal(suite.dim) * 10.0 ** gen.uniform(-8.0, 8.0) for _ in range(2000)]
+    # where r @ (A @ r) overflows but half of it does not, and where it is subnormal
+    points += [np.full(suite.dim, 1.35e154), np.full(suite.dim, 3e-161)]
+    for w in points:
+        with np.errstate(over="ignore", under="ignore"):
+            expected = np.array([t.exact_value(w) for t in suite.tasks])
+            assert np.array_equal(suite.validation_task_losses(w), expected)

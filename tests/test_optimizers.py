@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtlopt.optimizers import OptimizerRule, OptimizerState, apply, clone_state, fresh_state
+from mtlopt.optimizers import OptimizerRule, OptimizerState, apply, fresh_state
 
 
 def gradient_sequences():
@@ -81,36 +81,14 @@ def test_adam_constant_gradient_converges_to_sign_pattern():
     np.testing.assert_allclose(out, np.sign(g), atol=1e-3)
 
 
-def test_clone_is_independent():
-    rule = OptimizerRule.momentum(0.8)
-    state = fresh_state(rule, 2)
-    apply(rule, state, np.array([1.0, 1.0]))
-    snap = clone_state(state)
-    apply(rule, state, np.array([5.0, -5.0]))
-    np.testing.assert_array_equal(snap.m, [1.0, 1.0])
-    assert snap.step == 1
-    assert state.step == 2
-
-
-def test_clone_of_fresh_equals_fresh():
-    rule = OptimizerRule.adam()
-    a, b = fresh_state(rule, 3), clone_state(fresh_state(rule, 3))
-    assert np.array_equal(a.m, b.m) and np.array_equal(a.v, b.v) and a.step == b.step
-
-
-def test_clone_replays_identically():
-    rule = OptimizerRule.adam()
-    gen = np.random.default_rng(7)
-    warmup = gen.normal(size=(5, 2))
-    tail = gen.normal(size=(6, 2))
-    state = fresh_state(rule, 2)
-    for g in warmup:
-        apply(rule, state, g)
-    twin = clone_state(state)
-    for g in tail:
-        a = apply(rule, state, g)
-        b = apply(rule, twin, g)
-        np.testing.assert_array_equal(a, b)
+def test_fresh_state_is_zero():
+    for rule in (OptimizerRule.sgd(), OptimizerRule.momentum(), OptimizerRule.adam()):
+        state = fresh_state(rule, 3)
+        assert np.array_equal(state.m, np.zeros(3)) and state.step == 0
+        if rule.kind == "adam":
+            assert np.array_equal(state.v, np.zeros(3))
+        else:
+            assert state.v is None
 
 
 def test_interleaved_states_match_isolated_runs():
@@ -136,13 +114,21 @@ def test_interleaved_states_match_isolated_runs():
 
 
 def test_state_serialization_round_trip():
+    # from_dict(to_dict()) is an independent copy that replays identically
     rule = OptimizerRule.adam()
+    gen = np.random.default_rng(1)
     state = fresh_state(rule, 3)
-    for g in np.random.default_rng(1).normal(size=(4, 3)):
+    for g in gen.normal(size=(4, 3)):
         apply(rule, state, g)
     restored = OptimizerState.from_dict(state.to_dict())
-    g = np.array([0.1, 0.2, 0.3])
-    np.testing.assert_array_equal(apply(rule, state, g), apply(rule, restored, g))
+    for g in gen.normal(size=(6, 3)):
+        np.testing.assert_array_equal(apply(rule, state, g), apply(rule, restored, g))
+
+    snapshot = OptimizerState.from_dict(state.to_dict())
+    m_before = state.m.copy()
+    apply(rule, state, np.array([5.0, -5.0, 1.0]))
+    np.testing.assert_array_equal(snapshot.m, m_before)
+    assert (snapshot.step, state.step) == (10, 11)
 
 
 def test_rule_validation():

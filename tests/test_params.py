@@ -110,3 +110,13 @@ def test_rng_stream_determinism_property(seed, label):
         RngStream(seed, label).gen.integers(0, 1000, size=16),
         RngStream(seed, label).gen.integers(0, 1000, size=16),
     )
+
+
+def test_l2_norm_bits_equal_numpy_norm():
+    gen = np.random.default_rng(11)
+    for d in (1, 3, 1284):
+        for _ in range(200):
+            x = gen.standard_normal(d) * 10.0 ** gen.uniform(-100.0, 100.0)
+            assert l2_norm(x) == float(np.linalg.norm(x))
+    for matrix in (gen.standard_normal((40, 33)), gen.standard_normal((33, 40)).T):
+        assert l2_norm(matrix) == float(np.linalg.norm(matrix))

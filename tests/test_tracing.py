@@ -1,13 +1,15 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 
-from mtlopt.objectives import two_task_suite
+from mtlopt.objectives import QuadraticSuite, QuadraticTask, five_task_suite, two_task_suite
 from mtlopt.optimizers import OptimizerRule
 from mtlopt.params import l2_norm
 from mtlopt.schemes import ConstantLR, SchemeConfig, run
 from mtlopt.tracing import (
     RunTrace,
-    best_validation_point,
     covered_distances,
     read_csv_body,
     write_trace_csv,
@@ -57,23 +59,19 @@ def test_distance_stops_at_best_step():
     assert d.total == 5.0 and d.shortest == 5.0
 
 
-def test_best_validation_point_rules():
-    trace = RunTrace(meta={})
-    for i, v in enumerate([3.0, 1.0, 2.0, 1.0]):
-        trace.add_validation(i + 1, v)
-    assert best_validation_point(trace) == (2, 1.0)  # first minimum wins
+def test_run_best_validation_step_rules():
+    # 0.5*w^2 under sgd: eta 1 reaches the minimum in one step and stays there
+    # (validation losses 0.5, 0, 0, 0); eta 0.5 halves w every step
+    suite = QuadraticSuite([QuadraticTask(0, [[1.0]], [0.0], 0.0)])
 
-    monotone = RunTrace(meta={})
-    for i, v in enumerate([5.0, 4.0, 3.0]):
-        monotone.add_validation(i + 1, v)
-    assert best_validation_point(monotone) == (3, 3.0)
+    def best(eta, validation_every=1):
+        cfg = SchemeConfig("sus", OptimizerRule.sgd(), ConstantLR(eta))
+        trace = run(cfg, suite, np.array([1.0]), 3, seed=0, validation_every=validation_every)
+        return trace.best_val_step, trace.best_val_loss
 
-    single = RunTrace(meta={})
-    single.add_validation(7, 0.25)
-    assert best_validation_point(single) == (7, 0.25)
-
-    with pytest.raises(ValueError):
-        best_validation_point(RunTrace(meta={}))
+    assert best(1.0) == (1, 0.0)  # first minimum wins
+    assert best(0.5) == (3, 0.5 * 0.125**2)  # monotone: the last step
+    assert best(0.5, validation_every=0) == (0, 0.5)  # only step 0 validated
 
 
 def test_total_at_least_shortest_on_real_runs():
@@ -126,3 +124,45 @@ def test_csv_round_trip_and_body_extraction(tmp_path):
     assert first_disp == trace.displacements[0]
     with open(path, encoding="utf-8") as f:
         assert f.readline().startswith("# config:")
+
+
+def _reference_csv(trace, path):
+    """The csv.writer form of write_trace_csv, kept as its byte reference."""
+    def fmt(x):
+        if x is None:
+            return ""
+        return repr(x) if isinstance(x, float) else str(x)
+
+    val_by_step = dict(zip(trace.val_steps, trace.val_losses))
+    last_row_of_step = {}
+    for i, s in enumerate(trace.steps):
+        last_row_of_step[s] = i
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.write(f"# config: {json.dumps(trace.meta, sort_keys=True)}\n")
+        writer = csv.writer(f)
+        writer.writerow(["step", "task_or_group", "train_loss", "val_loss", "displacement", "cumulative_total"])
+        for i, s in enumerate(trace.steps):
+            val = val_by_step.get(s) if last_row_of_step[s] == i else None
+            row = (s, trace.labels[i], trace.train_losses[i], val, trace.displacements[i], trace.cumulative[i])
+            writer.writerow([fmt(x) for x in row])
+
+
+def test_csv_bytes_equal_csv_writer_reference(tmp_path):
+    three_tasks = QuadraticSuite(five_task_suite().tasks[:3])
+    grouped = SchemeConfig("ius", OptimizerRule.momentum(0.9), ConstantLR(0.05), n_groups=2)
+    divergent = SchemeConfig("io", OptimizerRule.sgd(), ConstantLR(50.0))
+    traces = [
+        # groups (0, 2) and (1,); val_loss only every third step
+        run(grouped, three_tasks, np.zeros(3), 12, seed=1, validation_every=3),
+        # diverges to floats of every exponent, then aborts mid-run
+        run(divergent, two_task_suite(), np.array([1000.0]), 300, seed=0, validation_every=1000),
+        # aborts at step 0, before any row
+        run(divergent, two_task_suite(), np.array([1e200]), 5, seed=0),
+    ]
+    assert "0+2" in traces[0].labels and traces[0].val_steps == [0, 3, 6, 9, 12]
+    assert traces[1].aborted and traces[1].steps
+    assert traces[2].aborted and not traces[2].steps
+    for i, trace in enumerate(traces):
+        write_trace_csv(trace, tmp_path / f"trace{i}.csv")
+        _reference_csv(trace, tmp_path / f"ref{i}.csv")
+        assert (tmp_path / f"trace{i}.csv").read_bytes() == (tmp_path / f"ref{i}.csv").read_bytes()
