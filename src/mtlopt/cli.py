@@ -2,15 +2,17 @@
 convergence verification, with reproducible seeds and structured outputs.
 
 Exit codes: 0 success, 1 config error, 2 numerical abort, 3 verification
-failure beyond statistical slack.
+failure beyond statistical slack, 4 a sweep cell raised an error.
 """
 
 import argparse
 import concurrent.futures
 import csv
+import functools
 import json
 import os
 import sys
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -43,7 +45,6 @@ def _execute(cfg: RunConfig, scheme_cfg, seed: int, eta=None):
         cfg.steps,
         seed,
         validation_every=cfg.validation_every,
-        snapshot_every=cfg.snapshot_every,
         extra_meta={"config": cfg.raw},  # outputs must suffice to re-run
     )
     dist = covered_distances(trace, shared_mask=cfg.suite.shared_mask)
@@ -107,6 +108,19 @@ def _sweep_cell(raw_config: dict, scheme_index: int, eta: float, seed: int) -> d
         "per_task_best_val": metrics.get("per_task_best_val"),
         "aborted": metrics["aborted"],
     }
+
+
+def _cell_rows(cfg: RunConfig, results):
+    """Yield each cell's row from (cell, get_row) pairs. At the first cell that
+    raises, report it on stderr with its traceback and stop."""
+    for (i, eta, seed), get_row in results:
+        try:
+            yield get_row()
+        except Exception:
+            traceback.print_exc()
+            cell = f"schemes[{i}] ({cfg.schemes[i].scheme}), eta {eta!r}, seed {seed}"
+            print(f"sweep cell {cell} failed", file=sys.stderr)
+            return
 
 
 def _write_sweep_csv(path: Path, header_meta: dict, rows) -> list:
@@ -189,12 +203,18 @@ def cmd_sweep(cfg: RunConfig, etas, out_dir: Path, seed_offset: int = 0, workers
     # a process pool forks all of its workers at once
     workers = min(workers, len(cells), os.cpu_count() or 1)
     if workers <= 1:
-        rows = _write_sweep_csv(csv_path, header_meta, (_sweep_cell(cfg.raw, *cell) for cell in cells))
+        results = ((cell, functools.partial(_sweep_cell, cfg.raw, *cell)) for cell in cells)
+        rows = _write_sweep_csv(csv_path, header_meta, _cell_rows(cfg, results))
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_sweep_cell, cfg.raw, *cell) for cell in cells]
-            done = concurrent.futures.as_completed(futures)
-            rows = _write_sweep_csv(csv_path, header_meta, (fut.result() for fut in done))
+        pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+        try:
+            futures = {pool.submit(_sweep_cell, cfg.raw, *cell): cell for cell in cells}
+            results = ((futures[fut], fut.result) for fut in concurrent.futures.as_completed(futures))
+            rows = _write_sweep_csv(csv_path, header_meta, _cell_rows(cfg, results))
+        finally:
+            pool.shutdown(cancel_futures=True)  # after a failed cell, start no other
+    if len(rows) < len(cells):  # a cell failed; sweep.csv keeps the rows before it
+        return 4
     # deterministic final order regardless of completion order
     rows.sort(key=lambda r: (r["scheme_index"], r["eta"], r["seed"]))
     _write_sweep_csv(csv_path, header_meta, rows)

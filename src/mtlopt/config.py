@@ -15,7 +15,7 @@ from .optimizers import OptimizerRule
 from .params import RngStream
 from .schemes import ConstantLR, InverseTimeLR, SchemeConfig, theorem_schedule
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "parse_config"]
+__all__ = ["ConfigError", "RunConfig", "load_config"]
 
 
 class ConfigError(ValueError):
@@ -218,7 +218,6 @@ class RunConfig:
                 "steps",
                 "seeds",
                 "validation_every",
-                "snapshot_every",
                 "w0",
                 "verify",
             },
@@ -249,7 +248,6 @@ class RunConfig:
             raise ConfigError("config.seeds: expected a nonempty list of integers")
         self.seeds = list(seeds)
         self.validation_every = _get_int(raw, "validation_every", "config", default=1, minimum=1)
-        self.snapshot_every = _get_int(raw, "snapshot_every", "config", default=0, minimum=0)
 
         self.w0 = None
         if "w0" in raw:
@@ -279,10 +277,6 @@ class RunConfig:
         if self.w0 is not None:
             return self.w0.copy()
         return np.zeros(self.suite.dim)
-
-
-def parse_config(raw: dict) -> RunConfig:
-    return RunConfig(raw)
 
 
 def load_config(path) -> RunConfig:

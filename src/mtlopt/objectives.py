@@ -1,9 +1,9 @@
 """Stochastic task objectives behind one value/gradient oracle interface.
 
-A task exposes a stochastic value and gradient under a sampled minibatch, and
-optionally noise-free exact evaluations. Quadratic tasks have closed-form
-curvature constants, which is what makes them usable for numerical
-verification of the convergence bound.
+A task exposes a stochastic value and gradient under a sampled minibatch.
+Quadratic tasks also have a noise-free value and closed-form curvature
+constants, which is what makes them usable for numerical verification of the
+convergence bound.
 """
 
 from dataclasses import dataclass
@@ -43,8 +43,7 @@ class TaskObjective:
     """Value + gradient oracle for one task under a sampled minibatch.
 
     Subclasses set `index` (position in the suite) and implement value() and
-    gradient(); exact_value()/exact_gradient() are optional noise-free
-    counterparts.
+    gradient().
     """
 
     index: int = 0
@@ -54,12 +53,6 @@ class TaskObjective:
 
     def gradient(self, w: np.ndarray, xi: Minibatch) -> np.ndarray:
         raise NotImplementedError
-
-    def exact_value(self, w: np.ndarray) -> float:
-        raise NotImplementedError(f"{type(self).__name__} has no noise-free value")
-
-    def exact_gradient(self, w: np.ndarray) -> np.ndarray:
-        raise NotImplementedError(f"{type(self).__name__} has no noise-free gradient")
 
 
 class QuadraticTask(TaskObjective):
@@ -107,9 +100,6 @@ class QuadraticTask(TaskObjective):
         r = w - self.center
         return float(0.5 * r @ (self.matrix @ r))
 
-    def exact_gradient(self, w: np.ndarray) -> np.ndarray:
-        return self.matrix @ (w - self.center)
-
 
 class TaskSuite:
     """A list of tasks over one shared parameter space, uniform unit weights.
@@ -147,12 +137,9 @@ class TaskSuite:
         """
         key = tuple(indices)
         if key not in self._unit_masks:
-            masks = [self.task_mask(k) for k in key]
             out = None
-            if any(m is not None for m in masks):
-                out = np.zeros(self.dim, dtype=bool)
-                for m in masks:
-                    out |= np.ones(self.dim, dtype=bool) if m is None else m
+            if self.task_mask(key[0]) is not None:  # a suite masks all its tasks or none
+                out = np.logical_or.reduce([self.task_mask(k) for k in key])
                 out.flags.writeable = False
             self._unit_masks[key] = out
         return self._unit_masks[key]

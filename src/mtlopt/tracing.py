@@ -1,11 +1,13 @@
 """Run traces and trajectory exploration metrics.
 
 A trace records one row per individual update (so alternating schemes get one
-row per task or group per multi-task step), validation losses per multi-task
-step, and the snapshots needed to recompute distances independently.
-Displacements are always measured over the shared parameter subspace.
+row per task or group per multi-task step) with its displacement and the
+running total, validation losses per multi-task step, and the start, best and
+final iterates. Displacements are always measured over the shared parameter
+subspace.
 """
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -20,7 +22,6 @@ __all__ = [
     "covered_distances",
     "write_trace_csv",
     "write_trace_meta",
-    "read_csv_body",
     "write_json",
 ]
 
@@ -36,7 +37,6 @@ class RunTrace:
     val_steps: list = field(default_factory=list)
     val_losses: list = field(default_factory=list)
     val_task_losses: list = field(default_factory=list)
-    snapshots: list = field(default_factory=list)  # (step, substep, w) copies
     w0: np.ndarray | None = None
     w_final: np.ndarray | None = None
     w_best: np.ndarray | None = None
@@ -45,10 +45,6 @@ class RunTrace:
     final_states: list = field(default_factory=list)
     aborted: bool = False
     abort_reason: str | None = None
-
-    @property
-    def n_steps_executed(self) -> int:
-        return self.steps[-1] if self.steps else 0
 
     @property
     def best_val_task_losses(self) -> list | None:
@@ -90,29 +86,18 @@ class DistanceReport:
     degenerate: bool
 
 
-def covered_distances(
-    trace: RunTrace,
-    w0: np.ndarray | None = None,
-    w_best: np.ndarray | None = None,
-    shared_mask: np.ndarray | None = None,
-) -> DistanceReport:
+def covered_distances(trace: RunTrace, shared_mask: np.ndarray | None = None) -> DistanceReport:
     """Total covered distance up to the validation-best step, the straight-line
     distance from the start to that point, and their ratio.
 
-    Defaults come from the trace itself. A zero straight-line distance is a
-    degenerate case: the ratio is undefined and flagged. A trace without rows
-    (a run that aborted before its first update landed) is such a case.
+    The total is the running total at the last row of the best step. A zero
+    straight-line distance is a degenerate case: the ratio is undefined and
+    flagged. A trace without rows (a run that aborted before its first update
+    landed) is such a case.
     """
-    w0 = trace.w0 if w0 is None else w0
-    w_best = trace.w_best if w_best is None else w_best
-    if w0 is None or w_best is None:
-        raise ValueError("trace lacks start/best snapshots; pass w0 and w_best")
-    best_step = trace.best_val_step if trace.best_val_step is not None else trace.n_steps_executed
-    total = 0.0
-    for s, d in zip(trace.steps, trace.displacements):
-        if s <= best_step:
-            total += d
-    delta = w_best - w0
+    n_rows = bisect.bisect_right(trace.steps, trace.best_val_step)  # steps never decrease
+    total = trace.cumulative[n_rows - 1] if n_rows else 0.0
+    delta = trace.w_best - trace.w0
     if shared_mask is not None:
         delta = delta[shared_mask]
     shortest = l2_norm(delta)
@@ -180,9 +165,3 @@ def write_json(obj, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(_finite_or_null(obj), f, sort_keys=True, indent=2, allow_nan=False)
         f.write("\n")
-
-
-def read_csv_body(path) -> str:
-    """File contents minus '#' comment lines (the byte-comparable body)."""
-    with open(path, "r", encoding="utf-8") as f:
-        return "".join(line for line in f if not line.startswith("#"))

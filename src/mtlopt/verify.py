@@ -102,6 +102,10 @@ def theorem_bound_max_form(inputs: BoundInputs, t: int) -> float:
     return 0.5 * inputs.smoothness * v / (inputs.offset + t)
 
 
+def _std_error(vals) -> float:  # of the mean over replicates
+    return float(vals.std(ddof=1)) / np.sqrt(vals.size) if vals.size > 1 else 0.0
+
+
 def _norms(x):  # np.linalg.norm of every vector along the last axis
     return np.sqrt(_dot(x, x))
 
@@ -132,14 +136,15 @@ def _lockstep(suite, schedule, w0, n_steps, replicates, seed, eta_scale=1.0):
         W = W - eta * G[rows, sel]
 
 
-def estimate_grad_bound(
-    suite, schedule, n_steps, replicates, seed, w0, eta_scale=1.0, safety=1.05
-) -> float:
+GRAD_BOUND_SAFETY = 1.05
+
+
+def estimate_grad_bound(suite, schedule, n_steps, replicates, seed, w0, eta_scale=1.0) -> float:
     """Empirical uniform gradient-norm bound from a pre-run on the same seeds."""
     worst = 0.0
     for _, _, _, G, _ in _lockstep(suite, schedule, w0, n_steps, replicates, seed, eta_scale):
         worst = max(worst, _max_grad_norm(G))
-    return worst * safety
+    return worst * GRAD_BOUND_SAFETY
 
 
 def verify_theorem(
@@ -248,26 +253,21 @@ def verify_lemma1(
     mu = consts.strong_convexity
     noise_term = float(np.sum(np.square(consts.sigmas))) / n**2
 
-    excess, lhs = [], []  # per step: lhs - contraction, and lhs, over replicates
-    for _, eta, W, G, _ in _lockstep(suite, schedule, w0, n_steps, replicates, seed, eta_scale):
+    rows = []
+    for t, eta, W, G, _ in _lockstep(suite, schedule, w0, n_steps, replicates, seed, eta_scale):
         vbar = W - eta * G.mean(axis=1)  # the average of the candidate updates
         check_finite(vbar, "averaged candidate update")  # non-finite whenever W is
         vbar_sq = _norms(vbar - consts.w_star) ** 2
         here_sq = _norms(W - consts.w_star) ** 2
-        lhs.append(vbar_sq)
-        excess.append(vbar_sq - (1.0 - mu * eta) * here_sq)
-
-    rows = []
-    for t, (vals, lhs_t) in enumerate(zip(excess, lhs), start=1):
-        eta = eta_scale * schedule.at(t)
+        excess = vbar_sq - (1.0 - mu * eta) * here_sq  # paired, per replicate
         rhs = 2.0 * consts.smoothness * eta**2 * consts.gamma_het + eta**2 * noise_term
-        est = float(vals.mean())
-        se = float(vals.std(ddof=1)) / np.sqrt(replicates) if replicates > 1 else 0.0
+        est = float(excess.mean())
+        se = _std_error(excess)
         rows.append(
             {
                 "t": t,
                 "eta": eta,
-                "lhs_mean": float(lhs_t.mean()),
+                "lhs_mean": float(vbar_sq.mean()),
                 "excess_mean": est,
                 "rhs": rhs,
                 "std_error": se,
@@ -317,32 +317,26 @@ def verify_lemma2(
     if not supplied:
         grad_bound = estimate_grad_bound(suite, schedule, n_steps, replicates, seed, w0)
 
-    # per step: exact expectation over the selection, and the run's own
-    # selection (MC cross-check)
-    enum, sampled = [], []
+    rows = []
     observed_max = 0.0
-    for _, eta, W, G, sel in _lockstep(suite, schedule, w0, n_steps, replicates, seed):
+    for t, eta, W, G, sel in _lockstep(suite, schedule, w0, n_steps, replicates, seed):
         observed_max = max(observed_max, _max_grad_norm(G))
         candidates = W[:, None, :] - eta * G
         vbar = W - eta * G.mean(axis=1)
         dists = _norms(candidates - vbar[:, None, :]) ** 2
-        enum.append(dists.mean(axis=1))
-        sampled.append(dists[np.arange(replicates), sel])
-
-    rows = []
-    for t, (enum_vals, mc_vals) in enumerate(zip(enum, sampled), start=1):
-        bound = (schedule.at(t) * grad_bound) ** 2
+        # exact expectation over the selection; the run's own selection (MC check)
+        enum_vals, mc_vals = dists.mean(axis=1), dists[np.arange(replicates), sel]
+        bound = (eta * grad_bound) ** 2
         est = float(enum_vals.mean())
-        se = float(enum_vals.std(ddof=1)) / np.sqrt(replicates) if replicates > 1 else 0.0
-        mc_se = float(mc_vals.std(ddof=1)) / np.sqrt(replicates) if replicates > 1 else 0.0
+        se = _std_error(enum_vals)
         rows.append(
             {
                 "t": t,
-                "eta": schedule.at(t),
+                "eta": eta,
                 "lhs_mean": est,
                 "lhs_max": float(enum_vals.max()),
                 "mc_mean": float(mc_vals.mean()),
-                "mc_std_error": mc_se,
+                "mc_std_error": _std_error(mc_vals),
                 "bound": bound,
                 "std_error": se,
                 "pass": bool(est <= bound + 3.0 * se),

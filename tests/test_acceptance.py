@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from helpers import read_csv_body
 from mtlopt.cli import _sweep_cell, _sweep_summary, main
 from mtlopt.config import RunConfig
 from mtlopt.mlp import init_mlp_params, synthetic_mlp_suite
@@ -28,7 +29,7 @@ from mtlopt.objectives import (
 from mtlopt.optimizers import OptimizerRule, fresh_state
 from mtlopt.params import RngStream
 from mtlopt.schemes import ConstantLR, SchemeConfig, run, step
-from mtlopt.tracing import RunTrace, covered_distances, read_csv_body, write_trace_csv
+from mtlopt.tracing import RunTrace, covered_distances, write_trace_csv
 from mtlopt.verify import fit_rate, verify_lemma1, verify_lemma2, verify_theorem
 
 SHIPPED_SUITES = {

@@ -1,12 +1,14 @@
 import concurrent.futures
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+from helpers import read_csv_body
 from mtlopt import cli
 from mtlopt.cli import main
 from mtlopt.config import ConfigError, RunConfig
-from mtlopt.tracing import read_csv_body
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -287,11 +289,8 @@ class _InlinePool:
     def __init__(self, max_workers):
         self.requested.append(max_workers)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
 
     def submit(self, fn, *args):
         fut = concurrent.futures.Future()
@@ -314,8 +313,8 @@ def test_sweep_workers_clamped_to_cells_and_cpus(tmp_path, monkeypatch, cpus, ex
     assert len(read_csv_body(out / "sweep.csv").strip().split("\n")) - 1 == 3
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_sweep_streams_rows_until_a_cell_fails(tmp_path, monkeypatch, workers):
+def _sweep_failing_at_second_cell(tmp_path, monkeypatch, workers, error):
+    """Exit code of a three-cell sweep whose second cell (seed 1) raises `error`."""
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     # completion order is submission order, as if the cells finished in turn
     monkeypatch.setattr(cli.concurrent.futures, "as_completed", iter)
@@ -326,15 +325,58 @@ def test_sweep_streams_rows_until_a_cell_fails(tmp_path, monkeypatch, workers):
     def failing_second_cell(*args):
         calls.append(args)
         if len(calls) == 2:
-            raise RuntimeError("cell failed")
+            raise error
         return real_cell(*args)
 
     monkeypatch.setattr(cli, "_sweep_cell", failing_second_cell)
     cfg = write_config(tmp_path, two_task_config(steps=3))
-    out = tmp_path / "sweep"
-    with pytest.raises(RuntimeError, match="cell failed"):
-        main(["sweep", cfg, "--etas", "0.05", "--out", str(out), "--workers", str(workers)])
-    lines = (out / "sweep.csv").read_text().splitlines()
+    return main(["sweep", cfg, "--etas", "0.05", "--out", str(tmp_path / "sweep"), "--workers", str(workers)])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_streams_rows_until_a_cell_fails(tmp_path, monkeypatch, capsys, workers):
+    assert _sweep_failing_at_second_cell(tmp_path, monkeypatch, workers, RuntimeError("cell failed")) == 4
+    err = capsys.readouterr().err
+    assert "RuntimeError: cell failed" in err
+    assert err.endswith("sweep cell schemes[0] (ius), eta 0.05, seed 1 failed\n")
+    lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
     assert lines[0].startswith("# config: ")
     assert lines[1] == ",".join(cli.SWEEP_COLUMNS)
     assert len(lines) == 3 and lines[2].startswith("0.05,ius,2,0,")
+
+
+def test_sweep_names_the_cell_of_a_killed_worker(tmp_path, monkeypatch, capsys):
+    # a killed worker fails every pending future with BrokenProcessPool
+    broken = concurrent.futures.process.BrokenProcessPool("a worker was terminated abruptly")
+    assert _sweep_failing_at_second_cell(tmp_path, monkeypatch, 2, broken) == 4
+    err = capsys.readouterr().err
+    assert "BrokenProcessPool: a worker was terminated abruptly" in err
+    assert err.endswith("sweep cell schemes[0] (ius), eta 0.05, seed 1 failed\n")
+    assert len((tmp_path / "sweep" / "sweep.csv").read_text().splitlines()) == 3
+
+
+def test_snapshot_every_is_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path, minimal_run_config(snapshot_every=0))
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "snapshot_every" in capsys.readouterr().err
+
+
+# sha256 of each output of `mtlopt run configs/two_task_run.json`. The problem
+# is 1-D, so the bytes do not depend on the BLAS build.
+TWO_TASK_RUN_SHA256 = {
+    "summary.json": "6051b700e727b30d53d8b59900cdd6d12d0199b6bd466545a6cd6cf1241c0c27",
+    "trace_seed0.csv": "03974d88c66be037c04bf23b596abe60c8d81923ad9c1d0b932602ff3ab898ba",
+    "trace_seed0.meta.json": "3a88f70a0a0e2c5cdbd99cee518bdaa263a205dbddc42e67ac1fa61a9d663c89",
+    "trace_seed1.csv": "2f360951892c4e6ae4cdf8feecb39b3ddfa0150e5a3c9379f23d03a6c5972b5f",
+    "trace_seed1.meta.json": "1dfa241ef24e6b3b808cdd2fdba85a09cc4fd6e85e29e09ca9a6c1793281f84a",
+    "trace_seed2.csv": "af99ee9a8d32c1b4259abc01a318665d10a0ea2861396ff97578c4389d1e06de",
+    "trace_seed2.meta.json": "b0dbf3a1eee46cd3987972bce190c9e1753ec3d7fee05d14584014888f15a6d0",
+}
+
+
+def test_shipped_run_outputs_are_byte_stable(tmp_path):
+    config = Path(__file__).resolve().parent.parent / "configs" / "two_task_run.json"
+    out = tmp_path / "run"
+    assert main(["run", str(config), "--out", str(out)]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert written == TWO_TASK_RUN_SHA256

@@ -121,7 +121,8 @@ def test_finite_difference_zero_function():
 
 def test_exact_gradient_zero_at_center():
     t = QuadraticTask(0, [[4.0, 1.0], [1.0, 3.0]], [2.0, -1.0])
-    np.testing.assert_array_equal(t.exact_gradient(np.array([2.0, -1.0])), [0.0, 0.0])
+    zero_noise = Minibatch(np.zeros((1, 2)))
+    np.testing.assert_array_equal(t.gradient(np.array([2.0, -1.0]), zero_noise), [0.0, 0.0])
 
 
 def test_suite_constants_worked_example():

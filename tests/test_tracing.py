@@ -2,18 +2,14 @@ import csv
 import json
 
 import numpy as np
-import pytest
 
+from helpers import read_csv_body
+from mtlopt import schemes
 from mtlopt.objectives import QuadraticSuite, QuadraticTask, five_task_suite, two_task_suite
 from mtlopt.optimizers import OptimizerRule
 from mtlopt.params import l2_norm
 from mtlopt.schemes import ConstantLR, SchemeConfig, run
-from mtlopt.tracing import (
-    RunTrace,
-    covered_distances,
-    read_csv_body,
-    write_trace_csv,
-)
+from mtlopt.tracing import RunTrace, covered_distances, write_trace_csv
 
 
 def hand_path_trace():
@@ -85,13 +81,23 @@ def test_total_at_least_shortest_on_real_runs():
             assert d.degenerate or d.ratio >= 1.0 - 1e-12
 
 
-def test_snapshot_recompute_matches_accumulated_total():
+def test_snapshot_recompute_matches_accumulated_total(monkeypatch):
+    # recompute the total from copies of every iterate that `step` yields
+    ws = [np.zeros(1)]
+    real_step = schemes.step
+
+    def recording_step(*args):
+        for u, loss, w in real_step(*args):
+            ws.append(w.copy())
+            yield u, loss, w
+
+    monkeypatch.setattr(schemes, "step", recording_step)
     suite = two_task_suite(0.6)
     cfg = SchemeConfig(scheme="ius", optimizer=OptimizerRule.momentum(0.9), lr=ConstantLR(0.05))
-    trace = run(cfg, suite, np.zeros(1), 20, seed=8, snapshot_every=1)
-    ws = [w for _, _, w in trace.snapshots]
+    trace = run(cfg, suite, ws[0], 20, seed=8)
+    assert len(ws) == 1 + len(trace.cumulative) == 41
     recomputed = sum(l2_norm(b - a) for a, b in zip(ws, ws[1:]))
-    assert recomputed == pytest.approx(trace.cumulative[-1], rel=1e-9)
+    assert recomputed == trace.cumulative[-1]  # the same sum, in the same order
 
 
 def test_row_counts_per_scheme():
