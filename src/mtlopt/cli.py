@@ -110,17 +110,29 @@ def _sweep_cell(raw_config: dict, scheme_index: int, eta: float, seed: int) -> d
     }
 
 
-def _cell_rows(cfg: RunConfig, results):
+def _cell_name(cfg: RunConfig, cell) -> str:
+    i, eta, seed = cell
+    return f"schemes[{i}] ({cfg.schemes[i].scheme}), eta {eta!r}, seed {seed}"
+
+
+def _cell_rows(cfg: RunConfig, cells, results):
     """Yield each cell's row from (cell, get_row) pairs. At the first cell that
-    raises, report it on stderr with its traceback and stop."""
-    for (i, eta, seed), get_row in results:
+    raises, report the failure on stderr with its traceback and stop."""
+    pending = list(cells)
+    for cell, get_row in results:
         try:
-            yield get_row()
-        except Exception:
+            row = get_row()
+        except Exception as exc:
             traceback.print_exc()
-            cell = f"schemes[{i}] ({cfg.schemes[i].scheme}), eta {eta!r}, seed {seed}"
-            print(f"sweep cell {cell} failed", file=sys.stderr)
+            if isinstance(exc, concurrent.futures.process.BrokenProcessPool):
+                # every pending cell fails with it, whichever one the dead worker ran
+                missing = "; ".join(_cell_name(cfg, c) for c in pending)
+                print(f"a sweep worker process died; cells without a row: {missing}", file=sys.stderr)
+            else:
+                print(f"sweep cell {_cell_name(cfg, cell)} failed", file=sys.stderr)
             return
+        pending.remove(cell)
+        yield row
 
 
 def _write_sweep_csv(path: Path, header_meta: dict, rows) -> list:
@@ -204,13 +216,13 @@ def cmd_sweep(cfg: RunConfig, etas, out_dir: Path, seed_offset: int = 0, workers
     workers = min(workers, len(cells), os.cpu_count() or 1)
     if workers <= 1:
         results = ((cell, functools.partial(_sweep_cell, cfg.raw, *cell)) for cell in cells)
-        rows = _write_sweep_csv(csv_path, header_meta, _cell_rows(cfg, results))
+        rows = _write_sweep_csv(csv_path, header_meta, _cell_rows(cfg, cells, results))
     else:
         pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
         try:
             futures = {pool.submit(_sweep_cell, cfg.raw, *cell): cell for cell in cells}
             results = ((futures[fut], fut.result) for fut in concurrent.futures.as_completed(futures))
-            rows = _write_sweep_csv(csv_path, header_meta, _cell_rows(cfg, results))
+            rows = _write_sweep_csv(csv_path, header_meta, _cell_rows(cfg, cells, results))
         finally:
             pool.shutdown(cancel_futures=True)  # after a failed cell, start no other
     if len(rows) < len(cells):  # a cell failed; sweep.csv keeps the rows before it

@@ -115,31 +115,35 @@ def make_grouping(n_tasks: int, n_groups: int, gen: np.random.Generator) -> tupl
     return tuple(tuple(b) for b in buckets)
 
 
-def step(w, suite, units, rule, states, eta, xi, order):
-    """Update units[u] for each u in `order`; yield (u, loss, w) after each.
+def step(w, suite, units, rule, states, eta, xi, order, out=None):
+    """Update units[u] for each u in `order`; return the list `out` (a new one
+    by default) with (u, loss, w) appended after each update that lands.
 
     An update descends the summed gradient of the unit's tasks at the
     parameters the previous update left, through states[u] (states[0] when one
     state is shared), restricted to the coordinates those tasks may touch; the
-    loss is the unit's summed value there. `xi` is the minibatch of every
-    update, or a callable that draws a fresh one per update.
+    loss is the unit's summed value there, from one call of
+    `suite.unit_value_and_gradient`. `xi` is the minibatch of every update, or
+    a callable that draws a fresh one per update.
+
+    All updates run under one np.errstate scope that ignores overflow and
+    invalid operations; the finiteness checks raise NonFiniteError instead.
+    An update that raises leaves the parameters and its optimizer state as
+    they were, and the rows of the updates before it are already in `out`.
     """
     if len(states) not in (1, len(units)):
         raise ValueError(f"need 1 or {len(units)} optimizer states, got {len(states)}")
+    out = [] if out is None else out
     draw = xi if callable(xi) else lambda: xi
-    for u in order:
-        u = int(u)
-        unit = units[u]
-        state = states[0] if len(states) == 1 else states[u]
-        batch = draw()
-        with np.errstate(over="ignore", invalid="ignore"):
-            loss = sum(suite.tasks[k].value(w, batch) for k in unit)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for u in order:
+            u = int(u)
+            unit = units[u]
+            state = states[0] if len(states) == 1 else states[u]
+            loss, g = suite.unit_value_and_gradient(w, unit, draw())
             if not math.isfinite(loss):
                 label = "+".join(str(k) for k in unit)
                 raise NonFiniteError(f"training loss for unit {label} is non-finite")
-            g = np.zeros(w.shape)
-            for k in unit:
-                g += suite.tasks[k].gradient(w, batch)
             # apply rebinds m, v and step, never writes into them, so keeping
             # the three references is enough to undo an update that fails
             saved = state.m, state.v, state.step
@@ -152,7 +156,8 @@ def step(w, suite, units, rule, states, eta, xi, order):
             except NonFiniteError:
                 state.m, state.v, state.step = saved
                 raise
-        yield u, loss, w
+            out.append((u, loss, w))
+    return out
 
 
 def _sample_order(policy: str, n_units: int, gen: np.random.Generator) -> np.ndarray:
@@ -224,9 +229,9 @@ def run(
     def record_validation(t, current_w):
         with np.errstate(over="ignore", invalid="ignore"):
             task_losses = suite.validation_task_losses(current_w)
-        if task_losses is None:
-            return
-        val = float(task_losses.sum() / task_losses.size)  # the bits of np.mean
+            if task_losses is None:
+                return
+            val = float(task_losses.sum() / task_losses.size)  # the bits of np.mean
         if not math.isfinite(val):
             raise NonFiniteError("validation loss is non-finite")
         trace.add_validation(t, val, task_losses)
@@ -245,13 +250,16 @@ def run(
             eta = config.lr.at(t)
             xi = draw if config.fresh_minibatch_per_task else draw()
             order = _sample_order(config.task_order, len(units), order_gen)
-            updates = step(w, suite, units, config.optimizer, states, eta, xi, order)
-            for u, loss, w_new in updates:
-                step_vec = w_new - w
-                if shared_mask is not None:
-                    step_vec = step_vec[shared_mask]
-                trace.add_row(t, labels[u], float(loss), l2_norm(step_vec))
-                w = w_new
+            landed = []
+            try:
+                step(w, suite, units, config.optimizer, states, eta, xi, order, landed)
+            finally:  # an aborted step keeps the rows of the updates before the failure
+                for u, loss, w_new in landed:
+                    step_vec = w_new - w
+                    if shared_mask is not None:
+                        step_vec = step_vec[shared_mask]
+                    trace.add_row(t, labels[u], float(loss), l2_norm(step_vec))
+                    w = w_new
             if validation_every and t % validation_every == 0:
                 record_validation(t, w)
     except NonFiniteError as exc:

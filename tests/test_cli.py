@@ -351,7 +351,10 @@ def test_sweep_names_the_cell_of_a_killed_worker(tmp_path, monkeypatch, capsys):
     assert _sweep_failing_at_second_cell(tmp_path, monkeypatch, 2, broken) == 4
     err = capsys.readouterr().err
     assert "BrokenProcessPool: a worker was terminated abruptly" in err
-    assert err.endswith("sweep cell schemes[0] (ius), eta 0.05, seed 1 failed\n")
+    assert err.endswith(
+        "a sweep worker process died; cells without a row: "
+        "schemes[0] (ius), eta 0.05, seed 1; schemes[0] (ius), eta 0.05, seed 2\n"
+    )
     assert len((tmp_path / "sweep" / "sweep.csv").read_text().splitlines()) == 3
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from mtlopt.objectives import (
     Minibatch,
     QuadraticSuite,
     QuadraticTask,
+    TaskSuite,
     finite_difference_check,
     five_task_suite,
     suite_constants,
@@ -198,3 +201,36 @@ def test_stacked_validation_equals_per_task_exact_values(suite):
         with np.errstate(over="ignore", under="ignore"):
             expected = np.array([t.exact_value(w) for t in suite.tasks])
             assert np.array_equal(suite.validation_task_losses(w), expected)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("d", [1, 3, 5])
+def test_stacked_unit_oracle_equals_per_task_loop(d):
+    # four tasks, one with a zero center, so that r is -0.0 at w = -0.0
+    gen = np.random.default_rng(d)
+    tasks = []
+    for k in range(4):
+        q, _ = np.linalg.qr(gen.standard_normal((d, d)))
+        mat = q @ np.diag(gen.uniform(0.5, 3.0, size=d)) @ q.T
+        center = np.zeros(d) if k == 1 else gen.uniform(-2.0, 2.0, size=d)
+        tasks.append(QuadraticTask(k, 0.5 * (mat + mat.T), center, noise_sigma=0.3))
+    suite = QuadraticSuite(tasks)
+    points = [gen.standard_normal(d) * 10.0 ** gen.uniform(-8.0, 8.0) for _ in range(40)]
+    points += [np.full(d, -0.0), np.zeros(d), tasks[0].center.copy(), np.full(d, 1.35e154), np.full(d, 3e-161)]
+    payloads = [suite.sample_minibatch(gen).payload for _ in range(3)]
+    payloads += [np.full((4, d), -0.0), np.zeros((4, d))]
+    signed = suite.sample_minibatch(gen).payload
+    signed[:, ::2] = -0.0
+    payloads.append(signed)
+    units = [u for size in range(1, 5) for u in itertools.combinations(range(4), size)]
+    for w, payload, unit in itertools.product(points, payloads, units):
+        xi = Minibatch(payload)
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            loss, g = suite.unit_value_and_gradient(w, unit, xi)
+            ref_loss, ref_g = TaskSuite.unit_value_and_gradient(suite, w, unit, xi)
+        assert type(loss) is float
+        assert _bits(loss) == _bits(ref_loss), (w, unit)
+        assert np.array_equal(_bits(g), _bits(ref_g)), (w, unit)

@@ -14,7 +14,7 @@ from mtlopt.objectives import (
     two_task_suite,
 )
 from mtlopt.optimizers import OptimizerRule, fresh_state
-from mtlopt.params import RngStream
+from mtlopt.params import NonFiniteError, RngStream
 from mtlopt.schemes import (
     ConstantLR,
     SchemeConfig,
@@ -23,6 +23,7 @@ from mtlopt.schemes import (
     step,
     theorem_schedule,
 )
+from mtlopt.tracing import write_trace_csv, write_trace_meta
 
 SGD = OptimizerRule.sgd()
 
@@ -79,19 +80,15 @@ class ConstantGradientSuite(TaskSuite):
 
 
 class CountingSuite(QuadraticSuite):
-    """Wraps gradient calls with a counter for call-count assertions."""
+    """Counts unit-oracle calls for call-count assertions."""
 
     def __init__(self, tasks):
         super().__init__(tasks)
-        self.gradient_calls = 0
-        outer = self
+        self.unit_calls = 0
 
-        class Counted(QuadraticTask):
-            def gradient(self, w, xi):
-                outer.gradient_calls += 1
-                return super().gradient(w, xi)
-
-        self.tasks = [Counted(t.index, t.matrix, t.center, t.noise_sigma) for t in tasks]
+    def unit_value_and_gradient(self, w, unit, xi):
+        self.unit_calls += 1
+        return super().unit_value_and_gradient(w, unit, xi)
 
 
 # ---------------------------------------------------------------- step math
@@ -340,21 +337,74 @@ def test_uniform_random_frequencies_converge():
 def test_oracle_call_counts_per_step():
     tasks = [QuadraticTask(0, [[1.0]], [0.0], 0.1), QuadraticTask(1, [[1.0]], [2.0], 0.1),
              QuadraticTask(2, [[1.0]], [1.0], 0.1)]
-    # SUS: N gradient calls, one optimizer application
+    # one unit-oracle call per update
+    # SUS: one call and one optimizer application per step
     suite = CountingSuite(tasks)
     trace = run(cfg("sus"), suite, np.zeros(1), 4, seed=0)
-    assert suite.gradient_calls == 3 * 4
+    assert suite.unit_calls == 4
     assert trace.final_states[0]["step"] == 4
-    # IUS: N gradient calls, N applications on the one shared state
+    # IUS: N calls, N applications on the one shared state
     suite = CountingSuite(tasks)
     trace = run(cfg("ius"), suite, np.zeros(1), 4, seed=0)
-    assert suite.gradient_calls == 3 * 4
+    assert suite.unit_calls == 3 * 4
     assert trace.final_states[0]["step"] == 3 * 4
-    # IO: N gradient calls, one application per task state
+    # IO: N calls, one application per task state
     suite = CountingSuite(tasks)
     trace = run(cfg("io"), suite, np.zeros(1), 4, seed=0)
-    assert suite.gradient_calls == 3 * 4
+    assert suite.unit_calls == 3 * 4
     assert all(s["step"] == 4 for s in trace.final_states)
+
+
+class LoopOracleSuite(QuadraticSuite):
+    """A quadratic suite on the per-task loop of TaskSuite, the reference that
+    the stacked unit oracle must reproduce bit for bit."""
+
+    unit_value_and_gradient = TaskSuite.unit_value_and_gradient
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        cfg("sus"),
+        cfg("ius", groups=2, opt=OptimizerRule.momentum(0.9)),
+        cfg("io"),
+        SchemeConfig("ius", OptimizerRule.adam(), ConstantLR(0.05), n_groups=3, fresh_minibatch_per_task=True),
+        cfg("io", groups=2, order="uniform_random"),
+    ],
+    ids=["sus", "ius_groups_momentum", "io_adam", "fresh_minibatch", "uniform_random"],
+)
+def test_stacked_oracle_runs_write_the_bytes_of_the_per_task_loop(config, tmp_path):
+    tasks = five_task_suite().tasks
+    for name, suite in (("stacked", QuadraticSuite(tasks)), ("loop", LoopOracleSuite(tasks))):
+        trace = run(config, suite, np.array([2.0, -1.0, 0.5]), 200, seed=4)
+        write_trace_csv(trace, tmp_path / f"{name}.csv")
+        write_trace_meta(trace, tmp_path / f"{name}.meta.json")
+    for ext in ("csv", "meta.json"):
+        assert (tmp_path / f"stacked.{ext}").read_bytes() == (tmp_path / f"loop.{ext}").read_bytes()
+
+
+def test_step_restores_the_error_state_on_return_and_on_raise():
+    suite = two_task_suite(0.0)
+    units = task_units(suite)
+    before = np.geterr()
+    step(np.array([1.0]), suite, units, SGD, [fresh_state(SGD, 1)], 0.1, empty_batch(suite), [0, 1])
+    assert np.geterr() == before
+    with pytest.raises(NonFiniteError):
+        step(np.array([1e300]), suite, units, SGD, [fresh_state(SGD, 1)], 0.1, empty_batch(suite), [0, 1])
+    assert np.geterr() == before
+
+
+def test_abort_mid_step_keeps_the_update_that_landed_before_it():
+    # unit 0 lands at w = 0 - 2 * (-1e154) = 2e154, where unit 1's loss,
+    # 0.5 * (2e154)^2, overflows
+    suite = QuadraticSuite([QuadraticTask(0, [[1.0]], [1e154]), QuadraticTask(1, [[1.0]], [0.0])])
+    mom = OptimizerRule.momentum(0.9)
+    trace = run(cfg("ius", opt=mom, eta=2.0, order="fixed"), suite, np.zeros(1), 5, seed=0)
+    assert trace.aborted
+    assert trace.abort_reason == "step 1: training loss for unit 1 is non-finite"
+    assert list(trace.rows()) == [(1, "0", 0.5 * 1e154 * 1e154, None, 2e154, 2e154)]
+    np.testing.assert_array_equal(trace.w_final, [2e154])
+    assert trace.final_states == [{"m": [-1e154], "v": None, "step": 1}]
 
 
 def test_noise_free_average_loss_non_increasing():
@@ -414,6 +464,14 @@ def test_abort_mid_run_keeps_each_state_at_its_last_landed_update():
             m = 0.9 * m + 1.0
         assert state["m"] == [m]
     assert np.isfinite(trace.w_final).all()
+
+
+def test_validation_sum_overflow_aborts_without_a_warning():
+    # each task's validation loss, 0.5 * (1.4e154)^2, is finite and their sum
+    # is not; the tier-1 settings turn a RuntimeWarning into an error
+    suite = QuadraticSuite([QuadraticTask(0, [[1.0]], [0.0]), QuadraticTask(1, [[1.0]], [0.0])])
+    trace = run(cfg("sus", opt=SGD), suite, np.array([1.4e154]), 3, seed=0)
+    assert trace.abort_reason == "step 0: validation loss is non-finite"
 
 
 def test_fresh_minibatch_mode_changes_draws_but_stays_deterministic():

@@ -82,14 +82,14 @@ def test_total_at_least_shortest_on_real_runs():
 
 
 def test_snapshot_recompute_matches_accumulated_total(monkeypatch):
-    # recompute the total from copies of every iterate that `step` yields
+    # recompute the total from copies of every iterate that `step` returns
     ws = [np.zeros(1)]
     real_step = schemes.step
 
     def recording_step(*args):
-        for u, loss, w in real_step(*args):
-            ws.append(w.copy())
-            yield u, loss, w
+        updates = real_step(*args)
+        ws.extend(w.copy() for _, _, w in updates)
+        return updates
 
     monkeypatch.setattr(schemes, "step", recording_step)
     suite = two_task_suite(0.6)
