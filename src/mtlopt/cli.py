@@ -124,8 +124,10 @@ def _cell_rows(cfg: RunConfig, cells, results):
             row = get_row()
         except Exception as exc:
             traceback.print_exc()
-            if isinstance(exc, concurrent.futures.process.BrokenProcessPool):
-                # every pending cell fails with it, whichever one the dead worker ran
+            # A dead worker's BrokenProcessPool fails every pending cell, whichever
+            # one it ran. Its base BrokenExecutor is tested: the sequential path
+            # never loads concurrent.futures.process, which defines it.
+            if isinstance(exc, concurrent.futures.BrokenExecutor):
                 missing = "; ".join(_cell_name(cfg, c) for c in pending)
                 print(f"a sweep worker process died; cells without a row: {missing}", file=sys.stderr)
             else:

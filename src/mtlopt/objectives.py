@@ -213,7 +213,8 @@ class QuadraticSuite(TaskSuite):
     def unit_value_and_gradient(self, w: np.ndarray, unit, xi: Minibatch) -> tuple:
         # The bits of the per-task loop of TaskSuite, every zero's sign
         # included: `0.0 +` plays the loop's zero start (sum() and np.zeros),
-        # and the stacked kernels reduce over tasks in unit order.
+        # and the tasks are summed in unit order. np.add.accumulate adds rows
+        # strictly in turn; np.add.reduce may sum a contiguous axis pairwise.
         if len(unit) == 1:
             task = self.tasks[unit[0]]
             r = w - task.center
@@ -233,7 +234,7 @@ class QuadraticSuite(TaskSuite):
         ar = _matvec(mats, r)
         noise = xi.payload[noise_rows]
         vals = _dot(0.5 * r, ar) + _dot(noise, r)
-        return sum(vals.tolist()), np.add.reduce(ar + noise, axis=0, initial=0.0)
+        return sum(vals.tolist()), 0.0 + np.add.accumulate(ar + noise, axis=0)[-1]
 
 
 def finite_difference_check(task: TaskObjective, w: np.ndarray, xi: Minibatch, h: float = 1e-5) -> float:

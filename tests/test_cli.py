@@ -1,6 +1,10 @@
 import concurrent.futures
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -315,7 +319,8 @@ def test_sweep_workers_clamped_to_cells_and_cpus(tmp_path, monkeypatch, cpus, ex
 
 def _sweep_failing_at_second_cell(tmp_path, monkeypatch, workers, error):
     """Exit code of a three-cell sweep whose second cell (seed 1) raises `error`."""
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    if workers > 1:  # the sequential path must work without touching the pool
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     # completion order is submission order, as if the cells finished in turn
     monkeypatch.setattr(cli.concurrent.futures, "as_completed", iter)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
@@ -345,9 +350,38 @@ def test_sweep_streams_rows_until_a_cell_fails(tmp_path, monkeypatch, capsys, wo
     assert len(lines) == 3 and lines[2].startswith("0.05,ius,2,0,")
 
 
+_FAILING_SWEEP = """
+import sys
+from mtlopt import cli
+calls = []
+def failing_second_cell(*args):
+    calls.append(args)
+    if len(calls) == 2:
+        raise RuntimeError("cell failed")
+    return real_cell(*args)
+real_cell, cli._sweep_cell = cli._sweep_cell, failing_second_cell
+sys.exit(cli.main(["sweep", sys.argv[1], "--etas", "0.05", "--out", sys.argv[2], "--workers", "1"]))
+"""
+
+
+def test_sequential_sweep_failure_exits_4_in_a_fresh_interpreter(tmp_path):
+    # no test has imported concurrent.futures.process there, nor patched the pool
+    cfg = write_config(tmp_path, two_task_config(steps=3))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAILING_SWEEP, cfg, str(tmp_path / "sweep")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.endswith("sweep cell schemes[0] (ius), eta 0.05, seed 1 failed\n")
+    assert len((tmp_path / "sweep" / "sweep.csv").read_text().splitlines()) == 3
+
+
 def test_sweep_names_the_cell_of_a_killed_worker(tmp_path, monkeypatch, capsys):
     # a killed worker fails every pending future with BrokenProcessPool
-    broken = concurrent.futures.process.BrokenProcessPool("a worker was terminated abruptly")
+    broken = BrokenProcessPool("a worker was terminated abruptly")
     assert _sweep_failing_at_second_cell(tmp_path, monkeypatch, 2, broken) == 4
     err = capsys.readouterr().err
     assert "BrokenProcessPool: a worker was terminated abruptly" in err

@@ -209,10 +209,12 @@ def _bits(x):
 
 @pytest.mark.parametrize("d", [1, 3, 5])
 def test_stacked_unit_oracle_equals_per_task_loop(d):
-    # four tasks, one with a zero center, so that r is -0.0 at w = -0.0
+    # ten tasks, one with a zero center, so that r is -0.0 at w = -0.0; every
+    # unit of the first four, and units of nine and ten tasks, where a pairwise
+    # sum would add in another order than the loop
     gen = np.random.default_rng(d)
     tasks = []
-    for k in range(4):
+    for k in range(10):
         q, _ = np.linalg.qr(gen.standard_normal((d, d)))
         mat = q @ np.diag(gen.uniform(0.5, 3.0, size=d)) @ q.T
         center = np.zeros(d) if k == 1 else gen.uniform(-2.0, 2.0, size=d)
@@ -221,11 +223,12 @@ def test_stacked_unit_oracle_equals_per_task_loop(d):
     points = [gen.standard_normal(d) * 10.0 ** gen.uniform(-8.0, 8.0) for _ in range(40)]
     points += [np.full(d, -0.0), np.zeros(d), tasks[0].center.copy(), np.full(d, 1.35e154), np.full(d, 3e-161)]
     payloads = [suite.sample_minibatch(gen).payload for _ in range(3)]
-    payloads += [np.full((4, d), -0.0), np.zeros((4, d))]
+    payloads += [np.full((10, d), -0.0), np.zeros((10, d))]
     signed = suite.sample_minibatch(gen).payload
     signed[:, ::2] = -0.0
     payloads.append(signed)
     units = [u for size in range(1, 5) for u in itertools.combinations(range(4), size)]
+    units += [tuple(range(10)), tuple(range(9, -1, -1)), (8, 1, 6, 3, 0, 5, 2, 7, 4)]
     for w, payload, unit in itertools.product(points, payloads, units):
         xi = Minibatch(payload)
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
