@@ -55,50 +55,79 @@ class MLPTopology:
 
     def unpack(self, w: np.ndarray):
         """Views into w: list of trunk (W, b), list of head (W, b)."""
-        parts = [(w[w_slice].reshape(w_shape), w[b_slice]) for w_slice, w_shape, b_slice in self.layout]
+        parts = [_view(w, entry) for entry in self.layout]
         n_trunk = len(self.hidden)
         return parts[:n_trunk], parts[n_trunk:]
 
+    def task_views(self, w: np.ndarray, k: int):
+        """Views into w of what task k uses: list of trunk (W, b), head k's (W, b)."""
+        n_trunk = len(self.hidden)
+        return [_view(w, entry) for entry in self.layout[:n_trunk]], _view(w, self.layout[n_trunk + k])
+
     def forward_trunk(self, trunk, x: np.ndarray):
-        """Activations of every trunk layer, input first, given trunk views."""
+        """Activations of every trunk layer, input first, given trunk views.
+        Each layer's activation is a new array; x is never written."""
         activations = [x]
         h = x
         for w_mat, b in trunk:
-            h = np.tanh(h @ w_mat + b)
+            h = h @ w_mat  # the bits of np.tanh(h @ w_mat + b), without temporaries
+            h += b
+            np.tanh(h, out=h)
             activations.append(h)
         return activations
 
     def task_value(self, w, k, x, y):
-        trunk, heads = self.unpack(w)
-        return _head_loss(self.forward_trunk(trunk, x)[-1], heads[k], y)
+        trunk, head = self.task_views(w, k)
+        return _head_loss(self.forward_trunk(trunk, x)[-1], head, y)
 
     def task_gradient(self, w, k, x, y):
-        trunk, heads = self.unpack(w)
+        trunk, (w_head, b_head) = self.task_views(w, k)
         activations = self.forward_trunk(trunk, x)
         h_last = activations[-1]
-        w_head, b_head = heads[k]
-        pred = h_last @ w_head + b_head
 
-        grad = np.zeros_like(w)
-        g_trunk, g_heads = self.unpack(grad)
+        grad = np.zeros(w.shape)
+        g_trunk, (g_w_head, g_b_head) = self.task_views(grad, k)
 
-        d_pred = 2.0 * (pred - y) / y.shape[0]
-        g_heads[k][0][...] = h_last.T @ d_pred
-        g_heads[k][1][...] = d_pred.sum(axis=0)
+        d_pred = h_last @ w_head  # the bits of 2.0 * (h_last @ w_head + b_head - y) / n
+        d_pred += b_head
+        d_pred -= y
+        d_pred *= 2.0
+        d_pred /= y.shape[0]
+        np.matmul(h_last.T, d_pred, out=g_w_head)
+        d_pred.sum(axis=0, out=g_b_head)
         d_h = d_pred @ w_head.T
         for i in reversed(range(len(trunk))):
-            d_z = d_h * (1.0 - activations[i + 1] ** 2)
-            g_trunk[i][0][...] = activations[i].T @ d_z
-            g_trunk[i][1][...] = d_z.sum(axis=0)
-            d_h = d_z @ trunk[i][0].T
+            # d_z = d_h * (1.0 - a ** 2), in place: neither d_h nor the
+            # activation a = activations[i + 1] is read again
+            a = activations[i + 1]
+            a *= a
+            np.subtract(1.0, a, out=a)
+            d_z = d_h
+            d_z *= a
+            np.matmul(activations[i].T, d_z, out=g_trunk[i][0])
+            d_z.sum(axis=0, out=g_trunk[i][1])
+            if i:  # the gradient with respect to the input x is not needed
+                d_h = d_z @ trunk[i][0].T
         return grad
 
 
+def _view(w, entry):
+    w_slice, w_shape, b_slice = entry
+    return w[w_slice].reshape(w_shape), w[b_slice]
+
+
 def _head_loss(h, head, y) -> float:
-    """Mean squared error of one linear head on last-layer activations h."""
+    """Mean squared error of one linear head on last-layer activations h.
+
+    The bits of np.mean((h @ w_head + b_head - y) ** 2): np.mean is add.reduce
+    over every entry divided by the count, and ** 2 is r * r.
+    """
     w_head, b_head = head
-    pred = h @ w_head + b_head
-    return float(np.mean((pred - y) ** 2))
+    r = h @ w_head
+    r += b_head
+    r -= y
+    r *= r
+    return float(r.sum() / r.size)
 
 
 class _SinusoidTarget:

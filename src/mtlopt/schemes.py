@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import optimizers
-from .params import NonFiniteError, RngStream, as_params, axpy, l2_norm
+from .params import NonFiniteError, RngStream, as_params, axpy, l2_norm_kernel
 from .tracing import RunTrace
 
 __all__ = [
@@ -227,11 +227,10 @@ def run(
     trace.w0 = w.copy()
 
     def record_validation(t, current_w):
-        with np.errstate(over="ignore", invalid="ignore"):
-            task_losses = suite.validation_task_losses(current_w)
-            if task_losses is None:
-                return
-            val = float(task_losses.sum() / task_losses.size)  # the bits of np.mean
+        task_losses = suite.validation_task_losses(current_w)
+        if task_losses is None:
+            return
+        val = float(task_losses.sum() / task_losses.size)  # the bits of np.mean
         if not math.isfinite(val):
             raise NonFiniteError("validation loss is non-finite")
         trace.add_validation(t, val, task_losses)
@@ -245,23 +244,27 @@ def run(
 
     t = 0
     try:
-        record_validation(0, w)
-        for t in range(1, n_steps + 1):
-            eta = config.lr.at(t)
-            xi = draw if config.fresh_minibatch_per_task else draw()
-            order = _sample_order(config.task_order, len(units), order_gen)
-            landed = []
-            try:
-                step(w, suite, units, config.optimizer, states, eta, xi, order, landed)
-            finally:  # an aborted step keeps the rows of the updates before the failure
-                for u, loss, w_new in landed:
-                    step_vec = w_new - w
-                    if shared_mask is not None:
-                        step_vec = step_vec[shared_mask]
-                    trace.add_row(t, labels[u], float(loss), l2_norm(step_vec))
-                    w = w_new
-            if validation_every and t % validation_every == 0:
-                record_validation(t, w)
+        # one np.errstate scope for the whole loop, as in `step`: validation
+        # and the displacement norm ignore overflow and invalid operations,
+        # and the finiteness checks raise NonFiniteError instead
+        with np.errstate(over="ignore", invalid="ignore"):
+            record_validation(0, w)
+            for t in range(1, n_steps + 1):
+                eta = config.lr.at(t)
+                xi = draw if config.fresh_minibatch_per_task else draw()
+                order = _sample_order(config.task_order, len(units), order_gen)
+                landed = []
+                try:
+                    step(w, suite, units, config.optimizer, states, eta, xi, order, landed)
+                finally:  # an aborted step keeps the rows of the updates before the failure
+                    for u, loss, w_new in landed:
+                        step_vec = w_new - w
+                        if shared_mask is not None:
+                            step_vec = step_vec[shared_mask]
+                        trace.add_row(t, labels[u], float(loss), l2_norm_kernel(step_vec))
+                        w = w_new
+                if validation_every and t % validation_every == 0:
+                    record_validation(t, w)
     except NonFiniteError as exc:
         trace.aborted = True
         trace.abort_reason = f"step {t}: {exc}"

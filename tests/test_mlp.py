@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from mtlopt.mlp import init_mlp_params, synthetic_mlp_suite
 from mtlopt.objectives import finite_difference_check, two_task_suite
@@ -144,3 +145,96 @@ def test_unit_mask_is_cached_union_of_task_masks():
         assert not mask.flags.writeable
     np.testing.assert_array_equal(suite.unit_mask(range(n)), suite.unit_mask(tuple(range(n))))
     assert two_task_suite().unit_mask((0, 1)) is None  # unrestricted tasks
+
+
+# ------------------------------------------- reference kernels, bit for bit
+# The kernels as first written: views of every layer, np.mean, one new array
+# per operation and the gradient with respect to the input. The in-place
+# kernels must give the same bits.
+
+
+def _reference_forward(topology, w, x):
+    trunk, heads = topology.unpack(w)
+    h = x
+    for w_mat, b in trunk:
+        h = np.tanh(h @ w_mat + b)
+    return h, heads
+
+
+def _reference_head_loss(h, head, y):
+    w_head, b_head = head
+    return float(np.mean((h @ w_head + b_head - y) ** 2))
+
+
+def _reference_value(topology, w, k, x, y):
+    h, heads = _reference_forward(topology, w, x)
+    return _reference_head_loss(h, heads[k], y)
+
+
+def _reference_gradient(topology, w, k, x, y):
+    trunk, heads = topology.unpack(w)
+    activations = [x]
+    for w_mat, b in trunk:
+        activations.append(np.tanh(activations[-1] @ w_mat + b))
+    h_last = activations[-1]
+    w_head, b_head = heads[k]
+    pred = h_last @ w_head + b_head
+    grad = np.zeros_like(w)
+    g_trunk, g_heads = topology.unpack(grad)
+    d_pred = 2.0 * (pred - y) / y.shape[0]
+    g_heads[k][0][...] = h_last.T @ d_pred
+    g_heads[k][1][...] = d_pred.sum(axis=0)
+    d_h = d_pred @ w_head.T
+    for i in reversed(range(len(trunk))):
+        d_z = d_h * (1.0 - activations[i + 1] ** 2)
+        g_trunk[i][0][...] = activations[i].T @ d_z
+        g_trunk[i][1][...] = d_z.sum(axis=0)
+        d_h = d_z @ trunk[i][0].T
+    return grad
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+SHIPPED_MLP = {"n_tasks": 4, "input_dim": 2, "hidden": (32, 32)}  # configs/mlp_four_task.json
+
+
+@pytest.mark.parametrize("shape", [SHIPPED_MLP, {"n_tasks": 3, "input_dim": 2, "hidden": (5,)},
+                                   {"n_tasks": 2, "input_dim": 3, "hidden": (8, 8, 8)}])
+@pytest.mark.parametrize("batch", [1, 7, 32])
+@pytest.mark.parametrize("weights", ["normal", "saturated", "zero"])
+def test_kernels_keep_the_bits_of_the_reference(shape, batch, weights):
+    suite = synthetic_mlp_suite(**shape, batch_size=batch, val_size=batch)
+    topology = suite.topology
+    w = init_mlp_params(suite, RngStream(batch, "init").gen)
+    w += 0.1 * RngStream(batch, "perturb").gen.normal(size=suite.dim)  # nonzero biases
+    w *= {"normal": 1.0, "saturated": 50.0, "zero": 0.0}[weights]
+    for draw in range(3):
+        x, targets = suite.sample_minibatch(RngStream(draw, "data").gen).payload
+        for k in range(suite.n_tasks):
+            assert topology.task_value(w, k, x, targets[k]) == _reference_value(topology, w, k, x, targets[k])
+            got = topology.task_gradient(w, k, x, targets[k])
+            assert _same_bits(got, _reference_gradient(topology, w, k, x, targets[k]))
+    h, heads = _reference_forward(topology, w, suite.val_inputs)
+    expected = np.array([_reference_head_loss(h, head, y) for head, y in zip(heads, suite.val_targets)])
+    assert _same_bits(suite.validation_task_losses(w), expected)
+
+
+def test_forward_trunk_writes_neither_input_nor_parameters():
+    suite = synthetic_mlp_suite(**SHIPPED_MLP)
+    topology = suite.topology
+    w = init_mlp_params(suite, RngStream(3, "init").gen)
+    x, _ = suite.sample_minibatch(RngStream(3, "data").gen).payload
+    w_before, x_before = w.copy(), x.copy()
+    trunk, _ = topology.task_views(w, 0)
+    activations = topology.forward_trunk(trunk, x)
+    assert activations[0] is x and len(activations) == len(SHIPPED_MLP["hidden"]) + 1
+    assert not any(np.shares_memory(a, b) for a in activations[1:] for b in (x, w))
+    for a, b in zip(activations[1:], activations[2:]):
+        assert not np.shares_memory(a, b)
+    assert _same_bits(w, w_before) and _same_bits(x, x_before)
+    for k in range(suite.n_tasks):  # the oracles that write into their activations
+        topology.task_gradient(w, k, x, x[:, :1])
+        topology.task_value(w, k, x, x[:, :1])
+    assert _same_bits(w, w_before) and _same_bits(x, x_before)

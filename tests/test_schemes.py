@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,7 @@ from mtlopt.objectives import (
     two_task_suite,
 )
 from mtlopt.optimizers import OptimizerRule, fresh_state
-from mtlopt.params import NonFiniteError, RngStream
+from mtlopt.params import NonFiniteError, RngStream, l2_norm
 from mtlopt.schemes import (
     ConstantLR,
     SchemeConfig,
@@ -472,6 +475,39 @@ def test_validation_sum_overflow_aborts_without_a_warning():
     suite = QuadraticSuite([QuadraticTask(0, [[1.0]], [0.0]), QuadraticTask(1, [[1.0]], [0.0])])
     trace = run(cfg("sus", opt=SGD), suite, np.array([1.4e154]), 3, seed=0)
     assert trace.abort_reason == "step 0: validation loss is non-finite"
+
+
+def test_huge_displacement_is_recorded_finite_without_a_warning():
+    # sgd at eta 1e10 from (1e150, -1e150) moves by about 1e160 per entry:
+    # the loss there is finite, the displacement's sum of squares is not
+    suite = QuadraticSuite([QuadraticTask(0, np.eye(2), [0.0, 0.0])])
+    w0 = np.array([1e150, -1e150])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        trace = run(cfg("ius", opt=SGD, eta=1e10), suite, w0, 3, seed=0)
+    assert trace.abort_reason == "step 1: validation loss is non-finite"
+    (displacement,) = trace.displacements
+    assert math.isfinite(displacement) and displacement > 1e160
+    assert displacement == l2_norm(trace.w_final - w0)
+
+
+@pytest.mark.parametrize("config", [cfg("sus"), cfg("ius", groups=2, opt=OptimizerRule.momentum(0.9)),
+                                    cfg("io")])
+def test_run_enters_one_errstate_scope_per_step_and_one_around_the_loop(config, monkeypatch):
+    entered = []
+
+    class CountingErrstate(np.errstate):
+        def __enter__(self):
+            entered.append(1)
+            return super().__enter__()
+
+    monkeypatch.setattr(np, "errstate", CountingErrstate)
+    n_steps = 6
+    trace = run(config, five_task_suite(), np.zeros(3), n_steps, seed=0)
+    assert not trace.aborted and len(trace.val_steps) == n_steps + 1
+    # at most one scope per step (step's own) and one around run's loop, not
+    # one per update for the displacement and one per validation
+    assert len(entered) <= n_steps + 1
 
 
 def test_fresh_minibatch_mode_changes_draws_but_stays_deterministic():
