@@ -20,7 +20,7 @@ import numpy as np
 
 from . import schemes, verify as verify_mod
 from .config import ConfigError, RunConfig, load_config
-from .objectives import QuadraticSuite
+from .objectives import QuadraticSuite, suite_constants
 from .tracing import covered_distances, write_json, write_trace_csv, write_trace_meta
 
 RATE_SLOPE_RANGE = (-1.3, -0.7)
@@ -248,6 +248,10 @@ def cmd_sweep(cfg: RunConfig, etas, out_dir: Path, seed_offset: int = 0, workers
 def cmd_verify(cfg: RunConfig, out_dir: Path, seed_offset: int = 0) -> int:
     if not isinstance(cfg.suite, QuadraticSuite):
         raise ConfigError("objective.family: verification requires the quadratic family")
+    try:  # the bound needs every task strongly convex
+        suite_constants(cfg.suite)
+    except ValueError as exc:
+        raise ConfigError(f"objective.tasks: {exc}") from exc
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = cfg.seeds[0] + seed_offset
     w0 = cfg.initial_point(seed)
@@ -310,8 +314,8 @@ def _parse_etas(text: str):
         etas = [float(x) for x in text.replace(",", " ").split()]
     except ValueError as exc:
         raise ConfigError(f"--etas: {exc}") from exc
-    if any(e <= 0 for e in etas):
-        raise ConfigError("--etas: learning rates must be positive")
+    if not all(0.0 < e < float("inf") for e in etas):  # NaN fails both comparisons
+        raise ConfigError("--etas: learning rates must be positive and finite")
     return etas
 
 

@@ -6,6 +6,7 @@ differ when their configs visibly differ.
 """
 
 import json
+import sys
 
 import numpy as np
 
@@ -23,6 +24,8 @@ class ConfigError(ValueError):
 
 
 def _require_keys(d: dict, path: str, allowed: set, required: set = frozenset()):
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path}: expected an object, got {d!r}")
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
@@ -44,17 +47,34 @@ def _get_int(d, key, path, default=None, minimum=None):
     return v
 
 
-def _get_number(d, key, path, default=None, minimum=None):
+def _number(v, path) -> float:
+    """v as a float. A boolean, a non-number, NaN, an infinity (JSON reads
+    1e400 as one) or an integer beyond the float range raises ConfigError."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"{path}: expected number, got {v!r}")
+    if not abs(v) <= sys.float_info.max:
+        raise ConfigError(f"{path}: expected a finite number, got {v!r}")
+    return float(v)
+
+
+def _numbers(v, path, length=None) -> list:
+    """A nonempty list of finite numbers (of `length` entries when given) as floats."""
+    if not isinstance(v, list) or not v or length not in (None, len(v)):
+        raise ConfigError(f"{path}: expected a list of {length or 'one or more'} numbers")
+    return [_number(x, f"{path}[{i}]") for i, x in enumerate(v)]
+
+
+def _get_number(d, key, path, default=None, minimum=None, above=None):
     if key not in d:
         if default is None:
             raise ConfigError(f"{path}.{key}: required")
         return default
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected number, got {v!r}")
+    v = _number(d[key], f"{path}.{key}")
     if minimum is not None and v < minimum:
         raise ConfigError(f"{path}.{key}: must be >= {minimum}, got {v}")
-    return float(v)
+    if above is not None and not v > above:
+        raise ConfigError(f"{path}.{key}: must be > {above}, got {v}")
+    return v
 
 
 _PRESETS = {"two_task": two_task_suite, "five_task": five_task_suite}
@@ -96,11 +116,16 @@ def _build_objective(obj: dict):
             raise ConfigError("objective.tasks: expected a nonempty list")
         built = []
         for i, entry in enumerate(tasks):
-            _require_keys(entry, f"objective.tasks[{i}]", {"matrix", "center", "noise_sigma"}, {"matrix", "center"})
+            path = f"objective.tasks[{i}]"
+            _require_keys(entry, path, {"matrix", "center", "noise_sigma"}, {"matrix", "center"})
+            matrix = entry["matrix"]
+            if not isinstance(matrix, list) or not matrix:
+                raise ConfigError(f"{path}.matrix: expected a nonempty list of rows")
+            matrix = [_numbers(row, f"{path}.matrix[{j}]") for j, row in enumerate(matrix)]
+            center = _numbers(entry["center"], f"{path}.center")
+            sigma = _get_number(entry, "noise_sigma", path, default=0.0, minimum=0.0)
             try:
-                built.append(
-                    QuadraticTask(i, entry["matrix"], entry["center"], float(entry.get("noise_sigma", 0.0)))
-                )
+                built.append(QuadraticTask(i, matrix, center, sigma))
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"objective.tasks[{i}]: {exc}") from exc
         return QuadraticSuite(built)
@@ -140,6 +165,8 @@ def _build_optimizer(opt: dict, path: str) -> OptimizerRule:
                 _get_number(opt, "beta2", path, default=0.999),
                 _get_number(opt, "eps", path, default=1e-8),
             )
+    except ConfigError:
+        raise  # already names its field
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     raise ConfigError(f"{path}.kind: unknown optimizer {kind!r}")
@@ -156,7 +183,10 @@ def _build_lr(lr: dict, path: str, suite):
         if ("mu" in lr) != ("offset" in lr):
             raise ConfigError(f"{path}: inverse_time needs both 'mu' and 'offset', or neither")
         if "mu" in lr:
-            return InverseTimeLR(mu=_get_number(lr, "mu", path), offset=_get_number(lr, "offset", path))
+            # mu > 0 and offset > -1 keep every step size 2 / (mu * (offset + t)) positive
+            return InverseTimeLR(
+                mu=_get_number(lr, "mu", path, above=0.0), offset=_get_number(lr, "offset", path, above=-1.0)
+            )
         if not isinstance(suite, QuadraticSuite):
             raise ConfigError(f"{path}: inverse_time without mu/offset needs a quadratic objective")
         consts = suite_constants(suite)
@@ -195,6 +225,8 @@ def _build_scheme(sch: dict, path: str, suite) -> SchemeConfig:
             task_order=task_order,
             fresh_minibatch_per_task=fresh,
         )
+    except ConfigError:
+        raise  # already names its field
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -253,10 +285,7 @@ class RunConfig:
         if "w0" in raw:
             if isinstance(self.suite, MLPSuite):
                 raise ConfigError("config.w0: mlp objectives are initialized from the run seed")
-            w0 = raw["w0"]
-            if not isinstance(w0, list) or len(w0) != self.suite.dim:
-                raise ConfigError(f"config.w0: expected a list of {self.suite.dim} numbers")
-            self.w0 = np.asarray(w0, dtype=np.float64)
+            self.w0 = np.asarray(_numbers(raw["w0"], "config.w0", self.suite.dim))
 
         verify = raw.get("verify", {})
         _require_keys(verify, "verify", set(_VERIFY_DEFAULTS))
@@ -265,9 +294,11 @@ class RunConfig:
             self.verify[key] = verify[key]
         t_list = self.verify["T_list"]
         if not isinstance(t_list, list) or not t_list or not all(
-            isinstance(t, int) and t >= 1 for t in t_list
+            isinstance(t, int) and not isinstance(t, bool) and t >= 1 for t in t_list
         ):
             raise ConfigError("verify.T_list: expected a nonempty list of integers >= 1")
+        if len(t_list) < 3 or max(t_list) < 100 * min(t_list):  # what the rate fit needs
+            raise ConfigError("verify.T_list: need at least 3 values spanning two decades (max >= 100 * min)")
         for key in ("replicates", "lemma_steps", "lemma_replicates"):
             self.verify[key] = _get_int(self.verify, key, "verify", minimum=2)
 

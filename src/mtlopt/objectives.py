@@ -188,7 +188,10 @@ class QuadraticSuite(TaskSuite):
         if len(dims) != 1:
             raise DimensionMismatchError(f"tasks disagree on dimension: {sorted(dims)}")
         self._dim = dims.pop()
-        self._halfwidths = np.array([t.noise_halfwidth for t in self.tasks])[:, None]
+        # each task's half-width repeated along its row: scaling a draw by a
+        # same-shape grid skips a broadcast and multiplies the same pairs
+        self._noise_shape = (self.n_tasks, self._dim)
+        self._halfwidths = np.repeat([[t.noise_halfwidth] for t in self.tasks], self._dim, axis=1)
         self.matrices = np.stack([t.matrix for t in self.tasks])
         self.centers = np.stack([t.center for t in self.tasks])
         self.matrices.flags.writeable = False
@@ -201,8 +204,9 @@ class QuadraticSuite(TaskSuite):
 
     def sample_minibatch(self, gen: np.random.Generator) -> Minibatch:
         # one draw per step regardless of how many tasks get evaluated
-        u = gen.uniform(-1.0, 1.0, size=(self.n_tasks, self._dim))
-        return Minibatch(payload=u * self._halfwidths)
+        u = gen.uniform(-1.0, 1.0, size=self._noise_shape)
+        u *= self._halfwidths  # u is a fresh array
+        return Minibatch(payload=u)
 
     def validation_task_losses(self, w: np.ndarray) -> np.ndarray:
         # every task's exact_value, (0.5*r) @ (A @ r), in one stacked pass;

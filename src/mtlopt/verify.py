@@ -129,7 +129,7 @@ def _lockstep(suite, schedule, w0, n_steps, replicates, seed, eta_scale=1.0):
     W = np.tile(np.asarray(w0, dtype=np.float64), (replicates, 1))
     for t in range(1, n_steps + 1):
         eta = eta_scale * schedule.at(t)
-        noise = np.stack([suite.sample_minibatch(gen).payload for gen in data])
+        noise = np.array([suite.sample_minibatch(gen).payload for gen in data])
         G = _matvec(suite.matrices, W[:, None, :] - suite.centers) + noise
         sel = order[:, t - 1]
         yield t, eta, W, G, sel

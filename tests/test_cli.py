@@ -417,3 +417,72 @@ def test_shipped_run_outputs_are_byte_stable(tmp_path):
     assert main(["run", str(config), "--out", str(out)]) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert written == TWO_TASK_RUN_SHA256
+
+
+def small_verify_config():
+    return {
+        "objective": {"family": "quadratic", "tasks": [{"matrix": [[1.0]], "center": [0.0], "noise_sigma": 0.3}]},
+        "seeds": [0],
+        "verify": {"T_list": [10, 100, 1000], "replicates": 4, "lemma_steps": 5, "lemma_replicates": 4},
+    }
+
+
+def _task(cfg):
+    return cfg["objective"]["tasks"][0]
+
+
+def _lr(cfg):
+    return cfg["scheme"]["lr"]
+
+
+def _inverse_time(cfg, mu, offset):
+    cfg["scheme"]["lr"] = {"kind": "inverse_time", "mu": mu, "offset": offset}
+
+
+NAN, INF = float("nan"), float("inf")  # json.dumps writes NaN and Infinity
+
+# (command, edit of the command's small config, field the error names);
+# "<1e400>" is written as the bare literal 1e400, which JSON reads as an infinity
+BAD_CONFIGS = {
+    "w0 string": ("run", lambda c: c.update(w0=["a"]), "config.w0"),
+    "w0 NaN": ("run", lambda c: c.update(w0=[NAN]), "config.w0"),
+    "w0 1e400": ("run", lambda c: c.update(w0=["<1e400>"]), "config.w0"),
+    "w0 boolean": ("run", lambda c: c.update(w0=[True]), "config.w0"),
+    "center NaN": ("run", lambda c: _task(c).update(center=[NAN]), "center"),
+    "matrix Infinity": ("run", lambda c: _task(c).update(matrix=[[INF]]), "matrix"),
+    "noise_sigma NaN": ("run", lambda c: _task(c).update(noise_sigma=NAN), "noise_sigma"),
+    "noise_sigma Infinity": ("run", lambda c: _task(c).update(noise_sigma=INF), "noise_sigma"),
+    "task not an object": ("run", lambda c: c["objective"].update(tasks=[1.0]), "objective.tasks[0]"),
+    "offset -1": ("run", lambda c: _inverse_time(c, 1.0, -1.0), "scheme.lr.offset"),
+    "mu 0": ("run", lambda c: _inverse_time(c, 0, 1.0), "scheme.lr.mu"),
+    "mu -1": ("run", lambda c: _inverse_time(c, -1.0, 1.0), "scheme.lr.mu"),
+    "eta NaN": ("run", lambda c: _lr(c).update(eta=NAN), "scheme.lr.eta"),
+    "eta Infinity": ("run", lambda c: _lr(c).update(eta=INF), "scheme.lr.eta"),
+    "adam eps NaN": ("run", lambda c: c["scheme"].update(optimizer={"kind": "adam", "eps": NAN}), "scheme.optimizer.eps"),
+    "adam eps Infinity": ("run", lambda c: c["scheme"].update(optimizer={"kind": "adam", "eps": INF}), "scheme.optimizer.eps"),
+    "verify not an object": ("run", lambda c: c.update(verify=5), "verify"),
+    "verify indefinite matrix": ("verify", lambda c: _task(c).update(matrix=[[-1.0]]), "matrix"),
+    "verify T_list within one decade": ("verify", lambda c: c["verify"].update(T_list=[10, 20, 30]), "verify.T_list"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CONFIGS))
+def test_invalid_value_is_a_config_error_before_any_compute(tmp_path, capsys, case):
+    command, edit, field = BAD_CONFIGS[case]
+    payload = minimal_run_config() if command == "run" else small_verify_config()
+    edit(payload)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload).replace('"<1e400>"', "1e400"))
+    out = tmp_path / "o"
+    assert main([command, str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and field in err
+    assert "Traceback" not in err
+    assert not out.exists()  # rejected before the output directory is made
+
+
+@pytest.mark.parametrize("etas", ["0.01,nan", "inf"])
+def test_non_finite_etas_are_a_config_error(tmp_path, capsys, etas):
+    cfg = write_config(tmp_path, two_task_config())
+    assert main(["sweep", cfg, "--etas", etas, "--out", str(tmp_path / "o")]) == 1
+    assert "config error: --etas" in capsys.readouterr().err

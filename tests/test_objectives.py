@@ -237,3 +237,35 @@ def test_stacked_unit_oracle_equals_per_task_loop(d):
         assert type(loss) is float
         assert _bits(loss) == _bits(ref_loss), (w, unit)
         assert np.array_equal(_bits(g), _bits(ref_g)), (w, unit)
+
+
+def _zero_sigma_suite():
+    # two noise-free tasks, whose noise rows are signed zeros
+    return QuadraticSuite(
+        [
+            QuadraticTask(0, np.eye(2), [1.0, 0.0], 0.0),
+            QuadraticTask(1, np.eye(2), [0.0, 1.0], 0.7),
+            QuadraticTask(2, np.eye(2), [0.0, 0.0], 0.0),
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "suite", [two_task_suite(), five_task_suite(), _zero_sigma_suite()], ids=["two_task", "five_task", "zero_sigma"]
+)
+def test_sample_minibatch_equals_the_broadcast_draw(suite):
+    # the draw scaled in place by the (n, d) half-width grid has the bits of
+    # the draw times an (n, 1) half-width column, and consumes the same draws
+    column = np.array([t.noise_halfwidth for t in suite.tasks])[:, None]
+    gen, ref = RngStream(4, "data").gen, RngStream(4, "data").gen
+    draws = []
+    for _ in range(50):
+        got = suite.sample_minibatch(gen).payload
+        want = ref.uniform(-1.0, 1.0, size=(suite.n_tasks, suite.dim)) * column
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        draws.append(got)
+    zeros = np.array(draws)[:, column[:, 0] == 0.0]
+    if zeros.size:  # both signs of zero occur
+        assert not zeros.any() and 0 < np.signbit(zeros).sum() < zeros.size
+    assert np.array_equal(gen.uniform(-1.0, 1.0, size=4), ref.uniform(-1.0, 1.0, size=4))
