@@ -10,7 +10,6 @@ from .params import (
     l2_norm,
 )
 from .objectives import (
-    Minibatch,
     QuadraticSuite,
     QuadraticTask,
     TaskObjective,

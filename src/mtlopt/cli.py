@@ -66,10 +66,11 @@ def _execute(cfg: RunConfig, scheme_cfg, seed: int, eta=None):
 def cmd_run(cfg: RunConfig, out_dir: Path, seed_offset: int = 0) -> int:
     if len(cfg.schemes) != 1:
         raise ConfigError("config: 'run' needs exactly one scheme")
+    seeds = cfg.run_seeds(seed_offset)
     out_dir.mkdir(parents=True, exist_ok=True)
     per_seed = []
     aborted = False
-    for seed in (s + seed_offset for s in cfg.seeds):
+    for seed in seeds:
         trace, metrics = _execute(cfg, cfg.schemes[0], seed)
         write_trace_csv(trace, out_dir / f"trace_seed{seed}.csv")
         write_trace_meta(trace, out_dir / f"trace_seed{seed}.meta.json")
@@ -204,13 +205,9 @@ def cmd_sweep(cfg: RunConfig, etas, out_dir: Path, seed_offset: int = 0, workers
         raise ConfigError("config: 'sweep' needs 'scheme' or 'schemes'")
     if not etas:
         raise ConfigError("--etas: grid must be nonempty")
+    seeds = cfg.run_seeds(seed_offset)
+    cells = [(i, eta, seed) for i in range(len(cfg.schemes)) for eta in etas for seed in seeds]
     out_dir.mkdir(parents=True, exist_ok=True)
-    cells = [
-        (i, eta, seed + seed_offset)
-        for i in range(len(cfg.schemes))
-        for eta in etas
-        for seed in cfg.seeds
-    ]
     header_meta = {"config": cfg.raw, "etas": etas, "seed_offset": seed_offset}
     csv_path = out_dir / "sweep.csv"
 
@@ -252,8 +249,8 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, seed_offset: int = 0) -> int:
         suite_constants(cfg.suite)
     except ValueError as exc:
         raise ConfigError(f"objective.tasks: {exc}") from exc
+    seed = cfg.run_seeds(seed_offset)[0]
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = cfg.seeds[0] + seed_offset
     w0 = cfg.initial_point(seed)
     v = cfg.verify
 

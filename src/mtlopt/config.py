@@ -18,6 +18,8 @@ from .schemes import ConstantLR, InverseTimeLR, SchemeConfig, theorem_schedule
 
 __all__ = ["ConfigError", "RunConfig", "load_config"]
 
+_SEED_MAX = 2**64 - 1  # RngStream reduces a seed mod 2**64: one outside [0, _SEED_MAX] aliases one inside
+
 
 class ConfigError(ValueError):
     """Invalid run configuration; the message names the field."""
@@ -34,13 +36,17 @@ def _require_keys(d: dict, path: str, allowed: set, required: set = frozenset())
         raise ConfigError(f"{path}: missing required keys {sorted(missing)}")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _get_int(d, key, path, default=None, minimum=None):
     if key not in d:
         if default is None:
             raise ConfigError(f"{path}.{key}: required")
         return default
     v = d[key]
-    if not isinstance(v, int) or isinstance(v, bool):
+    if not _is_int(v):
         raise ConfigError(f"{path}.{key}: expected integer, got {v!r}")
     if minimum is not None and v < minimum:
         raise ConfigError(f"{path}.{key}: must be >= {minimum}, got {v}")
@@ -134,7 +140,7 @@ def _build_objective(obj: dict):
             if key in obj:
                 raise ConfigError(f"objective.{key}: not valid for the mlp family")
         hidden = obj.get("hidden", [32, 32])
-        if not isinstance(hidden, list) or not hidden or not all(isinstance(h, int) and h > 0 for h in hidden):
+        if not isinstance(hidden, list) or not hidden or not all(_is_int(h) and h > 0 for h in hidden):
             raise ConfigError("objective.hidden: expected a nonempty list of positive integers")
         return synthetic_mlp_suite(
             n_tasks=_get_int(obj, "n_tasks", "objective", default=4, minimum=1),
@@ -206,7 +212,7 @@ def _build_scheme(sch: dict, path: str, suite) -> SchemeConfig:
         raise ConfigError(f"{path}.kind: unknown scheme {kind!r}, expected 'sus', 'ius' or 'io'")
     n_groups = sch.get("n_groups")
     if n_groups is not None:
-        if not isinstance(n_groups, int) or isinstance(n_groups, bool):
+        if not _is_int(n_groups):
             raise ConfigError(f"{path}.n_groups: expected integer or null")
         if not 1 <= n_groups <= suite.n_tasks:
             raise ConfigError(
@@ -274,10 +280,8 @@ class RunConfig:
 
         self.steps = _get_int(raw, "steps", "config", default=1, minimum=1)
         seeds = raw.get("seeds", [0])
-        if not isinstance(seeds, list) or not seeds or not all(
-            isinstance(s, int) and not isinstance(s, bool) for s in seeds
-        ):
-            raise ConfigError("config.seeds: expected a nonempty list of integers")
+        if not isinstance(seeds, list) or not seeds or not all(_is_int(s) and 0 <= s <= _SEED_MAX for s in seeds):
+            raise ConfigError("config.seeds: expected a nonempty list of integers in [0, 2**64 - 1]")
         self.seeds = list(seeds)
         self.validation_every = _get_int(raw, "validation_every", "config", default=1, minimum=1)
 
@@ -293,14 +297,21 @@ class RunConfig:
         for key in verify:
             self.verify[key] = verify[key]
         t_list = self.verify["T_list"]
-        if not isinstance(t_list, list) or not t_list or not all(
-            isinstance(t, int) and not isinstance(t, bool) and t >= 1 for t in t_list
-        ):
+        if not isinstance(t_list, list) or not t_list or not all(_is_int(t) and t >= 1 for t in t_list):
             raise ConfigError("verify.T_list: expected a nonempty list of integers >= 1")
+        if len(set(t_list)) < len(t_list):
+            raise ConfigError(f"verify.T_list: values must be distinct, got {t_list}")
         if len(t_list) < 3 or max(t_list) < 100 * min(t_list):  # what the rate fit needs
             raise ConfigError("verify.T_list: need at least 3 values spanning two decades (max >= 100 * min)")
         for key in ("replicates", "lemma_steps", "lemma_replicates"):
             self.verify[key] = _get_int(self.verify, key, "verify", minimum=2)
+
+    def run_seeds(self, seed_offset: int) -> list:
+        """The configured seeds shifted by seed_offset, each kept in [0, 2**64 - 1]."""
+        seeds = [s + seed_offset for s in self.seeds]
+        if not all(0 <= s <= _SEED_MAX for s in seeds):
+            raise ConfigError(f"--seed-offset: {seed_offset} moves a seed of {self.seeds} out of [0, 2**64 - 1]")
+        return seeds
 
     def initial_point(self, seed: int) -> np.ndarray:
         if isinstance(self.suite, MLPSuite):

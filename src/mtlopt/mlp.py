@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objectives import Minibatch, TaskObjective, TaskSuite
+from .objectives import TaskObjective, TaskSuite
 from .params import RngStream
 
 __all__ = ["MLPTopology", "MLPTask", "MLPSuite", "synthetic_mlp_suite", "init_mlp_params"]
@@ -148,12 +148,12 @@ class MLPTask(TaskObjective):
         self.index = index
         self.topology = topology
 
-    def value(self, w, xi: Minibatch) -> float:
-        x, targets = xi.payload
+    def value(self, w, xi) -> float:
+        x, targets = xi
         return self.topology.task_value(w, self.index, x, targets[self.index])
 
-    def gradient(self, w, xi: Minibatch) -> np.ndarray:
-        x, targets = xi.payload
+    def gradient(self, w, xi) -> np.ndarray:
+        x, targets = xi
         return self.topology.task_gradient(w, self.index, x, targets[self.index])
 
 
@@ -181,9 +181,10 @@ class MLPSuite(TaskSuite):
     def task_mask(self, k: int) -> np.ndarray:
         return self._task_masks[k]
 
-    def sample_minibatch(self, gen: np.random.Generator) -> Minibatch:
+    def sample_minibatch(self, gen: np.random.Generator) -> tuple:
+        """(x, targets): the inputs and a list of each task's targets for them."""
         x = gen.uniform(-1.0, 1.0, size=(self.batch_size, self.topology.input_dim))
-        return Minibatch(payload=(x, [f(x) for f in self.targets]))
+        return x, [f(x) for f in self.targets]
 
     def validation_task_losses(self, w: np.ndarray) -> np.ndarray:
         # one trunk forward shared by every head

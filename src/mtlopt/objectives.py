@@ -7,7 +7,6 @@ convergence bound.
 """
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -15,7 +14,6 @@ from .params import DimensionMismatchError, as_params
 from .params import RngStream
 
 __all__ = [
-    "Minibatch",
     "TaskObjective",
     "QuadraticTask",
     "TaskSuite",
@@ -28,30 +26,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Minibatch:
-    """One sampled data instance, opaque to callers.
-
-    Reusable: evaluating any task twice on the same (w, minibatch) yields
-    identical results; all randomness is materialized at sampling time.
-    """
-
-    payload: Any
-
-
 class TaskObjective:
     """Value + gradient oracle for one task under a sampled minibatch.
 
     Subclasses set `index` (position in the suite) and implement value() and
-    gradient().
+    gradient(). `xi` is a draw of the suite's sample_minibatch.
     """
 
     index: int = 0
 
-    def value(self, w: np.ndarray, xi: Minibatch) -> float:
+    def value(self, w: np.ndarray, xi) -> float:
         raise NotImplementedError
 
-    def gradient(self, w: np.ndarray, xi: Minibatch) -> np.ndarray:
+    def gradient(self, w: np.ndarray, xi) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -63,6 +50,7 @@ class QuadraticTask(TaskObjective):
     the squared-norm gradient bound satisfiable on a bounded region, unlike
     Gaussian noise. The stochastic value adds zeta.(w-a) so that the value and
     gradient oracles stay consistent under finite differencing at fixed noise.
+    zeta is row `index` of the suite's (n_tasks, d) noise draw xi.
     """
 
     def __init__(self, index: int, matrix, center, noise_sigma: float = 0.0):
@@ -86,15 +74,12 @@ class QuadraticTask(TaskObjective):
     def dim(self) -> int:
         return self.center.size
 
-    def _noise(self, xi: Minibatch) -> np.ndarray:
-        return xi.payload[self.index]
-
-    def value(self, w: np.ndarray, xi: Minibatch) -> float:
+    def value(self, w: np.ndarray, xi) -> float:
         r = w - self.center
-        return float(0.5 * r @ (self.matrix @ r) + self._noise(xi) @ r)
+        return float(0.5 * r @ (self.matrix @ r) + xi[self.index] @ r)
 
-    def gradient(self, w: np.ndarray, xi: Minibatch) -> np.ndarray:
-        return self.matrix @ (w - self.center) + self._noise(xi)
+    def gradient(self, w: np.ndarray, xi) -> np.ndarray:
+        return self.matrix @ (w - self.center) + xi[self.index]
 
     def exact_value(self, w: np.ndarray) -> float:
         r = w - self.center
@@ -144,7 +129,7 @@ class TaskSuite:
             self._unit_masks[key] = out
         return self._unit_masks[key]
 
-    def unit_value_and_gradient(self, w: np.ndarray, unit, xi: Minibatch) -> tuple:
+    def unit_value_and_gradient(self, w: np.ndarray, unit, xi) -> tuple:
         """The summed value and gradient of the unit's tasks at (w, xi): the
         loss is the sum of their values, the gradient zeros plus each task's
         gradient, both in unit order."""
@@ -154,7 +139,9 @@ class TaskSuite:
             g += self.tasks[k].gradient(w, xi)
         return loss, g
 
-    def sample_minibatch(self, gen: np.random.Generator) -> Minibatch:
+    def sample_minibatch(self, gen: np.random.Generator):
+        """One minibatch, in the layout the suite's tasks read. All randomness
+        is drawn here, so two evaluations on the same (w, xi) agree."""
         raise NotImplementedError
 
     def validation_task_losses(self, w: np.ndarray) -> np.ndarray | None:
@@ -202,19 +189,19 @@ class QuadraticSuite(TaskSuite):
     def dim(self) -> int:
         return self._dim
 
-    def sample_minibatch(self, gen: np.random.Generator) -> Minibatch:
+    def sample_minibatch(self, gen: np.random.Generator) -> np.ndarray:
         # one draw per step regardless of how many tasks get evaluated
         u = gen.uniform(-1.0, 1.0, size=self._noise_shape)
         u *= self._halfwidths  # u is a fresh array
-        return Minibatch(payload=u)
+        return u
 
     def validation_task_losses(self, w: np.ndarray) -> np.ndarray:
-        # every task's exact_value, (0.5*r) @ (A @ r), in one stacked pass;
-        # their mean is the validation loss
+        # every task's exact_value, (0.5*r) @ (A @ r), in one stacked pass, (..., n)
+        # values for a w of shape (..., 1, d); their mean is the validation loss
         r = w - self.centers
         return _dot(0.5 * r, _matvec(self.matrices, r))
 
-    def unit_value_and_gradient(self, w: np.ndarray, unit, xi: Minibatch) -> tuple:
+    def unit_value_and_gradient(self, w: np.ndarray, unit, xi) -> tuple:
         # The bits of the per-task loop of TaskSuite, every zero's sign
         # included: `0.0 +` plays the loop's zero start (sum() and np.zeros),
         # and the tasks are summed in unit order. np.add.accumulate adds rows
@@ -223,7 +210,7 @@ class QuadraticSuite(TaskSuite):
             task = self.tasks[unit[0]]
             r = w - task.center
             ar = task.matrix @ r
-            noise = xi.payload[task.index]
+            noise = xi[task.index]
             return 0.0 + float(0.5 * r @ ar + noise @ r), 0.0 + (ar + noise)
         key = tuple(unit)
         if key not in self._unit_stacks:
@@ -236,12 +223,12 @@ class QuadraticSuite(TaskSuite):
         mats, centers, noise_rows = self._unit_stacks[key]
         r = w - centers
         ar = _matvec(mats, r)
-        noise = xi.payload[noise_rows]
+        noise = xi[noise_rows]
         vals = _dot(0.5 * r, ar) + _dot(noise, r)
         return sum(vals.tolist()), 0.0 + np.add.accumulate(ar + noise, axis=0)[-1]
 
 
-def finite_difference_check(task: TaskObjective, w: np.ndarray, xi: Minibatch, h: float = 1e-5) -> float:
+def finite_difference_check(task: TaskObjective, w: np.ndarray, xi, h: float = 1e-5) -> float:
     """Max per-coordinate relative error of the gradient vs central differences.
 
     The same fixed minibatch is used for every probe. Relative error per

@@ -18,7 +18,6 @@ from mtlopt.cli import _sweep_cell, _sweep_summary, main
 from mtlopt.config import RunConfig
 from mtlopt.mlp import init_mlp_params, synthetic_mlp_suite
 from mtlopt.objectives import (
-    Minibatch,
     QuadraticSuite,
     TaskObjective,
     TaskSuite,
@@ -191,13 +190,13 @@ class _ConstantGradientSuite(TaskSuite):
         return 1
 
     def sample_minibatch(self, gen):
-        return Minibatch(payload=None)
+        return None
 
 
 def test_criterion_5_optimizer_state_separation():
     suite = _ConstantGradientSuite([[1.0], [-1.0]])
     mom = OptimizerRule.momentum(0.9)
-    xi = Minibatch(None)
+    xi = None
     units = [(0,), (1,)]
     for eta in (1.0, 0.1):
         shared = fresh_state(mom, 1)

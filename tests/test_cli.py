@@ -427,6 +427,19 @@ def small_verify_config():
     }
 
 
+# sha256 of verification.json from `mtlopt verify` on small_verify_config(),
+# a 1-D problem, so the bytes do not depend on the BLAS build.
+SMALL_VERIFY_SHA256 = "7e772b331f9acba119d77eb110c58bb5177883b2b8ad7927e84531303419ab1e"
+
+
+def test_small_verify_output_is_byte_stable(tmp_path):
+    cfg = write_config(tmp_path, small_verify_config())
+    out = tmp_path / "v"
+    assert main(["verify", cfg, "--out", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == ["verification.json"]
+    assert hashlib.sha256((out / "verification.json").read_bytes()).hexdigest() == SMALL_VERIFY_SHA256
+
+
 def _task(cfg):
     return cfg["objective"]["tasks"][0]
 
@@ -441,8 +454,9 @@ def _inverse_time(cfg, mu, offset):
 
 NAN, INF = float("nan"), float("inf")  # json.dumps writes NaN and Infinity
 
-# (command, edit of the command's small config, field the error names);
-# "<1e400>" is written as the bare literal 1e400, which JSON reads as an infinity
+# (command, edit of the command's small config, field the error names, extra
+# arguments); "<1e400>" is written as the bare literal 1e400, which JSON reads
+# as an infinity
 BAD_CONFIGS = {
     "w0 string": ("run", lambda c: c.update(w0=["a"]), "config.w0"),
     "w0 NaN": ("run", lambda c: c.update(w0=[NAN]), "config.w0"),
@@ -463,18 +477,28 @@ BAD_CONFIGS = {
     "verify not an object": ("run", lambda c: c.update(verify=5), "verify"),
     "verify indefinite matrix": ("verify", lambda c: _task(c).update(matrix=[[-1.0]]), "matrix"),
     "verify T_list within one decade": ("verify", lambda c: c["verify"].update(T_list=[10, 20, 30]), "verify.T_list"),
+    "verify T_list repeated": ("verify", lambda c: c["verify"].update(T_list=[10, 10, 1000]), "verify.T_list"),
+    "hidden boolean": ("run", lambda c: c.update(objective={"family": "mlp", "hidden": [True, 4]}), "objective.hidden"),
+    # RngStream would reduce these mod 2**64 to seeds 0 and 2**64 - 1
+    "seed 2**64": ("run", lambda c: c.update(seeds=[2**64]), "config.seeds"),
+    "seed -1": ("verify", lambda c: c.update(seeds=[-1]), "config.seeds"),
+    "run seed offset -1": ("run", lambda c: None, "--seed-offset", "--seed-offset=-1"),
+    "sweep seed offset past 2**64 - 1": (
+        "sweep", lambda c: c.update(seeds=[0, 1]), "--seed-offset", f"--seed-offset={2**64 - 1}", "--etas=0.1"
+    ),
+    "verify seed offset 2**64": ("verify", lambda c: None, "--seed-offset", f"--seed-offset={2**64}"),
 }
 
 
 @pytest.mark.parametrize("case", list(BAD_CONFIGS))
 def test_invalid_value_is_a_config_error_before_any_compute(tmp_path, capsys, case):
-    command, edit, field = BAD_CONFIGS[case]
-    payload = minimal_run_config() if command == "run" else small_verify_config()
+    command, edit, field, *extra = BAD_CONFIGS[case]
+    payload = small_verify_config() if command == "verify" else minimal_run_config()
     edit(payload)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(payload).replace('"<1e400>"', "1e400"))
     out = tmp_path / "o"
-    assert main([command, str(path), "--out", str(out)]) == 1
+    assert main([command, str(path), "--out", str(out), *extra]) == 1
     err = capsys.readouterr().err
     assert "config error:" in err and field in err
     assert "Traceback" not in err

@@ -211,7 +211,7 @@ def test_kernels_keep_the_bits_of_the_reference(shape, batch, weights):
     w += 0.1 * RngStream(batch, "perturb").gen.normal(size=suite.dim)  # nonzero biases
     w *= {"normal": 1.0, "saturated": 50.0, "zero": 0.0}[weights]
     for draw in range(3):
-        x, targets = suite.sample_minibatch(RngStream(draw, "data").gen).payload
+        x, targets = suite.sample_minibatch(RngStream(draw, "data").gen)
         for k in range(suite.n_tasks):
             assert topology.task_value(w, k, x, targets[k]) == _reference_value(topology, w, k, x, targets[k])
             got = topology.task_gradient(w, k, x, targets[k])
@@ -225,7 +225,7 @@ def test_forward_trunk_writes_neither_input_nor_parameters():
     suite = synthetic_mlp_suite(**SHIPPED_MLP)
     topology = suite.topology
     w = init_mlp_params(suite, RngStream(3, "init").gen)
-    x, _ = suite.sample_minibatch(RngStream(3, "data").gen).payload
+    x, _ = suite.sample_minibatch(RngStream(3, "data").gen)
     w_before, x_before = w.copy(), x.copy()
     trunk, _ = topology.task_views(w, 0)
     activations = topology.forward_trunk(trunk, x)

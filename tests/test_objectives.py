@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtlopt.objectives import (
-    Minibatch,
     QuadraticSuite,
     QuadraticTask,
     TaskSuite,
@@ -25,7 +24,7 @@ def noiseless_pair():
 
 
 def empty_batch(suite):
-    return Minibatch(payload=np.zeros((suite.n_tasks, suite.dim)))
+    return np.zeros((suite.n_tasks, suite.dim))
 
 
 def all_task_update(suite, w, xi):
@@ -119,12 +118,12 @@ def test_finite_difference_zero_function():
             return np.zeros_like(w)
 
     t = ZeroTask(0, [[1.0]], [0.0])
-    assert finite_difference_check(t, np.array([1.0]), Minibatch(np.zeros((1, 1))), 1e-5) == 0.0
+    assert finite_difference_check(t, np.array([1.0]), np.zeros((1, 1)), 1e-5) == 0.0
 
 
 def test_exact_gradient_zero_at_center():
     t = QuadraticTask(0, [[4.0, 1.0], [1.0, 3.0]], [2.0, -1.0])
-    zero_noise = Minibatch(np.zeros((1, 2)))
+    zero_noise = np.zeros((1, 2))
     np.testing.assert_array_equal(t.gradient(np.array([2.0, -1.0]), zero_noise), [0.0, 0.0])
 
 
@@ -174,7 +173,7 @@ def test_noise_second_moment_matches_sigma():
     sigma = 0.8
     suite = QuadraticSuite([QuadraticTask(0, np.eye(3), np.zeros(3), sigma)])
     gen = RngStream(9, "data").gen
-    draws = [suite.sample_minibatch(gen).payload[0] for _ in range(4000)]
+    draws = [suite.sample_minibatch(gen)[0] for _ in range(4000)]
     second_moment = np.mean([z @ z for z in draws])
     assert second_moment == pytest.approx(sigma**2, rel=0.05)
 
@@ -222,15 +221,14 @@ def test_stacked_unit_oracle_equals_per_task_loop(d):
     suite = QuadraticSuite(tasks)
     points = [gen.standard_normal(d) * 10.0 ** gen.uniform(-8.0, 8.0) for _ in range(40)]
     points += [np.full(d, -0.0), np.zeros(d), tasks[0].center.copy(), np.full(d, 1.35e154), np.full(d, 3e-161)]
-    payloads = [suite.sample_minibatch(gen).payload for _ in range(3)]
-    payloads += [np.full((10, d), -0.0), np.zeros((10, d))]
-    signed = suite.sample_minibatch(gen).payload
+    draws = [suite.sample_minibatch(gen) for _ in range(3)]
+    draws += [np.full((10, d), -0.0), np.zeros((10, d))]
+    signed = suite.sample_minibatch(gen)
     signed[:, ::2] = -0.0
-    payloads.append(signed)
+    draws.append(signed)
     units = [u for size in range(1, 5) for u in itertools.combinations(range(4), size)]
     units += [tuple(range(10)), tuple(range(9, -1, -1)), (8, 1, 6, 3, 0, 5, 2, 7, 4)]
-    for w, payload, unit in itertools.product(points, payloads, units):
-        xi = Minibatch(payload)
+    for w, xi, unit in itertools.product(points, draws, units):
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             loss, g = suite.unit_value_and_gradient(w, unit, xi)
             ref_loss, ref_g = TaskSuite.unit_value_and_gradient(suite, w, unit, xi)
@@ -260,7 +258,7 @@ def test_sample_minibatch_equals_the_broadcast_draw(suite):
     gen, ref = RngStream(4, "data").gen, RngStream(4, "data").gen
     draws = []
     for _ in range(50):
-        got = suite.sample_minibatch(gen).payload
+        got = suite.sample_minibatch(gen)
         want = ref.uniform(-1.0, 1.0, size=(suite.n_tasks, suite.dim)) * column
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))

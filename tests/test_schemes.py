@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtlopt.objectives import (
-    Minibatch,
     QuadraticSuite,
     QuadraticTask,
     TaskObjective,
@@ -36,7 +35,7 @@ def noiseless_pair():
 
 
 def empty_batch(suite):
-    return Minibatch(payload=np.zeros((suite.n_tasks, suite.dim)))
+    return np.zeros((suite.n_tasks, suite.dim))
 
 
 def shared_unit(suite):
@@ -79,7 +78,7 @@ class ConstantGradientSuite(TaskSuite):
         return self._dim
 
     def sample_minibatch(self, gen):
-        return Minibatch(payload=None)
+        return None
 
 
 class CountingSuite(QuadraticSuite):
@@ -149,7 +148,7 @@ def test_momentum_memory_leak_hand_trace():
     units = task_units(suite)
     mom = OptimizerRule.momentum(0.9)
     eta = 1.0
-    xi = Minibatch(None)
+    xi = None
 
     w = np.zeros(1)
     shared = fresh_state(mom, 1)
