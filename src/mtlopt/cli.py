@@ -244,11 +244,11 @@ def cmd_sweep(cfg: RunConfig, etas, out_dir: Path, seed_offset: int = 0, workers
 
 def cmd_verify(cfg: RunConfig, out_dir: Path, seed_offset: int = 0) -> int:
     if not isinstance(cfg.suite, QuadraticSuite):
-        raise ConfigError("objective.family: verification requires the quadratic family")
+        raise ConfigError("config.objective.family: verification requires the quadratic family")
     try:  # the bound needs every task strongly convex
         suite_constants(cfg.suite)
     except ValueError as exc:
-        raise ConfigError(f"objective.tasks: {exc}") from exc
+        raise ConfigError(f"config.objective.tasks: {exc}") from exc
     seed = cfg.run_seeds(seed_offset)[0]
     out_dir.mkdir(parents=True, exist_ok=True)
     w0 = cfg.initial_point(seed)

@@ -452,6 +452,10 @@ def _inverse_time(cfg, mu, offset):
     cfg["scheme"]["lr"] = {"kind": "inverse_time", "mu": mu, "offset": offset}
 
 
+def _dataset_seed(cfg, seed):
+    cfg["objective"] = {"family": "mlp", "dataset_seed": seed}
+
+
 NAN, INF = float("nan"), float("inf")  # json.dumps writes NaN and Infinity
 
 # (command, edit of the command's small config, field the error names, extra
@@ -487,6 +491,21 @@ BAD_CONFIGS = {
         "sweep", lambda c: c.update(seeds=[0, 1]), "--seed-offset", f"--seed-offset={2**64 - 1}", "--etas=0.1"
     ),
     "verify seed offset 2**64": ("verify", lambda c: None, "--seed-offset", f"--seed-offset={2**64}"),
+    # RngStream would reduce these mod 2**64 to the data of dataset seeds 2**64 - 1 and 0
+    "dataset_seed -1": ("run", lambda c: _dataset_seed(c, -1), "config error: config.objective.dataset_seed"),
+    "dataset_seed 2**64": ("run", lambda c: _dataset_seed(c, 2**64), "config error: config.objective.dataset_seed"),
+    "preset not a string": (
+        "run", lambda c: c.update(objective={"family": "quadratic", "preset": [1]}), "config error: config.objective.preset"
+    ),
+    "tasks of different dimensions": (
+        "run", lambda c: c["objective"]["tasks"].append({"matrix": [[1, 0], [0, 1]], "center": [0, 0]}),
+        "config error: config.objective.tasks",
+    ),
+    # 2 / (mu * (offset + 1)) overflows, or its denominator underflows to 0
+    "inverse_time first step overflows": ("run", lambda c: _inverse_time(c, 1e-320, 0), "config error: config.scheme.lr"),
+    "inverse_time first step divides by 0": (
+        "run", lambda c: _inverse_time(c, 1e-320, -0.9999999999999999), "config error: config.scheme.lr"
+    ),
 }
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mtlopt import schemes
 from mtlopt.objectives import (
     QuadraticSuite,
     QuadraticTask,
@@ -8,8 +9,9 @@ from mtlopt.objectives import (
     suite_constants,
     two_task_suite,
 )
+from mtlopt.optimizers import OptimizerRule
 from mtlopt.params import RngStream
-from mtlopt.schemes import theorem_schedule
+from mtlopt.schemes import SchemeConfig, theorem_schedule
 from mtlopt.verify import (
     BoundInputs,
     ScheduleError,
@@ -148,6 +150,34 @@ def test_lockstep_trajectory_does_not_depend_on_replicate_count():
         assert np.array_equal(W2, W5[:2])
         assert np.array_equal(G2, G5[:2])
         assert np.array_equal(sel2, sel5[:2])
+
+
+@pytest.mark.parametrize("make_suite", [five_task_suite, two_task_suite])
+def test_lockstep_replicates_are_runs_of_the_engine_users_run(monkeypatch, make_suite):
+    # replicate r is schemes.run under ius, sgd, uniform_random and the theorem
+    # schedule, with run's data and task-order streams renamed data[r] and task-order[r]
+    suite = make_suite()
+    consts = suite_constants(suite)
+    schedule = theorem_schedule(consts.smoothness, consts.strong_convexity)
+    R, T, seed, w0 = 4, 300, 3, np.zeros(suite.dim)
+    lockstep = [(W.copy(), sel.copy()) for _, _, W, _, sel in _lockstep(suite, schedule, w0, T + 1, R, seed)]
+    config = SchemeConfig("ius", OptimizerRule("sgd"), schedule, task_order="uniform_random")
+    real_step = schemes.step
+    for r in range(R):
+        iterates, selected = [w0], []
+
+        def recording_step(*args):
+            landed = real_step(*args)
+            selected.extend(u for u, _, _ in landed)
+            iterates.extend(w for _, _, w in landed)
+            return landed
+
+        monkeypatch.setattr(schemes, "step", recording_step)
+        monkeypatch.setattr(schemes, "RngStream", lambda s, name, r=r: RngStream(s, f"{name}[{r}]"))
+        trace = schemes.run(config, suite, w0, T, seed, validation_every=0)
+        assert not trace.aborted and np.array_equal(trace.w_final, iterates[-1])
+        assert np.array_equal(np.array(iterates), np.array([W[r] for W, _ in lockstep]))
+        assert selected == [int(sel[r]) for _, sel in lockstep[:T]]
 
 
 # ------------------------------------------------------------ theorem check
