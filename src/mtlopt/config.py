@@ -176,8 +176,14 @@ def _build_objective(fields: dict):
         raise ConfigError("config.objective: the quadratic family needs exactly one of 'preset' or 'tasks'")
     if "preset" in fields:
         return _PRESETS[fields["preset"]]()
-    try:  # symmetric matrices that match their centers, all of one dimension
-        return QuadraticSuite([QuadraticTask(i, **task) for i, task in enumerate(fields["tasks"])])
+    tasks = []
+    for i, task in enumerate(fields["tasks"]):
+        try:  # a symmetric matrix that matches its center
+            tasks.append(QuadraticTask(i, **task))
+        except ValueError as exc:
+            raise ConfigError(f"config.objective.tasks[{i}]: {exc}") from exc
+    try:  # all of one dimension
+        return QuadraticSuite(tasks)
     except ValueError as exc:
         raise ConfigError(f"config.objective.tasks: {exc}") from exc
 
@@ -189,8 +195,8 @@ def _build_lr(fields: dict, path: str, suite):
         raise ConfigError(f"{path}: inverse_time needs both 'mu' and 'offset', or neither")
     if fields:
         lr = InverseTimeLR(**fields)
-        # step sizes only shrink with t; mu * (offset + 1) can underflow to 0
-        if lr.mu * (lr.offset + 1) == 0 or not math.isfinite(lr.at(1)):
+        # step sizes only shrink with t; at(1) is inf when mu * (offset + 1) underflows to 0
+        if not math.isfinite(lr.at(1)):
             raise ConfigError(f"{path}: the first step size 2 / (mu * (offset + 1)) overflows")
         return lr
     if not isinstance(suite, QuadraticSuite):

@@ -59,7 +59,8 @@ class InverseTimeLR:
     offset: float
 
     def at(self, t: int) -> float:
-        return 2.0 / (self.mu * (self.offset + t))
+        denom = self.mu * (self.offset + t)  # may underflow to 0; run aborts on the inf
+        return 2.0 / denom if denom else math.inf
 
     def describe(self) -> dict:
         return {"kind": "inverse_time", "mu": self.mu, "offset": self.offset}
@@ -197,8 +198,8 @@ def run(
     One minibatch is sampled per multi-task step and shared by every update
     within it (unless fresh_minibatch_per_task). Unit visitation order is
     re-sampled per step from a dedicated stream. Distances are accumulated per
-    individual update over the shared parameter subspace. A non-finite loss or
-    update aborts the run and records the reason.
+    individual update over the shared parameter subspace. A non-finite step
+    size, loss or update aborts the run and records the reason.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -251,6 +252,8 @@ def run(
             record_validation(0, w)
             for t in range(1, n_steps + 1):
                 eta = config.lr.at(t)
+                if not math.isfinite(eta):
+                    raise NonFiniteError(f"step size {eta} is non-finite")
                 xi = draw if config.fresh_minibatch_per_task else draw()
                 order = _sample_order(config.task_order, len(units), order_gen)
                 landed = []

@@ -14,9 +14,10 @@ task-order[r], so every number equals that of the replicate stepped alone.
 Statistical policy: the bound is an upper bound in expectation, so a check
 passes when the Monte-Carlo estimate does not exceed it by more than three
 standard errors. The uniform gradient-norm bound has no closed form for
-quadratics on an unbounded domain, so it is estimated empirically: a pre-run
-on the same seeds and schedule records the largest stochastic gradient norm
-seen over all (task, step, replicate) triples, inflated by a 5% safety factor.
+quadratics on an unbounded domain, so it is estimated empirically: the largest
+stochastic gradient norm over all (task, step, replicate) triples of a check's
+own pass, inflated by a 5% safety factor. Trajectories do not depend on it, so
+the bounds are evaluated once that one pass ends.
 """
 
 import warnings
@@ -140,7 +141,7 @@ GRAD_BOUND_SAFETY = 1.05
 
 
 def estimate_grad_bound(suite, schedule, n_steps, replicates, seed, w0, eta_scale=1.0) -> float:
-    """Empirical uniform gradient-norm bound from a pre-run on the same seeds."""
+    """Empirical uniform gradient-norm bound from a stand-alone pass on the same seeds."""
     worst = 0.0
     for _, _, _, G, _ in _lockstep(suite, schedule, w0, n_steps, replicates, seed, eta_scale):
         worst = max(worst, _max_grad_norm(G))
@@ -170,7 +171,12 @@ def verify_theorem(
     w0 = np.asarray(w0, dtype=np.float64)
     n_steps = max(T_list)
 
-    grad_bound = estimate_grad_bound(suite, schedule, n_steps, replicates, seed, w0, eta_scale)
+    worst, gaps = 0.0, {}
+    for t, _, W, G, _ in _lockstep(suite, schedule, w0, n_steps, replicates, seed, eta_scale):
+        worst = max(worst, _max_grad_norm(G))
+        if t in T_list:  # every replicate's exact average objective, less f_star
+            gaps[t] = suite.validation_task_losses(W[:, None, :]).mean(axis=1) - consts.f_star
+    grad_bound = worst * GRAD_BOUND_SAFETY  # as estimate_grad_bound on the same pass
     inputs = BoundInputs(
         smoothness=consts.smoothness,
         strong_convexity=consts.strong_convexity,
@@ -182,16 +188,10 @@ def verify_theorem(
         n_tasks=suite.n_tasks,
     )
 
-    gaps = {}
-    for t, _, W, _, _ in _lockstep(suite, schedule, w0, n_steps, replicates, seed, eta_scale):
-        if t in T_list:  # every replicate's exact average objective, less f_star
-            gaps[t] = suite.validation_task_losses(W[:, None, :]).mean(axis=1) - consts.f_star
-
     rows = []
     for t in T_list:
         vals = gaps[t]
-        est = float(vals.mean())
-        std = float(vals.std(ddof=1))
+        est, std = float(vals.mean()), float(vals.std(ddof=1))
         se = std / np.sqrt(replicates)
         bound = theorem_bound(inputs, t)
         rows.append(
@@ -299,9 +299,10 @@ def verify_lemma2(
     selected task, by enumerating all candidates) stays below eta_t^2 G^2.
 
     Requires the schedule to be non-increasing with eta_t <= 2*eta_{t+1}. When
-    grad_bound is not supplied it is estimated from a pre-run on the same
-    seeds; a supplied (possibly stale) value is checked against the gradients
-    actually observed and flagged if exceeded.
+    grad_bound is not supplied it is estimated, as estimate_grad_bound does,
+    from the gradients of the pass that computes the left sides; a supplied
+    (possibly stale) value is checked against the gradients actually observed
+    and flagged if exceeded.
     """
     consts = suite_constants(suite)
     schedule = theorem_schedule(consts.smoothness, consts.strong_convexity)
@@ -311,22 +312,20 @@ def verify_lemma2(
             raise ScheduleError(f"step {t}: schedule must be non-increasing with eta_t <= 2*eta_(t+1)")
     w0 = np.asarray(w0, dtype=np.float64)
 
-    supplied = grad_bound is not None
-    if not supplied:
-        grad_bound = estimate_grad_bound(suite, schedule, n_steps, replicates, seed, w0)
-
-    rows = []
-    observed_max = 0.0
+    steps, observed_max = [], 0.0
     for t, eta, W, G, sel in _lockstep(suite, schedule, w0, n_steps, replicates, seed):
         observed_max = max(observed_max, _max_grad_norm(G))
         candidates = W[:, None, :] - eta * G
         vbar = W - eta * G.mean(axis=1)
         dists = _norms(candidates - vbar[:, None, :]) ** 2
         # exact expectation over the selection; the run's own selection (MC check)
-        enum_vals, mc_vals = dists.mean(axis=1), dists[np.arange(replicates), sel]
+        steps.append((t, eta, dists.mean(axis=1), dists[np.arange(replicates), sel]))
+    supplied = grad_bound is not None
+    grad_bound = grad_bound if supplied else observed_max * GRAD_BOUND_SAFETY
+    rows = []
+    for t, eta, enum_vals, mc_vals in steps:
         bound = (eta * grad_bound) ** 2
-        est = float(enum_vals.mean())
-        se = _std_error(enum_vals)
+        est, se = float(enum_vals.mean()), _std_error(enum_vals)
         rows.append(
             {
                 "t": t,

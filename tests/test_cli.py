@@ -440,6 +440,26 @@ def test_small_verify_output_is_byte_stable(tmp_path):
     assert hashlib.sha256((out / "verification.json").read_bytes()).hexdigest() == SMALL_VERIFY_SHA256
 
 
+# sha256 of verification.json from `mtlopt verify` on the shipped five-task,
+# 3-D suite at a small size. The suite's QR and the stacked 3x3 matvecs go
+# through LAPACK and BLAS, so these bytes were recorded with numpy 2.4's
+# OpenBLAS 0.3.31 build; another BLAS build may need its own hash.
+SMALL_FIVE_TASK_VERIFY = {
+    "objective": {"family": "quadratic", "preset": "five_task"},
+    "seeds": [0],
+    "verify": {"T_list": [10, 100, 1000], "replicates": 8, "lemma_steps": 5, "lemma_replicates": 4},
+}
+SMALL_FIVE_TASK_VERIFY_SHA256 = "b5840d9ce93becf686604fca84ea41618fc1630dae2cd0b2eab33ff8ba0f3eb9"
+
+
+def test_small_five_task_verify_output_is_byte_stable(tmp_path):
+    cfg = write_config(tmp_path, SMALL_FIVE_TASK_VERIFY)
+    out = tmp_path / "v"
+    assert main(["verify", cfg, "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "verification.json").read_bytes()).hexdigest()
+    assert digest == SMALL_FIVE_TASK_VERIFY_SHA256
+
+
 def _task(cfg):
     return cfg["objective"]["tasks"][0]
 
@@ -500,6 +520,14 @@ BAD_CONFIGS = {
     "tasks of different dimensions": (
         "run", lambda c: c["objective"]["tasks"].append({"matrix": [[1, 0], [0, 1]], "center": [0, 0]}),
         "config error: config.objective.tasks",
+    ),
+    "task matrix not symmetric": (
+        "run", lambda c: c["objective"]["tasks"].append({"matrix": [[1, 0.5], [0, 1]], "center": [0, 0]}),
+        "config error: config.objective.tasks[1]: ",
+    ),
+    "task matrix misshapen": (
+        "verify", lambda c: c["objective"]["tasks"].insert(0, {"matrix": [[1, 0], [0, 1]], "center": [0]}),
+        "config error: config.objective.tasks[0]: ",
     ),
     # 2 / (mu * (offset + 1)) overflows, or its denominator underflows to 0
     "inverse_time first step overflows": ("run", lambda c: _inverse_time(c, 1e-320, 0), "config error: config.scheme.lr"),

@@ -19,6 +19,7 @@ from mtlopt.optimizers import OptimizerRule, fresh_state
 from mtlopt.params import NonFiniteError, RngStream, l2_norm
 from mtlopt.schemes import (
     ConstantLR,
+    InverseTimeLR,
     SchemeConfig,
     make_grouping,
     run,
@@ -466,6 +467,18 @@ def test_abort_mid_run_keeps_each_state_at_its_last_landed_update():
             m = 0.9 * m + 1.0
         assert state["m"] == [m]
     assert np.isfinite(trace.w_final).all()
+
+
+@pytest.mark.parametrize("mu, offset", [(1e-320, -0.9999999999999999), (1e-320, 0.0)])
+def test_step_size_that_overflows_aborts_naming_it(mu, offset):
+    # mu * (offset + 1) underflows to 0 in the first case and is subnormal in
+    # the second; either way eta_1 is inf, and no update may land
+    lr = InverseTimeLR(mu=mu, offset=offset)
+    config = SchemeConfig("ius", SGD, lr)
+    trace = run(config, two_task_suite(), np.zeros(1), 3, seed=0)
+    assert trace.aborted and trace.abort_reason == "step 1: step size inf is non-finite"
+    assert trace.steps == [] and trace.final_states[0]["step"] == 0
+    np.testing.assert_array_equal(trace.w_final, [0.0])
 
 
 def test_validation_sum_overflow_aborts_without_a_warning():

@@ -13,6 +13,7 @@ from mtlopt.optimizers import OptimizerRule
 from mtlopt.params import RngStream
 from mtlopt.schemes import SchemeConfig, theorem_schedule
 from mtlopt.verify import (
+    GRAD_BOUND_SAFETY,
     BoundInputs,
     ScheduleError,
     _lockstep,
@@ -178,6 +179,61 @@ def test_lockstep_replicates_are_runs_of_the_engine_users_run(monkeypatch, make_
         assert not trace.aborted and np.array_equal(trace.w_final, iterates[-1])
         assert np.array_equal(np.array(iterates), np.array([W[r] for W, _ in lockstep]))
         assert selected == [int(sel[r]) for _, sel in lockstep[:T]]
+
+
+# ------------------------------------------------------------ one pass per check
+
+
+class CountingSuite(QuadraticSuite):
+    """A QuadraticSuite that counts its minibatch draws, one per replicate-step."""
+
+    draws = 0
+
+    def sample_minibatch(self, gen):
+        self.draws += 1
+        return super().sample_minibatch(gen)
+
+
+@pytest.mark.parametrize("make_suite", [five_task_suite, two_task_suite])
+def test_verify_theorem_steps_each_replicate_once(make_suite):
+    suite = CountingSuite(make_suite().tasks)
+    verify_theorem(suite, [3, 30, 12], replicates=5, seed=2, w0=np.zeros(suite.dim))
+    assert suite.draws == 5 * 30
+
+
+@pytest.mark.parametrize("make_suite", [five_task_suite, two_task_suite])
+def test_verify_lemma2_without_a_bound_steps_each_replicate_once(make_suite):
+    suite = CountingSuite(make_suite().tasks)
+    verify_lemma2(suite, 12, replicates=7, seed=2, w0=np.zeros(suite.dim))
+    assert suite.draws == 7 * 12
+
+
+@pytest.mark.parametrize("eta_scale", [1.0, 0.5, 1.5])
+@pytest.mark.parametrize("make_suite", [five_task_suite, two_task_suite])
+def test_verify_theorem_grad_bound_is_that_of_the_stand_alone_pre_run(make_suite, eta_scale):
+    suite = make_suite()
+    consts = suite_constants(suite)
+    schedule = theorem_schedule(consts.smoothness, consts.strong_convexity)
+    w0 = np.full(suite.dim, 0.5)
+    report = verify_theorem(suite, [2, 40, 9], replicates=6, seed=4, w0=w0, eta_scale=eta_scale)
+    expected = estimate_grad_bound(suite, schedule, 40, 6, 4, w0, eta_scale)
+    assert report["constants"]["grad_bound"] == expected
+
+
+@pytest.mark.parametrize("make_suite", [five_task_suite, two_task_suite])
+def test_verify_lemma2_grad_bound_is_that_of_the_stand_alone_pre_run(make_suite):
+    suite = make_suite()
+    consts = suite_constants(suite)
+    schedule = theorem_schedule(consts.smoothness, consts.strong_convexity)
+    w0 = np.full(suite.dim, 0.5)
+    report = verify_lemma2(suite, 15, replicates=6, seed=4, w0=w0)
+    expected = estimate_grad_bound(suite, schedule, 15, 6, 4, w0)
+    assert report["grad_bound"] == expected and not report["grad_bound_supplied"]
+    assert report["observed_max_grad_norm"] * GRAD_BOUND_SAFETY == expected
+    assert not report["grad_bound_violated"]
+    # the rows of a supplied bound equal to the estimate are the same rows
+    supplied = verify_lemma2(suite, 15, replicates=6, seed=4, w0=w0, grad_bound=expected)
+    assert supplied["rows"] == report["rows"]
 
 
 # ------------------------------------------------------------ theorem check
