@@ -91,10 +91,12 @@ def cmd_run(cfg: RunConfig, out_dir: Path, seed_offset: int = 0) -> int:
     return 2 if aborted else 0
 
 
-def _sweep_cell(raw_config: dict, scheme_index: int, eta: float, seed: int) -> dict:
-    """Worker for one sweep cell; rebuilt from plain data so it can cross a
-    process boundary. Results depend only on (config, eta, seed)."""
-    cfg = RunConfig(raw_config)
+def _sweep_cell(cfg: RunConfig | dict, scheme_index: int, eta: float, seed: int) -> dict:
+    """One sweep cell on `cfg`: the loaded RunConfig, or in a worker process its
+    raw dict, rebuilt there because only plain data crosses the process
+    boundary. Results depend only on (config, eta, seed)."""
+    if isinstance(cfg, dict):
+        cfg = RunConfig(cfg)
     trace, metrics = _execute(cfg, cfg.schemes[scheme_index], seed, eta=eta)
     return {
         "scheme_index": scheme_index,
@@ -214,7 +216,7 @@ def cmd_sweep(cfg: RunConfig, etas, out_dir: Path, seed_offset: int = 0, workers
     # a process pool forks all of its workers at once
     workers = min(workers, len(cells), os.cpu_count() or 1)
     if workers <= 1:
-        results = ((cell, functools.partial(_sweep_cell, cfg.raw, *cell)) for cell in cells)
+        results = ((cell, functools.partial(_sweep_cell, cfg, *cell)) for cell in cells)
         rows = _write_sweep_csv(csv_path, header_meta, _cell_rows(cfg, cells, results))
     else:
         pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
@@ -313,6 +315,8 @@ def _parse_etas(text: str):
         raise ConfigError(f"--etas: {exc}") from exc
     if not all(0.0 < e < float("inf") for e in etas):  # NaN fails both comparisons
         raise ConfigError("--etas: learning rates must be positive and finite")
+    if len(set(etas)) < len(etas):  # a repeated rate would run its cells twice
+        raise ConfigError(f"--etas: values must be distinct, got {etas}")
     return etas
 
 

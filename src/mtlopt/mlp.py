@@ -80,7 +80,9 @@ class MLPTopology:
         trunk, head = self.task_views(w, k)
         return _head_loss(self.forward_trunk(trunk, x)[-1], head, y)
 
-    def task_gradient(self, w, k, x, y):
+    def task_value_and_gradient(self, w, k, x, y):
+        """Task k's loss and gradient from one trunk forward: the loss has the
+        bits of task_value, and the head residual is computed once."""
         trunk, (w_head, b_head) = self.task_views(w, k)
         activations = self.forward_trunk(trunk, x)
         h_last = activations[-1]
@@ -88,10 +90,11 @@ class MLPTopology:
         grad = np.zeros(w.shape)
         g_trunk, (g_w_head, g_b_head) = self.task_views(grad, k)
 
-        d_pred = h_last @ w_head  # the bits of 2.0 * (h_last @ w_head + b_head - y) / n
+        d_pred = h_last @ w_head  # the residual h_last @ w_head + b_head - y
         d_pred += b_head
         d_pred -= y
-        d_pred *= 2.0
+        loss = float((d_pred * d_pred).sum() / d_pred.size)  # the ops of _head_loss
+        d_pred *= 2.0  # the bits of 2.0 * residual / n
         d_pred /= y.shape[0]
         np.matmul(h_last.T, d_pred, out=g_w_head)
         d_pred.sum(axis=0, out=g_b_head)
@@ -108,7 +111,7 @@ class MLPTopology:
             d_z.sum(axis=0, out=g_trunk[i][1])
             if i:  # the gradient with respect to the input x is not needed
                 d_h = d_z @ trunk[i][0].T
-        return grad
+        return loss, grad
 
 
 def _view(w, entry):
@@ -154,7 +157,7 @@ class MLPTask(TaskObjective):
 
     def gradient(self, w, xi) -> np.ndarray:
         x, targets = xi
-        return self.topology.task_gradient(w, self.index, x, targets[self.index])
+        return self.topology.task_value_and_gradient(w, self.index, x, targets[self.index])[1]
 
 
 class MLPSuite(TaskSuite):
@@ -180,6 +183,18 @@ class MLPSuite(TaskSuite):
 
     def task_mask(self, k: int) -> np.ndarray:
         return self._task_masks[k]
+
+    def unit_value_and_gradient(self, w: np.ndarray, unit, xi) -> tuple:
+        """The default loop's sums, from one trunk forward and backward per task:
+        the same start values (0 and zeros) and unit order, so the same bits."""
+        x, targets = xi
+        loss, g = 0, np.zeros(w.shape)
+        for k in unit:
+            value, g_k = self.topology.task_value_and_gradient(w, k, x, targets[k])
+            loss += value
+            g += g_k
+            del g_k  # one task's gradient buffer alive at a time, as in the default loop
+        return loss, g
 
     def sample_minibatch(self, gen: np.random.Generator) -> tuple:
         """(x, targets): the inputs and a list of each task's targets for them."""

@@ -317,6 +317,27 @@ def test_sweep_workers_clamped_to_cells_and_cpus(tmp_path, monkeypatch, cpus, ex
     assert len(read_csv_body(out / "sweep.csv").strip().split("\n")) - 1 == 3
 
 
+@pytest.mark.parametrize("workers, built", [(1, 1), (2, 1 + 3)])
+def test_only_pool_workers_rebuild_the_config(tmp_path, monkeypatch, workers, built):
+    # the sequential path runs every cell on the config main loaded; a pool
+    # worker is sent the raw config and builds its own
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    calls = []
+    real_init = RunConfig.__init__
+
+    def counting_init(self, raw):
+        calls.append(raw)
+        real_init(self, raw)
+
+    monkeypatch.setattr(RunConfig, "__init__", counting_init)
+    cfg = write_config(tmp_path, two_task_config(steps=3))
+    out = tmp_path / "sweep"
+    assert main(["sweep", cfg, "--etas", "0.05", "--out", str(out), "--workers", str(workers)]) == 0
+    assert len(calls) == built
+    assert len(read_csv_body(out / "sweep.csv").strip().split("\n")) - 1 == 3
+
+
 def _sweep_failing_at_second_cell(tmp_path, monkeypatch, workers, error):
     """Exit code of a three-cell sweep whose second cell (seed 1) raises `error`."""
     if workers > 1:  # the sequential path must work without touching the pool
@@ -460,6 +481,39 @@ def test_small_five_task_verify_output_is_byte_stable(tmp_path):
     assert digest == SMALL_FIVE_TASK_VERIFY_SHA256
 
 
+# sha256 of the outputs of `mtlopt sweep` on SMALL_MLP_SWEEP with
+# --etas 0.01,0.03: sus, ius, ius in two groups and io on the shipped
+# four-task MLP topology, a few steps each. The MLP matmuls go through BLAS,
+# so these bytes were recorded with numpy 2.4's OpenBLAS 0.3.31 build; another
+# BLAS build may need its own hashes.
+SMALL_MLP_SWEEP = {
+    "objective": {"family": "mlp", "n_tasks": 4, "hidden": [32, 32]},
+    "schemes": [
+        {"kind": "sus", "optimizer": {"kind": "adam"}, "lr": {"kind": "constant", "eta": 0.01}},
+        {"kind": "ius", "optimizer": {"kind": "adam"}, "lr": {"kind": "constant", "eta": 0.01}},
+        {"kind": "ius", "n_groups": 2, "optimizer": {"kind": "momentum", "beta": 0.9},
+         "lr": {"kind": "constant", "eta": 0.01}},
+        {"kind": "io", "optimizer": {"kind": "adam"}, "lr": {"kind": "constant", "eta": 0.01}},
+    ],
+    "steps": 8,
+    "seeds": [0, 1],
+    "validation_every": 2,
+}
+SMALL_MLP_SWEEP_SHA256 = {
+    "sweep.csv": "511598d084694970901aa1347e0431c75c0ade09e42c4e088e4a90b8a8783e37",
+    "sweep_summary.json": "0cebb1b137c99161a8a2ff2a7d16265b081802c1f1f2d6c6227d99fd27b6597e",
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_small_mlp_sweep_outputs_are_byte_stable(tmp_path, workers):
+    cfg = write_config(tmp_path, SMALL_MLP_SWEEP)
+    out = tmp_path / "s"
+    assert main(["sweep", cfg, "--etas", "0.01,0.03", "--out", str(out), "--workers", workers]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert written == SMALL_MLP_SWEEP_SHA256
+
+
 def _task(cfg):
     return cfg["objective"]["tasks"][0]
 
@@ -511,6 +565,8 @@ BAD_CONFIGS = {
         "sweep", lambda c: c.update(seeds=[0, 1]), "--seed-offset", f"--seed-offset={2**64 - 1}", "--etas=0.1"
     ),
     "verify seed offset 2**64": ("verify", lambda c: None, "--seed-offset", f"--seed-offset={2**64}"),
+    # the repeated rate's cells would run twice and count as extra seeds in the summary
+    "sweep etas repeated": ("sweep", lambda c: None, "config error: --etas: ", "--etas=0.05,0.05"),
     # RngStream would reduce these mod 2**64 to the data of dataset seeds 2**64 - 1 and 0
     "dataset_seed -1": ("run", lambda c: _dataset_seed(c, -1), "config error: config.objective.dataset_seed"),
     "dataset_seed 2**64": ("run", lambda c: _dataset_seed(c, 2**64), "config error: config.objective.dataset_seed"),

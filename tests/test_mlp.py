@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from mtlopt.mlp import init_mlp_params, synthetic_mlp_suite
-from mtlopt.objectives import finite_difference_check, two_task_suite
+from mtlopt.objectives import TaskSuite, finite_difference_check, two_task_suite
 from mtlopt.optimizers import OptimizerRule
 from mtlopt.params import RngStream
 from mtlopt.schemes import ConstantLR, SchemeConfig, run
@@ -198,10 +200,10 @@ def _same_bits(a, b):
 
 
 SHIPPED_MLP = {"n_tasks": 4, "input_dim": 2, "hidden": (32, 32)}  # configs/mlp_four_task.json
+SHAPES = [SHIPPED_MLP, {"n_tasks": 3, "input_dim": 2, "hidden": (5,)}, {"n_tasks": 2, "input_dim": 3, "hidden": (8, 8, 8)}]
 
 
-@pytest.mark.parametrize("shape", [SHIPPED_MLP, {"n_tasks": 3, "input_dim": 2, "hidden": (5,)},
-                                   {"n_tasks": 2, "input_dim": 3, "hidden": (8, 8, 8)}])
+@pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("batch", [1, 7, 32])
 @pytest.mark.parametrize("weights", ["normal", "saturated", "zero"])
 def test_kernels_keep_the_bits_of_the_reference(shape, batch, weights):
@@ -213,12 +215,35 @@ def test_kernels_keep_the_bits_of_the_reference(shape, batch, weights):
     for draw in range(3):
         x, targets = suite.sample_minibatch(RngStream(draw, "data").gen)
         for k in range(suite.n_tasks):
-            assert topology.task_value(w, k, x, targets[k]) == _reference_value(topology, w, k, x, targets[k])
-            got = topology.task_gradient(w, k, x, targets[k])
+            expected = _reference_value(topology, w, k, x, targets[k])
+            assert topology.task_value(w, k, x, targets[k]) == expected
+            loss, got = topology.task_value_and_gradient(w, k, x, targets[k])
+            assert loss == expected and type(loss) is float
             assert _same_bits(got, _reference_gradient(topology, w, k, x, targets[k]))
     h, heads = _reference_forward(topology, w, suite.val_inputs)
     expected = np.array([_reference_head_loss(h, head, y) for head, y in zip(heads, suite.val_targets)])
     assert _same_bits(suite.validation_task_losses(w), expected)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("weights", ["normal", "saturated", "zero"])
+def test_unit_oracle_keeps_the_bits_of_the_per_task_loop(shape, weights):
+    # one trunk forward per task must sum to the default loop's value and
+    # gradient calls, signed zeros included
+    suite = synthetic_mlp_suite(**shape, batch_size=7, val_size=7)
+    n = suite.n_tasks
+    w = init_mlp_params(suite, RngStream(5, "init").gen)
+    w += 0.1 * RngStream(5, "perturb").gen.normal(size=suite.dim)
+    w *= {"normal": 1.0, "saturated": 50.0, "zero": 0.0}[weights]
+    units = [u for size in range(1, n + 1) for u in itertools.combinations(range(n), size)]
+    units.append(tuple(reversed(range(n))))
+    for draw in range(2):
+        xi = suite.sample_minibatch(RngStream(draw, "data").gen)
+        for unit in units:
+            loss, g = suite.unit_value_and_gradient(w, unit, xi)
+            ref_loss, ref_g = TaskSuite.unit_value_and_gradient(suite, w, unit, xi)
+            assert loss == ref_loss and type(loss) is float
+            assert _same_bits(g, ref_g)
 
 
 def test_forward_trunk_writes_neither_input_nor_parameters():
@@ -235,6 +260,6 @@ def test_forward_trunk_writes_neither_input_nor_parameters():
         assert not np.shares_memory(a, b)
     assert _same_bits(w, w_before) and _same_bits(x, x_before)
     for k in range(suite.n_tasks):  # the oracles that write into their activations
-        topology.task_gradient(w, k, x, x[:, :1])
+        topology.task_value_and_gradient(w, k, x, x[:, :1])
         topology.task_value(w, k, x, x[:, :1])
     assert _same_bits(w, w_before) and _same_bits(x, x_before)
