@@ -144,8 +144,18 @@ class TaskSuite:
         is drawn here, so two evaluations on the same (w, xi) agree."""
         raise NotImplementedError
 
+    def sample_minibatches(self, gen: np.random.Generator, count: int):
+        """`count` minibatches with the bits of `count` sample_minibatch calls.
+        A subclass that overrides sample_minibatch overrides this too."""
+        return [self.sample_minibatch(gen) for _ in range(count)]
+
     def validation_task_losses(self, w: np.ndarray) -> np.ndarray | None:
         return None
+
+    def stacked_validation_task_losses(self, ws: np.ndarray) -> np.ndarray | None:
+        """validation_task_losses of each row of ws (k, d), as a (k, n) array."""
+        losses = [self.validation_task_losses(w) for w in ws]
+        return None if losses[0] is None else np.array(losses)
 
 
 # Stacked matmuls over the task axis (and any leading axes). Each runs every
@@ -195,11 +205,21 @@ class QuadraticSuite(TaskSuite):
         u *= self._halfwidths  # u is a fresh array
         return u
 
+    def sample_minibatches(self, gen: np.random.Generator, count: int) -> np.ndarray:
+        # the Generator fills values in order, so one (count, n, d) draw holds
+        # count draws of sample_minibatch, and the scaling multiplies the same pairs
+        u = gen.uniform(-1.0, 1.0, size=(count, *self._noise_shape))
+        u *= self._halfwidths
+        return u
+
     def validation_task_losses(self, w: np.ndarray) -> np.ndarray:
         # every task's exact_value, (0.5*r) @ (A @ r), in one stacked pass, (..., n)
         # values for a w of shape (..., 1, d); their mean is the validation loss
         r = w - self.centers
         return _dot(0.5 * r, _matvec(self.matrices, r))
+
+    def stacked_validation_task_losses(self, ws: np.ndarray) -> np.ndarray:
+        return self.validation_task_losses(ws[:, None, :])
 
     def unit_value_and_gradient(self, w: np.ndarray, unit, xi) -> tuple:
         # The bits of the per-task loop of TaskSuite, every zero's sign

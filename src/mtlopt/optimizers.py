@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import NonFiniteError, check_finite
+from .params import NonFiniteError, all_finite, check_finite
 
 __all__ = ["OptimizerRule", "OptimizerState", "fresh_state", "apply"]
 
@@ -94,7 +94,7 @@ def apply(rule: OptimizerRule, state: OptimizerState, g: np.ndarray) -> np.ndarr
     """
     if g.shape != state.m.shape:
         raise ValueError(f"gradient shape {g.shape} != state shape {state.m.shape}")
-    if not np.isfinite(g).all():
+    if not all_finite(g):
         raise NonFiniteError("non-finite gradient passed to optimizer")
     state.step += 1
     if rule.kind == "sgd":

@@ -14,6 +14,7 @@ __all__ = [
     "DimensionMismatchError",
     "NonFiniteError",
     "as_params",
+    "all_finite",
     "check_finite",
     "axpy",
     "l2_norm",
@@ -40,8 +41,14 @@ def as_params(values) -> np.ndarray:
     return w
 
 
+def all_finite(x: np.ndarray) -> bool:
+    """Whether every entry of x is finite; no floating-point warning, at any
+    magnitude."""
+    return np.count_nonzero(np.isfinite(x)) == x.size
+
+
 def check_finite(arr: np.ndarray, context: str = "value") -> None:
-    if not np.isfinite(arr).all():
+    if not all_finite(arr):
         raise NonFiniteError(f"non-finite entries in {context}")
 
 

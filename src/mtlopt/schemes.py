@@ -37,6 +37,9 @@ __all__ = [
 
 _SCHEMES = ("sus", "ius", "io")
 _ORDER_POLICIES = ("round_robin", "fixed", "uniform_random")
+# `run` steps in blocks of at most this many steps and iterate floats
+_BLOCK_STEPS = 128
+_BLOCK_FLOATS = 2**15
 
 
 @dataclass(frozen=True)
@@ -161,12 +164,14 @@ def step(w, suite, units, rule, states, eta, xi, order, out=None):
     return out
 
 
-def _sample_order(policy: str, n_units: int, gen: np.random.Generator) -> np.ndarray:
-    if policy == "round_robin":
-        return gen.permutation(n_units)
-    if policy == "fixed":
-        return np.arange(n_units)
-    return np.array([gen.integers(n_units)])  # uniform_random: one unit per step
+def _sample_orders(policy: str, n_units: int, k: int, gen: np.random.Generator) -> list:
+    """The unit orders of k steps, one row per step, with the bits of k
+    per-step draws: a permutation per step (round_robin), or one unit per
+    step (uniform_random)."""
+    if policy == "uniform_random":
+        return gen.integers(n_units, size=(k, 1)).tolist()
+    orders = np.tile(np.arange(n_units), (k, 1))
+    return (gen.permuted(orders, axis=1) if policy == "round_robin" else orders).tolist()
 
 
 def _materialize_units(config: SchemeConfig, suite, seed: int):
@@ -182,6 +187,23 @@ def _materialize_units(config: SchemeConfig, suite, seed: int):
     else:
         states = [optimizers.fresh_state(config.optimizer, suite.dim)]
     return units, states
+
+
+def _validate(trace, suite, kept):
+    """Record the validation of each kept (t, w, n_rows, state refs) in turn,
+    from one stacked call; return the entry of the first non-finite one."""
+    task_losses = suite.stacked_validation_task_losses(np.stack([w for _, w, _, _ in kept])) if kept else None
+    if task_losses is None:
+        return None
+    vals = (task_losses.sum(axis=-1) / task_losses.shape[-1]).tolist()  # each the bits of np.mean
+    for entry, losses, val in zip(kept, task_losses, vals):
+        if not math.isfinite(val):
+            return entry
+        t, w = entry[:2]
+        trace.add_validation(t, val, losses)
+        if trace.best_val_loss is None or val < trace.best_val_loss:
+            trace.best_val_loss, trace.best_val_step, trace.w_best = val, t, w.copy()
+    return None
 
 
 def run(
@@ -200,6 +222,13 @@ def run(
     re-sampled per step from a dedicated stream. Distances are accumulated per
     individual update over the shared parameter subspace. A non-finite step
     size, loss or update aborts the run and records the reason.
+
+    Steps run in blocks of up to 128 steps and 2**15 iterate floats. A block
+    draws its unit orders and its minibatches in one call each and validates
+    its iterates in one stacked call, with the bits of step-by-step draws and
+    validations. A validation that turns non-finite at step t cuts the trace,
+    the iterate and the optimizer states back to step t, and discards what the
+    block did after it, a later training abort included.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -211,6 +240,8 @@ def run(
     shared_mask = suite.shared_mask
     data_gen = RngStream(seed, "data").gen
     order_gen = RngStream(seed, "task-order").gen
+    fresh = config.fresh_minibatch_per_task
+    block = max(1, min(_BLOCK_STEPS, _BLOCK_FLOATS // suite.dim))
 
     meta = {
         "seed": seed,
@@ -227,47 +258,48 @@ def run(
     trace = RunTrace(meta=meta)
     trace.w0 = w.copy()
 
-    def record_validation(t, current_w):
-        task_losses = suite.validation_task_losses(current_w)
-        if task_losses is None:
-            return
-        val = float(task_losses.sum() / task_losses.size)  # the bits of np.mean
-        if not math.isfinite(val):
-            raise NonFiniteError("validation loss is non-finite")
-        trace.add_validation(t, val, task_losses)
-        if trace.best_val_loss is None or val < trace.best_val_loss:
-            trace.best_val_loss = val
-            trace.best_val_step = t
-            trace.w_best = current_w.copy()
-
-    def draw():
-        return suite.sample_minibatch(data_gen)
-
     t = 0
+    kept = [(0, w, 0, [(s.m, s.v, s.step) for s in states])]  # step 0 validates with the first block
     try:
         # one np.errstate scope for the whole loop, as in `step`: validation
         # and the displacement norm ignore overflow and invalid operations,
         # and the finiteness checks raise NonFiniteError instead
         with np.errstate(over="ignore", invalid="ignore"):
-            record_validation(0, w)
-            for t in range(1, n_steps + 1):
-                eta = config.lr.at(t)
-                if not math.isfinite(eta):
-                    raise NonFiniteError(f"step size {eta} is non-finite")
-                xi = draw if config.fresh_minibatch_per_task else draw()
-                order = _sample_order(config.task_order, len(units), order_gen)
-                landed = []
+            for start in range(1, n_steps + 1, block):
+                k = min(block, n_steps + 1 - start)
+                orders = _sample_orders(config.task_order, len(units), k, order_gen)
+                batches = iter(suite.sample_minibatches(data_gen, k * len(orders[0]) if fresh else k))
+                failure = None
                 try:
-                    step(w, suite, units, config.optimizer, states, eta, xi, order, landed)
-                finally:  # an aborted step keeps the rows of the updates before the failure
-                    for u, loss, w_new in landed:
-                        step_vec = w_new - w
-                        if shared_mask is not None:
-                            step_vec = step_vec[shared_mask]
-                        trace.add_row(t, labels[u], float(loss), l2_norm_kernel(step_vec))
-                        w = w_new
-                if validation_every and t % validation_every == 0:
-                    record_validation(t, w)
+                    for t, order in enumerate(orders, start):
+                        eta = config.lr.at(t)
+                        if not math.isfinite(eta):
+                            raise NonFiniteError(f"step size {eta} is non-finite")
+                        xi = batches.__next__ if fresh else next(batches)
+                        landed = []
+                        try:
+                            step(w, suite, units, config.optimizer, states, eta, xi, order, landed)
+                        finally:  # an aborted step keeps the rows of the updates before the failure
+                            for u, loss, w_new in landed:
+                                step_vec = w_new - w
+                                if shared_mask is not None:
+                                    step_vec = step_vec[shared_mask]
+                                trace.add_row(t, labels[u], float(loss), l2_norm_kernel(step_vec))
+                                w = w_new
+                        if validation_every and t % validation_every == 0:
+                            kept.append((t, w, len(trace.steps), [(s.m, s.v, s.step) for s in states]))
+                except NonFiniteError as exc:
+                    failure = exc
+                cut = _validate(trace, suite, kept)
+                if cut is not None:  # back to the step whose validation failed
+                    t, w, n_rows, saved = cut
+                    trace.truncate(n_rows)
+                    for s, refs in zip(states, saved):
+                        s.m, s.v, s.step = refs
+                    raise NonFiniteError("validation loss is non-finite")
+                kept = []
+                if failure is not None:
+                    raise failure
     except NonFiniteError as exc:
         trace.aborted = True
         trace.abort_reason = f"step {t}: {exc}"

@@ -62,6 +62,11 @@ class RunTrace:
         self.displacements.append(displacement)
         self.cumulative.append(cum)
 
+    def truncate(self, n_rows):
+        """Drop every row after the first n_rows."""
+        for column in (self.steps, self.labels, self.train_losses, self.displacements, self.cumulative):
+            del column[n_rows:]
+
     def add_validation(self, step, loss, task_losses=None):
         self.val_steps.append(step)
         self.val_losses.append(loss)
@@ -109,28 +114,23 @@ def covered_distances(trace: RunTrace, shared_mask: np.ndarray | None = None) ->
 _CSV_COLUMNS = ["step", "task_or_group", "train_loss", "val_loss", "displacement", "cumulative_total"]
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def write_trace_csv(trace: RunTrace, path) -> None:
     """CSV body plus '#' header comments embedding the resolved config.
 
     No timestamps anywhere, so identical runs produce byte-identical files.
     Byte contract: every row is the text csv.writer (excel dialect) gives for
-    its fields formatted by _fmt, written row by row: the fields joined by
-    commas, then CR LF. None of them needs quoting: they are ints, float
+    its fields, written row by row: the fields joined by commas, then CR LF.
+    The step and label are formatted by str, the other fields by repr, and a
+    missing val_loss is empty. None of them needs quoting: they are ints, float
     reprs, empty, or labels of task indices joined by '+'.
     """
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write(f"# config: {json.dumps(trace.meta, sort_keys=True)}\n")
         f.write(",".join(_CSV_COLUMNS) + "\r\n")
-        for row in trace.rows():
-            f.write(",".join(map(_fmt, row)) + "\r\n")
+        f.writelines(
+            f"{step},{label},{loss!r},{'' if val is None else repr(val)},{disp!r},{cum!r}\r\n"
+            for step, label, loss, val, disp, cum in trace.rows()
+        )
 
 
 def write_trace_meta(trace: RunTrace, path) -> None:
