@@ -33,12 +33,12 @@ from .schemes import (
 from .tracing import RunTrace, covered_distances
 from .verify import (
     BoundInputs,
-    ScheduleError,
     estimate_grad_bound,
     fit_rate,
     theorem_bound,
     verify_lemma1,
     verify_lemma2,
+    verify_lemmas,
     verify_theorem,
 )
 

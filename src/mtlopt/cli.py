@@ -252,13 +252,20 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, seed_offset: int = 0) -> int:
     except ValueError as exc:
         raise ConfigError(f"config.objective.tasks: {exc}") from exc
     seed = cfg.run_seeds(seed_offset)[0]
-    out_dir.mkdir(parents=True, exist_ok=True)
     w0 = cfg.initial_point(seed)
     v = cfg.verify
 
-    theorem = verify_mod.verify_theorem(cfg.suite, v["T_list"], v["replicates"], seed, w0)
-    lemma1 = verify_mod.verify_lemma1(cfg.suite, v["lemma_steps"], v["lemma_replicates"], seed, w0)
-    lemma2 = verify_mod.verify_lemma2(cfg.suite, v["lemma_steps"], v["lemma_replicates"], seed, w0)
+    check = "convergence bound"
+    try:  # an overflow anywhere in a check aborts it instead of reporting inf or NaN
+        with np.errstate(over="raise", invalid="raise"):
+            theorem = verify_mod.verify_theorem(cfg.suite, v["T_list"], v["replicates"], seed, w0)
+            check = "per-step inequalities"
+            lemma1, lemma2 = verify_mod.verify_lemmas(
+                cfg.suite, v["lemma_steps"], v["lemma_replicates"], seed, w0
+            )
+    except (FloatingPointError, OverflowError) as exc:
+        print(f"numerical abort in the {check} check: {exc}", file=sys.stderr)
+        return 2
 
     # Rate gate: stochastic suites must show the ~1/T decay; noise-free suites
     # contract at least that fast (or converge exactly), which also passes.
@@ -303,6 +310,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, seed_offset: int = 0) -> int:
         "rate_pass": rate_pass,
         "all_pass": all_pass,
     }
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_json(report, out_dir / "verification.json")
     print(f"wrote {out_dir / 'verification.json'}")
     return 0 if all_pass else 3

@@ -7,9 +7,11 @@ is selected uniformly at random, and the iterate follows that task's update.
 The initial iterate is indexed 1, so the expected optimality gap "at T" is
 measured after T-1 update steps.
 
-Each pass steps all its R replicates in lockstep, with array ops over an (R, d)
-array of iterates. Replicate r draws from its own streams, data[r] and
-task-order[r], so every number equals that of the replicate stepped alone.
+A verification makes two passes: verify_theorem's, and one that both
+per-step checks read (verify_lemmas). Each pass steps all its R replicates in
+lockstep, with array ops over an (R, d) array of iterates. Replicate r draws
+from its own streams, data[r] and task-order[r], so every number equals that
+of the replicate stepped alone.
 
 Statistical policy: the bound is an upper bound in expectation, so a check
 passes when the Monte-Carlo estimate does not exceed it by more than three
@@ -30,12 +32,12 @@ from .params import RngStream, check_finite, l2_norm
 from .schemes import theorem_schedule
 
 __all__ = [
-    "ScheduleError",
     "BoundInputs",
     "theorem_bound",
     "theorem_bound_max_form",
     "estimate_grad_bound",
     "verify_theorem",
+    "verify_lemmas",
     "verify_lemma1",
     "verify_lemma2",
     "fit_rate",
@@ -45,10 +47,6 @@ B_FORM_NOTE = (
     "noise term uses sum(sigma_k^2)/N^2, which equals sum(p_k^2 sigma_k^2) "
     "for uniform selection probability p_k = 1/N"
 )
-
-
-class ScheduleError(ValueError):
-    """Learning-rate schedule violates a precondition of the check."""
 
 
 @dataclass(frozen=True)
@@ -116,7 +114,7 @@ def _max_grad_norm(G) -> float:
     return float(_norms(G).max())
 
 
-def _lockstep(suite, schedule, w0, n_steps, replicates, seed, eta_scale=1.0):
+def _lockstep(suite, schedule, w0, n_steps, replicates, seed):
     """Yield (t, eta, W, G, sel) for t = 1..n_steps: the iterates W (R, d)
     before the update, every task's stochastic gradient there G (R, n, d) and
     the selected tasks sel (R,). Replicate r's noise is one sample_minibatch
@@ -129,7 +127,7 @@ def _lockstep(suite, schedule, w0, n_steps, replicates, seed, eta_scale=1.0):
     rows = np.arange(replicates)
     W = np.tile(np.asarray(w0, dtype=np.float64), (replicates, 1))
     for t in range(1, n_steps + 1):
-        eta = eta_scale * schedule.at(t)
+        eta = schedule.at(t)
         noise = np.array([suite.sample_minibatch(gen) for gen in data])
         G = _matvec(suite.matrices, W[:, None, :] - suite.centers) + noise
         sel = order[:, t - 1]
@@ -140,27 +138,17 @@ def _lockstep(suite, schedule, w0, n_steps, replicates, seed, eta_scale=1.0):
 GRAD_BOUND_SAFETY = 1.05
 
 
-def estimate_grad_bound(suite, schedule, n_steps, replicates, seed, w0, eta_scale=1.0) -> float:
+def estimate_grad_bound(suite, schedule, n_steps, replicates, seed, w0) -> float:
     """Empirical uniform gradient-norm bound from a stand-alone pass on the same seeds."""
     worst = 0.0
-    for _, _, _, G, _ in _lockstep(suite, schedule, w0, n_steps, replicates, seed, eta_scale):
+    for _, _, _, G, _ in _lockstep(suite, schedule, w0, n_steps, replicates, seed):
         worst = max(worst, _max_grad_norm(G))
     return worst * GRAD_BOUND_SAFETY
 
 
-def verify_theorem(
-    suite: QuadraticSuite,
-    T_list,
-    replicates: int,
-    seed: int,
-    w0,
-    eta_scale: float = 1.0,
-) -> dict:
+def verify_theorem(suite: QuadraticSuite, T_list, replicates: int, seed: int, w0) -> dict:
     """Estimate the expected average-objective gap at each T and compare it
-    with the closed-form bound. eta_scale != 1 departs from the admissible
-    schedule; the run still executes but is flagged, and passing is no longer
-    guaranteed.
-    """
+    with the closed-form bound."""
     T_list = sorted(int(t) for t in T_list)
     if min(T_list) < 1:
         raise ValueError("every T must be >= 1")
@@ -172,7 +160,7 @@ def verify_theorem(
     n_steps = max(T_list)
 
     worst, gaps = 0.0, {}
-    for t, _, W, G, _ in _lockstep(suite, schedule, w0, n_steps, replicates, seed, eta_scale):
+    for t, _, W, G, _ in _lockstep(suite, schedule, w0, n_steps, replicates, seed):
         worst = max(worst, _max_grad_norm(G))
         if t in T_list:  # every replicate's exact average objective, less f_star
             gaps[t] = suite.validation_task_losses(W[:, None, :]).mean(axis=1) - consts.f_star
@@ -223,45 +211,49 @@ def verify_theorem(
         },
         "replicates": replicates,
         "seed": seed,
-        "eta_scale": eta_scale,
-        "schedule_ok": bool(eta_scale == 1.0),
+        # kept output keys: the check always runs theorem_schedule unscaled
+        "eta_scale": 1.0,
+        "schedule_ok": True,
         "rows": rows,
         "all_pass": all(r["pass"] for r in rows),
     }
 
 
-def verify_lemma1(
-    suite: QuadraticSuite, n_steps: int, replicates: int, seed: int, w0, eta_scale: float = 1.0
-) -> dict:
-    """Per-step check that the averaged candidate update contracts toward the
-    optimum up to the heterogeneity and noise terms.
+def verify_lemmas(suite: QuadraticSuite, n_steps: int, replicates: int, seed: int, w0):
+    """Both per-step checks, read off one lockstep pass: returns the reports
+    (lemma1, lemma2).
 
-    Requires eta_t <= 1/L at every checked step (an eta_scale > 1 violates
-    this and raises). The check is paired: for each replicate the contraction
-    term is subtracted before averaging, so only the additive terms remain on
-    the right side.
+    Lemma 1: the averaged candidate update contracts toward the optimum up to
+    the heterogeneity and noise terms. The check is paired: for each replicate
+    the contraction term is subtracted before averaging, so only the additive
+    terms remain on the right side.
+
+    Lemma 2: the selection variance (exact expectation over the selected task,
+    by enumerating all candidates) stays below eta_t^2 G^2, with G estimated,
+    as estimate_grad_bound does, from the gradients of this pass.
+
+    theorem_schedule meets both premises: eta_t <= 1/L (lemma 1), and a
+    non-increasing schedule with eta_t <= 2*eta_(t+1) (lemma 2).
     """
     consts = suite_constants(suite)
     schedule = theorem_schedule(consts.smoothness, consts.strong_convexity)
-    for t in range(1, n_steps + 1):
-        if eta_scale * schedule.at(t) > 1.0 / consts.smoothness + 1e-12:
-            raise ScheduleError(f"eta at step {t} exceeds 1/L")
     w0 = np.asarray(w0, dtype=np.float64)
     n = suite.n_tasks
     mu = consts.strong_convexity
     noise_term = float(np.sum(np.square(consts.sigmas))) / n**2
 
-    rows = []
-    for t, eta, W, G, _ in _lockstep(suite, schedule, w0, n_steps, replicates, seed, eta_scale):
+    rows1, steps, observed_max = [], [], 0.0
+    for t, eta, W, G, sel in _lockstep(suite, schedule, w0, n_steps, replicates, seed):
         vbar = W - eta * G.mean(axis=1)  # the average of the candidate updates
-        check_finite(vbar, "averaged candidate update")  # non-finite whenever W is
+        check_finite(vbar, "averaged candidate update")  # non-finite whenever W or G is
+        observed_max = max(observed_max, _max_grad_norm(G))
         vbar_sq = _norms(vbar - consts.w_star) ** 2
         here_sq = _norms(W - consts.w_star) ** 2
         excess = vbar_sq - (1.0 - mu * eta) * here_sq  # paired, per replicate
         rhs = 2.0 * consts.smoothness * eta**2 * consts.gamma_het + eta**2 * noise_term
         est = float(excess.mean())
         se = _std_error(excess)
-        rows.append(
+        rows1.append(
             {
                 "t": t,
                 "eta": eta,
@@ -272,7 +264,11 @@ def verify_lemma1(
                 "pass": bool(est <= rhs + 3.0 * se),
             }
         )
-    return {
+        candidates = W[:, None, :] - eta * G
+        dists = _norms(candidates - vbar[:, None, :]) ** 2
+        # exact expectation over the selection; the run's own selection (MC check)
+        steps.append((t, eta, dists.mean(axis=1), dists[np.arange(replicates), sel]))
+    lemma1 = {
         "kind": "contraction_inequality",
         "replicates": replicates,
         "seed": seed,
@@ -282,51 +278,16 @@ def verify_lemma1(
             "gamma_het": consts.gamma_het,
             "sigmas": list(consts.sigmas),
         },
-        "rows": rows,
-        "all_pass": all(r["pass"] for r in rows),
+        "rows": rows1,
+        "all_pass": all(r["pass"] for r in rows1),
     }
 
-
-def verify_lemma2(
-    suite: QuadraticSuite,
-    n_steps: int,
-    replicates: int,
-    seed: int,
-    w0,
-    grad_bound: float | None = None,
-) -> dict:
-    """Per-step check that the selection variance (exact expectation over the
-    selected task, by enumerating all candidates) stays below eta_t^2 G^2.
-
-    Requires the schedule to be non-increasing with eta_t <= 2*eta_{t+1}. When
-    grad_bound is not supplied it is estimated, as estimate_grad_bound does,
-    from the gradients of the pass that computes the left sides; a supplied
-    (possibly stale) value is checked against the gradients actually observed
-    and flagged if exceeded.
-    """
-    consts = suite_constants(suite)
-    schedule = theorem_schedule(consts.smoothness, consts.strong_convexity)
-    for t in range(1, n_steps + 1):
-        e_now, e_next = schedule.at(t), schedule.at(t + 1)
-        if e_now < e_next - 1e-12 or e_now > 2.0 * e_next + 1e-12:
-            raise ScheduleError(f"step {t}: schedule must be non-increasing with eta_t <= 2*eta_(t+1)")
-    w0 = np.asarray(w0, dtype=np.float64)
-
-    steps, observed_max = [], 0.0
-    for t, eta, W, G, sel in _lockstep(suite, schedule, w0, n_steps, replicates, seed):
-        observed_max = max(observed_max, _max_grad_norm(G))
-        candidates = W[:, None, :] - eta * G
-        vbar = W - eta * G.mean(axis=1)
-        dists = _norms(candidates - vbar[:, None, :]) ** 2
-        # exact expectation over the selection; the run's own selection (MC check)
-        steps.append((t, eta, dists.mean(axis=1), dists[np.arange(replicates), sel]))
-    supplied = grad_bound is not None
-    grad_bound = grad_bound if supplied else observed_max * GRAD_BOUND_SAFETY
-    rows = []
+    grad_bound = observed_max * GRAD_BOUND_SAFETY
+    rows2 = []
     for t, eta, enum_vals, mc_vals in steps:
         bound = (eta * grad_bound) ** 2
         est, se = float(enum_vals.mean()), _std_error(enum_vals)
-        rows.append(
+        rows2.append(
             {
                 "t": t,
                 "eta": eta,
@@ -339,17 +300,32 @@ def verify_lemma2(
                 "pass": bool(est <= bound + 3.0 * se),
             }
         )
-    return {
+    lemma2 = {
         "kind": "selection_variance_inequality",
         "replicates": replicates,
         "seed": seed,
         "grad_bound": float(grad_bound),
-        "grad_bound_supplied": supplied,
+        # kept output keys: G is always estimated from this pass, so no
+        # observed gradient norm exceeds it
+        "grad_bound_supplied": False,
         "observed_max_grad_norm": observed_max,
-        "grad_bound_violated": bool(observed_max > grad_bound),
-        "rows": rows,
-        "all_pass": all(r["pass"] for r in rows),
+        "grad_bound_violated": False,
+        "rows": rows2,
+        "all_pass": all(r["pass"] for r in rows2),
     }
+    return lemma1, lemma2
+
+
+# cmd_verify calls verify_lemmas; perfbench/tracer.py wraps these two by name
+# in every traced run, so they stay as selections from it.
+def verify_lemma1(suite: QuadraticSuite, n_steps: int, replicates: int, seed: int, w0) -> dict:
+    """Lemma 1's report of verify_lemmas."""
+    return verify_lemmas(suite, n_steps, replicates, seed, w0)[0]
+
+
+def verify_lemma2(suite: QuadraticSuite, n_steps: int, replicates: int, seed: int, w0) -> dict:
+    """Lemma 2's report of verify_lemmas."""
+    return verify_lemmas(suite, n_steps, replicates, seed, w0)[1]
 
 
 def fit_rate(report: dict) -> float:

@@ -29,7 +29,7 @@ from mtlopt.optimizers import OptimizerRule, fresh_state
 from mtlopt.params import RngStream
 from mtlopt.schemes import ConstantLR, SchemeConfig, run, step
 from mtlopt.tracing import RunTrace, covered_distances, write_trace_csv
-from mtlopt.verify import fit_rate, verify_lemma1, verify_lemma2, verify_theorem
+from mtlopt.verify import fit_rate, verify_lemmas, verify_theorem
 
 SHIPPED_SUITES = {
     "two_task": (two_task_suite, 1),
@@ -99,8 +99,7 @@ def test_criterion_2_per_step_inequalities():
     for name, (factory, dim) in SHIPPED_SUITES.items():
         suite = factory()
         w0 = np.zeros(dim)
-        l1 = verify_lemma1(suite, 50, replicates=500, seed=2, w0=w0)
-        l2 = verify_lemma2(suite, 50, replicates=500, seed=2, w0=w0)
+        l1, l2 = verify_lemmas(suite, 50, replicates=500, seed=2, w0=w0)
         assert len(l1["rows"]) == 50 and len(l2["rows"]) == 50
         for row in l1["rows"]:
             assert row["excess_mean"] <= row["rhs"] + 3.0 * row["std_error"], (name, row)

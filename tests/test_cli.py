@@ -208,6 +208,22 @@ def test_verify_cli_small_config(tmp_path, capsys):
     assert report["config"]["objective"]["preset"] == "two_task"
 
 
+def test_verify_overflow_is_a_numerical_abort(tmp_path, capsys):
+    # finite in the schema, but its squared distance to the optimum overflows
+    payload = {
+        "objective": {"family": "quadratic", "preset": "two_task"},
+        "seeds": [0],
+        "w0": [1e200],
+        "verify": {"T_list": [10, 100, 1000], "replicates": 4, "lemma_steps": 5, "lemma_replicates": 4},
+    }
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "v"
+    assert main(["verify", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical abort in the convergence bound check: overflow") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_verify_rejects_mlp_objective(tmp_path, capsys):
     payload = {
         "objective": {"family": "mlp", "n_tasks": 2, "hidden": [4]},

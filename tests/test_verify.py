@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from mtlopt import schemes
+from mtlopt.cli import main
 from mtlopt.objectives import (
     QuadraticSuite,
     QuadraticTask,
@@ -15,14 +18,17 @@ from mtlopt.schemes import SchemeConfig, theorem_schedule
 from mtlopt.verify import (
     GRAD_BOUND_SAFETY,
     BoundInputs,
-    ScheduleError,
     _lockstep,
+    _max_grad_norm,
+    _norms,
+    _std_error,
     estimate_grad_bound,
     fit_rate,
     theorem_bound,
     theorem_bound_max_form,
     verify_lemma1,
     verify_lemma2,
+    verify_lemmas,
     verify_theorem,
 )
 
@@ -208,15 +214,14 @@ def test_verify_lemma2_without_a_bound_steps_each_replicate_once(make_suite):
     assert suite.draws == 7 * 12
 
 
-@pytest.mark.parametrize("eta_scale", [1.0, 0.5, 1.5])
 @pytest.mark.parametrize("make_suite", [five_task_suite, two_task_suite])
-def test_verify_theorem_grad_bound_is_that_of_the_stand_alone_pre_run(make_suite, eta_scale):
+def test_verify_theorem_grad_bound_is_that_of_the_stand_alone_pre_run(make_suite):
     suite = make_suite()
     consts = suite_constants(suite)
     schedule = theorem_schedule(consts.smoothness, consts.strong_convexity)
     w0 = np.full(suite.dim, 0.5)
-    report = verify_theorem(suite, [2, 40, 9], replicates=6, seed=4, w0=w0, eta_scale=eta_scale)
-    expected = estimate_grad_bound(suite, schedule, 40, 6, 4, w0, eta_scale)
+    report = verify_theorem(suite, [2, 40, 9], replicates=6, seed=4, w0=w0)
+    expected = estimate_grad_bound(suite, schedule, 40, 6, 4, w0)
     assert report["constants"]["grad_bound"] == expected
 
 
@@ -231,9 +236,24 @@ def test_verify_lemma2_grad_bound_is_that_of_the_stand_alone_pre_run(make_suite)
     assert report["grad_bound"] == expected and not report["grad_bound_supplied"]
     assert report["observed_max_grad_norm"] * GRAD_BOUND_SAFETY == expected
     assert not report["grad_bound_violated"]
-    # the rows of a supplied bound equal to the estimate are the same rows
-    supplied = verify_lemma2(suite, 15, replicates=6, seed=4, w0=w0, grad_bound=expected)
-    assert supplied["rows"] == report["rows"]
+
+
+@pytest.mark.parametrize("make_suite", [five_task_suite, two_task_suite])
+def test_verify_lemmas_steps_each_replicate_once(make_suite):
+    suite = CountingSuite(make_suite().tasks)
+    verify_lemmas(suite, 12, replicates=7, seed=2, w0=np.zeros(suite.dim))
+    assert suite.draws == 7 * 12
+
+
+def test_cmd_verify_makes_one_theorem_pass_and_one_lemma_pass(tmp_path, monkeypatch):
+    draws = []
+    real = QuadraticSuite.sample_minibatch
+    monkeypatch.setattr(QuadraticSuite, "sample_minibatch", lambda self, gen: draws.append(gen) or real(self, gen))
+    v = {"T_list": [2, 300, 30], "replicates": 3, "lemma_steps": 7, "lemma_replicates": 5}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"objective": {"family": "quadratic", "preset": "five_task"}, "seeds": [0], "verify": v}))
+    assert main(["verify", str(cfg), "--out", str(tmp_path / "v")]) in (0, 3)
+    assert len(draws) == 3 * 300 + 5 * 7
 
 
 # ------------------------------------------------------------ theorem check
@@ -262,13 +282,6 @@ def test_verify_theorem_small_real_suite():
     assert "sum(p_k^2 sigma_k^2)" in report["b_form_note"]
 
 
-def test_verify_theorem_flags_mis_scaled_schedule():
-    report = verify_theorem(
-        two_task_suite(0.5), [10], replicates=20, seed=2, w0=[0.0], eta_scale=10.0
-    )
-    assert report["schedule_ok"] is False
-
-
 # ------------------------------------------------------------ lemma checks
 
 
@@ -285,11 +298,6 @@ def test_lemma1_at_optimum_noiseless_both_sides_vanish():
     report = verify_lemma1(suite, 10, replicates=3, seed=0, w0=[1.0])  # w0 == w*
     for row in report["rows"]:
         assert row["lhs_mean"] == pytest.approx(0.0, abs=1e-24)
-
-
-def test_lemma1_rejects_step_sizes_above_curvature_limit():
-    with pytest.raises(ScheduleError):
-        verify_lemma1(two_task_suite(0.5), 10, replicates=3, seed=0, w0=[0.0], eta_scale=2.0)
 
 
 def test_lemma2_single_task_left_side_zero():
@@ -316,15 +324,87 @@ def test_lemma2_small_real_suite_and_cross_check():
         assert abs(row["mc_mean"] - row["lhs_mean"]) <= slack
 
 
-def test_lemma2_flags_stale_grad_bound():
-    calm = two_task_suite(0.2)
-    stale = estimate_grad_bound(
-        calm, theorem_schedule(1.0, 1.0), 10, 10, seed=5, w0=np.array([0.0])
-    )
-    loud = two_task_suite(5.0)  # noise inflated without re-estimating the bound
-    report = verify_lemma2(loud, 10, replicates=10, seed=5, w0=[0.0], grad_bound=stale)
-    assert report["grad_bound_supplied"]
-    assert report["grad_bound_violated"]
+def reference_lemma1(suite, n_steps, replicates, seed, w0):
+    """Reference: lemma 1's own lockstep pass, as verify_lemma1 ran it alone."""
+    consts = suite_constants(suite)
+    schedule = theorem_schedule(consts.smoothness, consts.strong_convexity)
+    w0 = np.asarray(w0, dtype=np.float64)
+    n = suite.n_tasks
+    mu = consts.strong_convexity
+    noise_term = float(np.sum(np.square(consts.sigmas))) / n**2
+    rows = []
+    for t, eta, W, G, _ in _lockstep(suite, schedule, w0, n_steps, replicates, seed):
+        vbar = W - eta * G.mean(axis=1)
+        vbar_sq = _norms(vbar - consts.w_star) ** 2
+        here_sq = _norms(W - consts.w_star) ** 2
+        excess = vbar_sq - (1.0 - mu * eta) * here_sq
+        rhs = 2.0 * consts.smoothness * eta**2 * consts.gamma_het + eta**2 * noise_term
+        est = float(excess.mean())
+        se = _std_error(excess)
+        rows.append({"t": t, "eta": eta, "lhs_mean": float(vbar_sq.mean()), "excess_mean": est,
+                     "rhs": rhs, "std_error": se, "pass": bool(est <= rhs + 3.0 * se)})
+    constants = {"smoothness": consts.smoothness, "strong_convexity": mu,
+                 "gamma_het": consts.gamma_het, "sigmas": list(consts.sigmas)}
+    return {"kind": "contraction_inequality", "replicates": replicates, "seed": seed,
+            "constants": constants, "rows": rows, "all_pass": all(r["pass"] for r in rows)}
+
+
+def reference_lemma2(suite, n_steps, replicates, seed, w0):
+    """Reference: lemma 2's own lockstep pass, as verify_lemma2 ran it alone."""
+    consts = suite_constants(suite)
+    schedule = theorem_schedule(consts.smoothness, consts.strong_convexity)
+    w0 = np.asarray(w0, dtype=np.float64)
+    steps, observed_max = [], 0.0
+    for t, eta, W, G, sel in _lockstep(suite, schedule, w0, n_steps, replicates, seed):
+        observed_max = max(observed_max, _max_grad_norm(G))
+        candidates = W[:, None, :] - eta * G
+        vbar = W - eta * G.mean(axis=1)
+        dists = _norms(candidates - vbar[:, None, :]) ** 2
+        steps.append((t, eta, dists.mean(axis=1), dists[np.arange(replicates), sel]))
+    grad_bound = observed_max * GRAD_BOUND_SAFETY
+    rows = []
+    for t, eta, enum_vals, mc_vals in steps:
+        bound = (eta * grad_bound) ** 2
+        est, se = float(enum_vals.mean()), _std_error(enum_vals)
+        rows.append({"t": t, "eta": eta, "lhs_mean": est, "lhs_max": float(enum_vals.max()),
+                     "mc_mean": float(mc_vals.mean()), "mc_std_error": _std_error(mc_vals),
+                     "bound": bound, "std_error": se, "pass": bool(est <= bound + 3.0 * se)})
+    return {"kind": "selection_variance_inequality", "replicates": replicates, "seed": seed,
+            "grad_bound": float(grad_bound), "grad_bound_supplied": False,
+            "observed_max_grad_norm": observed_max, "grad_bound_violated": bool(observed_max > grad_bound),
+            "rows": rows, "all_pass": all(r["pass"] for r in rows)}
+
+
+@pytest.mark.parametrize("replicates, n_steps, seed", [(1, 3, 0), (2, 1, 5), (7, 12, 2), (40, 30, 11)])
+@pytest.mark.parametrize("make_suite", [five_task_suite, two_task_suite])
+def test_verify_lemmas_equal_the_two_lemma_passes(make_suite, replicates, n_steps, seed):
+    suite = make_suite()
+    w0 = np.full(suite.dim, 0.5)
+    lemma1, lemma2 = verify_lemmas(suite, n_steps, replicates, seed, w0)
+    assert lemma1 == reference_lemma1(suite, n_steps, replicates, seed, w0)
+    assert lemma2 == reference_lemma2(suite, n_steps, replicates, seed, w0)
+    assert verify_lemma1(suite, n_steps, replicates, seed, w0) == lemma1
+    assert verify_lemma2(suite, n_steps, replicates, seed, w0) == lemma2
+
+
+EXTREME = [10.0**k for k in range(-300, 301, 50)] + [1.0 + 2.0**-52, 3.0, 0.1]
+
+
+@pytest.mark.parametrize(
+    "L, mu",
+    [(c.smoothness, c.strong_convexity) for c in map(suite_constants, (two_task_suite(), five_task_suite()))]
+    + [(L, mu) for L in EXTREME for mu in EXTREME if L >= mu],
+)
+def test_theorem_schedule_meets_both_lemma_premises(L, mu):
+    # lemma 1 needs eta_t <= 1/L; lemma 2 a non-increasing schedule with
+    # eta_t <= 2*eta_(t+1). Each holds up to the rounding of eta_1 = 1/L,
+    # which can land one ulp above 1/L, so the slack is relative.
+    schedule = theorem_schedule(L, mu)
+    rel = 1.0 + 1e-12
+    for t in [*range(1, 50), 10**3, 10**6, 10**9]:
+        now, after = schedule.at(t), schedule.at(t + 1)
+        assert now <= rel / L, t
+        assert after <= now * rel and now <= 2.0 * after * rel, t
 
 
 # ------------------------------------------------------------ rate fitting
