@@ -12,7 +12,6 @@ from .params import (
 from .objectives import (
     QuadraticSuite,
     QuadraticTask,
-    TaskObjective,
     TaskSuite,
     finite_difference_check,
     five_task_suite,

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objectives import TaskObjective, TaskSuite
+from .objectives import TaskSuite
 from .params import RngStream
 
 __all__ = ["MLPTopology", "MLPTask", "MLPSuite", "synthetic_mlp_suite", "init_mlp_params"]
@@ -146,7 +146,9 @@ class _SinusoidTarget:
         return (np.sin(x @ self.freqs.T + self.phases) @ self.amps)[:, None]
 
 
-class MLPTask(TaskObjective):
+class MLPTask:
+    """One task's value and gradient, for finite_difference_check."""
+
     def __init__(self, index: int, topology: MLPTopology):
         self.index = index
         self.topology = topology
@@ -168,24 +170,26 @@ class MLPSuite(TaskSuite):
         self.batch_size = batch_size
         self.val_inputs = val_inputs
         self.val_targets = [f(val_inputs) for f in targets]
-        mask = np.zeros(topology.dim, dtype=bool)
-        mask[: topology.trunk_size] = True
-        self.shared_mask = mask
-        self._task_masks = []
-        for k in range(topology.n_tasks):
-            m = mask.copy()
-            m[topology.head_slice(k)] = True
-            self._task_masks.append(m)
+        self.shared_mask = np.zeros(topology.dim, dtype=bool)
+        self.shared_mask[: topology.trunk_size] = True
+        self._unit_masks = {}
 
     @property
     def dim(self) -> int:
         return self.topology.dim
 
-    def task_mask(self, k: int) -> np.ndarray:
-        return self._task_masks[k]
+    def unit_mask(self, unit) -> np.ndarray:
+        """The trunk plus the unit's heads, built once per unit, read-only."""
+        key = tuple(unit)
+        if key not in self._unit_masks:
+            mask = self._unit_masks[key] = self.shared_mask.copy()
+            for k in key:
+                mask[self.topology.head_slice(k)] = True
+            mask.flags.writeable = False
+        return self._unit_masks[key]
 
     def unit_value_and_gradient(self, w: np.ndarray, unit, xi) -> tuple:
-        """The default loop's sums, from one trunk forward and backward per task:
+        """The per-task loop's sums from one trunk forward and backward per task:
         the same start values (0 and zeros) and unit order, so the same bits."""
         x, targets = xi
         loss, g = 0, np.zeros(w.shape)
@@ -193,7 +197,7 @@ class MLPSuite(TaskSuite):
             value, g_k = self.topology.task_value_and_gradient(w, k, x, targets[k])
             loss += value
             g += g_k
-            del g_k  # one task's gradient buffer alive at a time, as in the default loop
+            del g_k  # one task's gradient buffer alive at a time, as in the per-task loop
         return loss, g
 
     def sample_minibatch(self, gen: np.random.Generator) -> tuple:

@@ -1,20 +1,18 @@
-"""Stochastic task objectives behind one value/gradient oracle interface.
+"""Task suites behind one unit-level oracle: the summed stochastic value and
+gradient of a unit of tasks under a sampled minibatch.
 
-A task exposes a stochastic value and gradient under a sampled minibatch.
-Quadratic tasks also have a noise-free value and closed-form curvature
-constants, which is what makes them usable for numerical verification of the
-convergence bound.
+Quadratic suites also have noise-free validation losses and closed-form
+curvature constants, which is what makes them usable for numerical
+verification of the convergence bound.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .params import DimensionMismatchError, as_params
-from .params import RngStream
+from .params import DimensionMismatchError, RngStream, as_params
 
 __all__ = [
-    "TaskObjective",
     "QuadraticTask",
     "TaskSuite",
     "QuadraticSuite",
@@ -26,23 +24,7 @@ __all__ = [
 ]
 
 
-class TaskObjective:
-    """Value + gradient oracle for one task under a sampled minibatch.
-
-    Subclasses set `index` (position in the suite) and implement value() and
-    gradient(). `xi` is a draw of the suite's sample_minibatch.
-    """
-
-    index: int = 0
-
-    def value(self, w: np.ndarray, xi) -> float:
-        raise NotImplementedError
-
-    def gradient(self, w: np.ndarray, xi) -> np.ndarray:
-        raise NotImplementedError
-
-
-class QuadraticTask(TaskObjective):
+class QuadraticTask:
     """0.5 (w-a)^T A (w-a) with additive bounded-support gradient noise.
 
     The stochastic gradient is A(w-a) + zeta with zeta per-coordinate uniform
@@ -51,6 +33,9 @@ class QuadraticTask(TaskObjective):
     Gaussian noise. The stochastic value adds zeta.(w-a) so that the value and
     gradient oracles stay consistent under finite differencing at fixed noise.
     zeta is row `index` of the suite's (n_tasks, d) noise draw xi.
+
+    The suite stacks these records; value() and gradient() are the one-task
+    oracle that finite_difference_check probes.
     """
 
     def __init__(self, index: int, matrix, center, noise_sigma: float = 0.0):
@@ -70,10 +55,6 @@ class QuadraticTask(TaskObjective):
         # per-coordinate half-width so E||zeta||^2 == sigma^2
         self.noise_halfwidth = noise_sigma * np.sqrt(3.0 / d)
 
-    @property
-    def dim(self) -> int:
-        return self.center.size
-
     def value(self, w: np.ndarray, xi) -> float:
         r = w - self.center
         return float(0.5 * r @ (self.matrix @ r) + xi[self.index] @ r)
@@ -81,63 +62,34 @@ class QuadraticTask(TaskObjective):
     def gradient(self, w: np.ndarray, xi) -> np.ndarray:
         return self.matrix @ (w - self.center) + xi[self.index]
 
-    def exact_value(self, w: np.ndarray) -> float:
-        r = w - self.center
-        return float(0.5 * r @ (self.matrix @ r))
-
 
 class TaskSuite:
-    """A list of tasks over one shared parameter space, uniform unit weights.
+    """Tasks over one shared parameter space, reached a unit at a time.
 
-    Subclasses define minibatch sampling and, when supported, noise-free
-    per-task validation losses. `shared_mask`/`task_mask` describe which
-    coordinates are shared across tasks and which ones a given task's update
-    may touch (None means all of them).
+    A subclass implements `dim`, the unit oracle, minibatch sampling and, when
+    supported, noise-free per-task validation losses. `shared_mask` marks the
+    coordinates shared across tasks and `unit_mask(unit)` the ones a unit's
+    update may touch (None means all of them).
     """
 
     def __init__(self, tasks):
         if len(tasks) < 1:
             raise ValueError("suite must contain at least one task")
         self.tasks = list(tasks)
-        self._unit_masks = {}
 
     @property
     def n_tasks(self) -> int:
         return len(self.tasks)
 
-    @property
-    def dim(self) -> int:
-        raise NotImplementedError
-
     shared_mask: np.ndarray | None = None
 
-    def task_mask(self, k: int) -> np.ndarray | None:
+    def unit_mask(self, unit) -> np.ndarray | None:
         return None
 
-    def unit_mask(self, indices) -> np.ndarray | None:
-        """Union of the member tasks' update masks; None when unrestricted.
-
-        Task masks are fixed per suite, so each union is built once per unit
-        and returned read-only.
-        """
-        key = tuple(indices)
-        if key not in self._unit_masks:
-            out = None
-            if self.task_mask(key[0]) is not None:  # a suite masks all its tasks or none
-                out = np.logical_or.reduce([self.task_mask(k) for k in key])
-                out.flags.writeable = False
-            self._unit_masks[key] = out
-        return self._unit_masks[key]
-
     def unit_value_and_gradient(self, w: np.ndarray, unit, xi) -> tuple:
-        """The summed value and gradient of the unit's tasks at (w, xi): the
-        loss is the sum of their values, the gradient zeros plus each task's
-        gradient, both in unit order."""
-        loss = sum(self.tasks[k].value(w, xi) for k in unit)
-        g = np.zeros(w.shape)
-        for k in unit:
-            g += self.tasks[k].gradient(w, xi)
-        return loss, g
+        """The unit's summed value and gradient at (w, xi): the bits of adding
+        each task's value to 0 and its gradient to zeros, in unit order."""
+        raise NotImplementedError
 
     def sample_minibatch(self, gen: np.random.Generator):
         """One minibatch, in the layout the suite's tasks read. All randomness
@@ -181,7 +133,7 @@ class QuadraticSuite(TaskSuite):
 
     def __init__(self, tasks):
         super().__init__(tasks)
-        dims = {t.dim for t in self.tasks}
+        dims = {t.center.size for t in self.tasks}
         if len(dims) != 1:
             raise DimensionMismatchError(f"tasks disagree on dimension: {sorted(dims)}")
         self._dim = dims.pop()
@@ -213,19 +165,25 @@ class QuadraticSuite(TaskSuite):
         return u
 
     def validation_task_losses(self, w: np.ndarray) -> np.ndarray:
-        # every task's exact_value, (0.5*r) @ (A @ r), in one stacked pass, (..., n)
-        # values for a w of shape (..., 1, d); their mean is the validation loss
+        # every task's noise-free value (0.5*r) @ (A @ r) in one stacked pass,
+        # (..., n) values for a w of shape (..., 1, d); their mean is the
+        # validation loss
         r = w - self.centers
         return _dot(0.5 * r, _matvec(self.matrices, r))
+
+    def task_gradients(self, W: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        # every task's stochastic gradient at each row of W (R, d) under that
+        # row's draw xi (R, n, d), as an (R, n, d) array
+        return _matvec(self.matrices, W[:, None, :] - self.centers) + xi
 
     def stacked_validation_task_losses(self, ws: np.ndarray) -> np.ndarray:
         return self.validation_task_losses(ws[:, None, :])
 
     def unit_value_and_gradient(self, w: np.ndarray, unit, xi) -> tuple:
-        # The bits of the per-task loop of TaskSuite, every zero's sign
-        # included: `0.0 +` plays the loop's zero start (sum() and np.zeros),
-        # and the tasks are summed in unit order. np.add.accumulate adds rows
-        # strictly in turn; np.add.reduce may sum a contiguous axis pairwise.
+        # The bits of the per-task loop, every zero's sign included: `0.0 +`
+        # plays the loop's zero start (sum() and np.zeros), and the tasks are
+        # summed in unit order. np.add.accumulate adds rows strictly in turn;
+        # np.add.reduce may sum a contiguous axis pairwise.
         if len(unit) == 1:
             task = self.tasks[unit[0]]
             r = w - task.center
@@ -248,8 +206,9 @@ class QuadraticSuite(TaskSuite):
         return sum(vals.tolist()), 0.0 + np.add.accumulate(ar + noise, axis=0)[-1]
 
 
-def finite_difference_check(task: TaskObjective, w: np.ndarray, xi, h: float = 1e-5) -> float:
-    """Max per-coordinate relative error of the gradient vs central differences.
+def finite_difference_check(task, w: np.ndarray, xi, h: float = 1e-5) -> float:
+    """Max per-coordinate relative error of a task's gradient(w, xi) against
+    central differences of its value(w, xi).
 
     The same fixed minibatch is used for every probe. Relative error per
     coordinate is |analytic - fd| / max(1, |analytic|).
@@ -293,22 +252,19 @@ class SuiteConstants:
 
 
 def suite_constants(suite: QuadraticSuite) -> SuiteConstants:
-    mats = [t.matrix for t in suite.tasks]
-    eig_max, eig_min = [], []
-    for t in suite.tasks:
-        eigs = np.linalg.eigvalsh(t.matrix)
-        if eigs[0] <= 0:
-            raise ValueError(f"task {t.index}: curvature matrix is not positive definite")
-        eig_min.append(eigs[0])
-        eig_max.append(eigs[-1])
-    a_sum = sum(mats)
-    rhs = sum(t.matrix @ t.center for t in suite.tasks)
+    eigs = np.linalg.eigvalsh(suite.matrices)  # (n, d), ascending per task
+    bad = np.flatnonzero(eigs[:, 0] <= 0)
+    if bad.size:
+        raise ValueError(f"task {suite.tasks[bad[0]].index}: curvature matrix is not positive definite")
+    # the bits of sum() over the tasks: rows added in turn, from a zero start
+    a_sum = 0.0 + np.add.accumulate(suite.matrices)[-1]
+    rhs = 0.0 + np.add.accumulate(_matvec(suite.matrices, suite.centers))[-1]
     w_star = np.linalg.solve(a_sum, rhs)
-    f_star = float(np.mean([t.exact_value(w_star) for t in suite.tasks]))
+    f_star = float(suite.validation_task_losses(w_star).mean())
     # per-task minima are all exactly 0, so heterogeneity equals f_star
     return SuiteConstants(
-        smoothness=float(max(eig_max)),
-        strong_convexity=float(min(eig_min)),
+        smoothness=float(eigs[:, -1].max()),
+        strong_convexity=float(eigs[:, 0].min()),
         sigmas=tuple(t.noise_sigma for t in suite.tasks),
         gamma_het=f_star,
         w_star=w_star,
@@ -318,12 +274,7 @@ def suite_constants(suite: QuadraticSuite) -> SuiteConstants:
 
 def two_task_suite(noise_sigma: float = 0.5) -> QuadraticSuite:
     """The shipped 1-D pair 0.5*w^2 and 0.5*(w-2)^2 with equal noise."""
-    return QuadraticSuite(
-        [
-            QuadraticTask(0, [[1.0]], [0.0], noise_sigma),
-            QuadraticTask(1, [[1.0]], [2.0], noise_sigma),
-        ]
-    )
+    return QuadraticSuite([QuadraticTask(k, [[1.0]], [2.0 * k], noise_sigma) for k in range(2)])
 
 
 def five_task_suite(seed: int = 7) -> QuadraticSuite:

@@ -15,19 +15,21 @@ of the replicate stepped alone.
 
 Statistical policy: the bound is an upper bound in expectation, so a check
 passes when the Monte-Carlo estimate does not exceed it by more than three
-standard errors. The uniform gradient-norm bound has no closed form for
-quadratics on an unbounded domain, so it is estimated empirically: the largest
-stochastic gradient norm over all (task, step, replicate) triples of a check's
-own pass, inflated by a 5% safety factor. Trajectories do not depend on it, so
-the bounds are evaluated once that one pass ends.
+standard errors, and all three numbers are finite. The uniform gradient-norm
+bound has no closed form for quadratics on an unbounded domain, so it is
+estimated empirically: the largest stochastic gradient norm over all (task,
+step, replicate) triples of a check's own pass, inflated by a 5% safety
+factor. Trajectories do not depend on it, so the bounds are evaluated once
+that one pass ends.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import QuadraticSuite, _dot, _matvec, suite_constants
+from .objectives import QuadraticSuite, _dot, suite_constants
 from .params import RngStream, check_finite, l2_norm
 from .schemes import theorem_schedule
 
@@ -84,12 +86,16 @@ class BoundInputs:
 
 
 def theorem_bound(inputs: BoundInputs, t: int) -> float:
-    """Upper bound on the expected average-objective gap at iterate t."""
+    """Upper bound on the expected average-objective gap at iterate t. A bound
+    that overflows raises OverflowError: an infinite bound checks nothing."""
     lead = inputs.smoothness / (inputs.offset + t)
-    return lead * (
+    bound = lead * (
         2.0 * inputs.noise_total / inputs.strong_convexity**2
         + 0.5 * (inputs.offset + 1.0) * inputs.w1_dist_sq
     )
+    if not math.isfinite(bound):
+        raise OverflowError(f"the bound at T={t} is not finite")
+    return bound
 
 
 def theorem_bound_max_form(inputs: BoundInputs, t: int) -> float:
@@ -99,6 +105,11 @@ def theorem_bound_max_form(inputs: BoundInputs, t: int) -> float:
         (inputs.offset + 1.0) * inputs.w1_dist_sq,
     )
     return 0.5 * inputs.smoothness * v / (inputs.offset + t)
+
+
+def _passes(est, bound, se) -> bool:
+    """est <= bound within three standard errors, with all three finite."""
+    return bool(all(map(math.isfinite, (est, bound, se))) and est <= bound + 3.0 * se)
 
 
 def _std_error(vals) -> float:  # of the mean over replicates
@@ -128,8 +139,7 @@ def _lockstep(suite, schedule, w0, n_steps, replicates, seed):
     W = np.tile(np.asarray(w0, dtype=np.float64), (replicates, 1))
     for t in range(1, n_steps + 1):
         eta = schedule.at(t)
-        noise = np.array([suite.sample_minibatch(gen) for gen in data])
-        G = _matvec(suite.matrices, W[:, None, :] - suite.centers) + noise
+        G = suite.task_gradients(W, np.array([suite.sample_minibatch(gen) for gen in data]))
         sel = order[:, t - 1]
         yield t, eta, W, G, sel
         W = W - eta * G[rows, sel]
@@ -191,7 +201,7 @@ def verify_theorem(suite: QuadraticSuite, T_list, replicates: int, seed: int, w0
                 "bound": bound,
                 "bound_max_form": theorem_bound_max_form(inputs, t),
                 "margin": bound - est,
-                "pass": bool(est <= bound + 3.0 * se),
+                "pass": _passes(est, bound, se),
             }
         )
     return {
@@ -261,7 +271,7 @@ def verify_lemmas(suite: QuadraticSuite, n_steps: int, replicates: int, seed: in
                 "excess_mean": est,
                 "rhs": rhs,
                 "std_error": se,
-                "pass": bool(est <= rhs + 3.0 * se),
+                "pass": _passes(est, rhs, se),
             }
         )
         candidates = W[:, None, :] - eta * G
@@ -297,7 +307,7 @@ def verify_lemmas(suite: QuadraticSuite, n_steps: int, replicates: int, seed: in
                 "mc_std_error": _std_error(mc_vals),
                 "bound": bound,
                 "std_error": se,
-                "pass": bool(est <= bound + 3.0 * se),
+                "pass": _passes(est, bound, se),
             }
         )
     lemma2 = {

@@ -13,13 +13,12 @@ import time
 import numpy as np
 import pytest
 
-from helpers import read_csv_body
+from helpers import loop_unit_value_and_gradient, read_csv_body
 from mtlopt.cli import _sweep_cell, _sweep_summary, main
 from mtlopt.config import RunConfig
 from mtlopt.mlp import init_mlp_params, synthetic_mlp_suite
 from mtlopt.objectives import (
     QuadraticSuite,
-    TaskObjective,
     TaskSuite,
     finite_difference_check,
     five_task_suite,
@@ -168,7 +167,7 @@ def test_criterion_4_exact_equivalences(tmp_path):
     report_pass(4, "grouping/scheme equivalences are bit-identical (zero tolerance)")
 
 
-class _ConstantGradientTask(TaskObjective):
+class _ConstantGradientTask:
     def __init__(self, index, slope):
         self.index = index
         self.slope = np.asarray(slope, dtype=np.float64)
@@ -187,6 +186,8 @@ class _ConstantGradientSuite(TaskSuite):
     @property
     def dim(self):
         return 1
+
+    unit_value_and_gradient = loop_unit_value_and_gradient
 
     def sample_minibatch(self, gen):
         return None

@@ -224,6 +224,23 @@ def test_verify_overflow_is_a_numerical_abort(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_verify_bound_overflow_is_a_numerical_abort(tmp_path, capsys):
+    # every iterate and estimate is finite, but the convergence bound
+    # overflows: an infinite bound must abort the check, not pass it
+    payload = {
+        "objective": {"family": "quadratic", "preset": "two_task"},
+        "seeds": [0],
+        "w0": [1e154],
+        "verify": {"T_list": [10, 100, 1000], "replicates": 20, "lemma_steps": 5, "lemma_replicates": 20},
+    }
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "v"
+    assert main(["verify", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "numerical abort in the convergence bound check: the bound at T=10 is not finite\n"
+    assert not out.exists()
+
+
 def test_verify_rejects_mlp_objective(tmp_path, capsys):
     payload = {
         "objective": {"family": "mlp", "n_tasks": 2, "hidden": [4]},
@@ -465,7 +482,9 @@ def small_verify_config():
 
 
 # sha256 of verification.json from `mtlopt verify` on small_verify_config(),
-# a 1-D problem, so the bytes do not depend on the BLAS build.
+# a 1-D problem. Its bytes still depend on the OpenBLAS kernel: the last digit
+# of rate_slope, from np.polyfit, moves under OPENBLAS_CORETYPE=Haswell or
+# Prescott.
 SMALL_VERIFY_SHA256 = "7e772b331f9acba119d77eb110c58bb5177883b2b8ad7927e84531303419ab1e"
 
 

@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from helpers import loop_unit_value_and_gradient
 from mtlopt.mlp import init_mlp_params, synthetic_mlp_suite
-from mtlopt.objectives import TaskSuite, finite_difference_check, two_task_suite
+from mtlopt.objectives import finite_difference_check, two_task_suite
 from mtlopt.optimizers import OptimizerRule
 from mtlopt.params import RngStream
 from mtlopt.schemes import ConstantLR, SchemeConfig, run
@@ -32,7 +33,7 @@ def test_gradient_sparsity_pattern():
     w = init_mlp_params(suite, RngStream(1, "init").gen)
     for k, task in enumerate(suite.tasks):
         g = task.gradient(w, xi)
-        own = suite.task_mask(k)
+        own = suite.unit_mask((k,))
         assert np.all(g[~own] == 0.0)
         assert np.all(g[suite.shared_mask] != 0.0)
         head = own & ~suite.shared_mask
@@ -54,7 +55,7 @@ def test_masks_partition_parameters():
     assert suite.shared_mask.sum() == trunk
     heads = np.zeros(suite.dim, dtype=bool)
     for k in range(suite.n_tasks):
-        own_head = suite.task_mask(k) & ~suite.shared_mask
+        own_head = suite.unit_mask((k,)) & ~suite.shared_mask
         assert not np.any(heads & own_head)  # heads are disjoint
         heads |= own_head
     assert np.all(suite.shared_mask | heads)  # trunk + heads cover everything
@@ -140,7 +141,7 @@ def test_unit_mask_is_cached_union_of_task_masks():
     for unit in [tuple(range(n)), (0,), (2, 0)]:
         fresh = np.zeros(suite.dim, dtype=bool)
         for k in unit:
-            fresh |= suite.task_mask(k)
+            fresh |= suite.unit_mask((k,))
         mask = suite.unit_mask(unit)
         np.testing.assert_array_equal(mask, fresh)
         assert suite.unit_mask(list(unit)) is mask
@@ -241,7 +242,7 @@ def test_unit_oracle_keeps_the_bits_of_the_per_task_loop(shape, weights):
         xi = suite.sample_minibatch(RngStream(draw, "data").gen)
         for unit in units:
             loss, g = suite.unit_value_and_gradient(w, unit, xi)
-            ref_loss, ref_g = TaskSuite.unit_value_and_gradient(suite, w, unit, xi)
+            ref_loss, ref_g = loop_unit_value_and_gradient(suite, w, unit, xi)
             assert loss == ref_loss and type(loss) is float
             assert _same_bits(g, ref_g)
 

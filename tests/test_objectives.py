@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import loop_unit_value_and_gradient
 from mtlopt.objectives import (
     QuadraticSuite,
     QuadraticTask,
-    TaskSuite,
     finite_difference_check,
     five_task_suite,
     suite_constants,
@@ -192,13 +192,17 @@ def test_quadratic_requires_symmetric_matrix():
 
 @pytest.mark.parametrize("suite", [two_task_suite(), five_task_suite()], ids=["two_task", "five_task"])
 def test_stacked_validation_equals_per_task_exact_values(suite):
+    def exact_value(task, w):  # one task's noise-free value, on its own
+        r = w - task.center
+        return float(0.5 * r @ (task.matrix @ r))
+
     gen = np.random.default_rng(5)
     points = [gen.standard_normal(suite.dim) * 10.0 ** gen.uniform(-8.0, 8.0) for _ in range(2000)]
     # where r @ (A @ r) overflows but half of it does not, and where it is subnormal
     points += [np.full(suite.dim, 1.35e154), np.full(suite.dim, 3e-161)]
     for w in points:
         with np.errstate(over="ignore", under="ignore"):
-            expected = np.array([t.exact_value(w) for t in suite.tasks])
+            expected = np.array([exact_value(t, w) for t in suite.tasks])
             assert np.array_equal(suite.validation_task_losses(w), expected)
 
 
@@ -231,7 +235,7 @@ def test_stacked_unit_oracle_equals_per_task_loop(d):
     for w, xi, unit in itertools.product(points, draws, units):
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             loss, g = suite.unit_value_and_gradient(w, unit, xi)
-            ref_loss, ref_g = TaskSuite.unit_value_and_gradient(suite, w, unit, xi)
+            ref_loss, ref_g = loop_unit_value_and_gradient(suite, w, unit, xi)
         assert type(loss) is float
         assert _bits(loss) == _bits(ref_loss), (w, unit)
         assert np.array_equal(_bits(g), _bits(ref_g)), (w, unit)
@@ -267,3 +271,49 @@ def test_sample_minibatch_equals_the_broadcast_draw(suite):
     if zeros.size:  # both signs of zero occur
         assert not zeros.any() and 0 < np.signbit(zeros).sum() < zeros.size
     assert np.array_equal(gen.uniform(-1.0, 1.0, size=4), ref.uniform(-1.0, 1.0, size=4))
+
+
+def _random_suite(gen, n, d):
+    tasks = []
+    for k in range(n):
+        q, _ = np.linalg.qr(gen.standard_normal((d, d)))
+        mat = q @ np.diag(gen.uniform(0.1, 5.0, size=d) * 10.0 ** gen.uniform(-3.0, 3.0)) @ q.T
+        center = np.full(d, -0.0) if k == 0 else gen.standard_normal(d) * 10.0 ** gen.uniform(-5.0, 5.0)
+        tasks.append(QuadraticTask(k, 0.5 * (mat + mat.T), center, noise_sigma=0.2))
+    return QuadraticSuite(tasks)
+
+
+def test_suite_constants_equal_the_per_task_computation():
+    # the stacked constants against one eigvalsh, matvec and value per task,
+    # summed from 0 in task order, bit for bit
+    gen = np.random.default_rng(12)
+    suites = [two_task_suite(), five_task_suite(), five_task_suite(3)]
+    suites += [_random_suite(gen, int(gen.integers(1, 12)), int(gen.integers(1, 6))) for _ in range(60)]
+    for suite in suites:
+        eigs = [np.linalg.eigvalsh(t.matrix) for t in suite.tasks]
+        w_star = np.linalg.solve(sum(t.matrix for t in suite.tasks), sum(t.matrix @ t.center for t in suite.tasks))
+        f_star = float(np.mean([0.5 * (w_star - t.center) @ (t.matrix @ (w_star - t.center)) for t in suite.tasks]))
+        c = suite_constants(suite)
+        assert _bits(c.smoothness) == _bits(max(e[-1] for e in eigs))
+        assert _bits(c.strong_convexity) == _bits(min(e[0] for e in eigs))
+        assert np.array_equal(_bits(c.w_star), _bits(w_star))
+        assert _bits(c.f_star) == _bits(f_star) and _bits(c.gamma_het) == _bits(f_star)
+
+
+def test_suite_constants_name_the_first_task_that_is_not_positive_definite():
+    tasks = [QuadraticTask(k, [[lam]], [0.0]) for k, lam in enumerate([1.0, 0.0, -1.0])]
+    with pytest.raises(ValueError, match="^task 1: curvature matrix is not positive definite$"):
+        suite_constants(QuadraticSuite(tasks))
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_task_gradients_equal_each_task_gradient(d):
+    gen = np.random.default_rng(d)
+    suite = _random_suite(gen, 6, d)
+    W = gen.standard_normal((9, d)) * 10.0 ** gen.uniform(-6.0, 6.0, size=(9, 1))
+    W[0] = -0.0
+    xi = np.array([suite.sample_minibatch(gen) for _ in W])
+    G = suite.task_gradients(W, xi)
+    assert G.shape == (9, 6, d)
+    for r, k in itertools.product(range(9), range(6)):
+        assert np.array_equal(_bits(G[r, k]), _bits(suite.tasks[k].gradient(W[r], xi[r])))

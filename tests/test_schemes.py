@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import loop_unit_value_and_gradient
 from mtlopt.objectives import (
     QuadraticSuite,
     QuadraticTask,
-    TaskObjective,
     TaskSuite,
     five_task_suite,
     suite_constants,
@@ -55,7 +55,7 @@ def final_w(updates):
     return w
 
 
-class ConstantGradientTask(TaskObjective):
+class ConstantGradientTask:
     """F(w) = slope . w, so the stochastic gradient is a constant vector."""
 
     def __init__(self, index, slope):
@@ -77,6 +77,8 @@ class ConstantGradientSuite(TaskSuite):
     @property
     def dim(self):
         return self._dim
+
+    unit_value_and_gradient = loop_unit_value_and_gradient
 
     def sample_minibatch(self, gen):
         return None
@@ -359,10 +361,10 @@ def test_oracle_call_counts_per_step():
 
 
 class LoopOracleSuite(QuadraticSuite):
-    """A quadratic suite on the per-task loop of TaskSuite, the reference that
-    the stacked unit oracle must reproduce bit for bit."""
+    """A quadratic suite on the per-task loop, the reference that the stacked
+    unit oracle must reproduce bit for bit."""
 
-    unit_value_and_gradient = TaskSuite.unit_value_and_gradient
+    unit_value_and_gradient = loop_unit_value_and_gradient
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,7 @@ from mtlopt.verify import (
     _lockstep,
     _max_grad_norm,
     _norms,
+    _passes,
     _std_error,
     estimate_grad_bound,
     fit_rate,
@@ -86,6 +87,20 @@ def test_bound_cross_checked_against_independent_formula():
     noise = (0.5**2 + 0.5**2) / 2**2 + 2 * L * 0.5 + 3.724**2
     expected = (L / (gamma + t)) * (2 * noise / mu**2 + (gamma + 1) / 2 * 1.0)
     assert theorem_bound(b, t) == pytest.approx(expected, rel=1e-12)
+
+
+def test_bound_that_overflows_raises():
+    # B is finite (1.1025e308), but 2B/mu^2 is not
+    with pytest.raises(OverflowError, match="^the bound at T=10 is not finite$"):
+        theorem_bound(inputs(grad_bound=1.05e154), 10)
+    assert np.isfinite(theorem_bound(inputs(grad_bound=1e153), 10))
+
+
+def test_a_check_passes_only_on_finite_numbers():
+    assert _passes(1.0, 2.0, 0.0) and _passes(2.0, 1.0, 0.5) and not _passes(2.0, 1.0, 0.1)
+    inf, nan = float("inf"), float("nan")
+    for est, bound, se in [(1.0, inf, 0.0), (1.0, 2.0, inf), (-inf, 2.0, 0.0), (1.0, 2.0, nan), (nan, 2.0, 0.0)]:
+        assert _passes(est, bound, se) is False
 
 
 def test_max_form_never_exceeds_sum_form():
