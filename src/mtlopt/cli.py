@@ -34,10 +34,8 @@ def _mean_std(values):
     return {"mean": float(arr.mean()), "std": std}
 
 
-def _execute(cfg: RunConfig, scheme_cfg, seed: int, eta=None):
+def _execute(cfg: RunConfig, scheme_cfg, seed: int):
     """One run; returns (trace, metrics dict)."""
-    if eta is not None:
-        scheme_cfg = replace(scheme_cfg, lr=schemes.ConstantLR(eta=eta))
     trace = schemes.run(
         scheme_cfg,
         cfg.suite,
@@ -97,20 +95,10 @@ def _sweep_cell(cfg: RunConfig | dict, scheme_index: int, eta: float, seed: int)
     boundary. Results depend only on (config, eta, seed)."""
     if isinstance(cfg, dict):
         cfg = RunConfig(cfg)
-    trace, metrics = _execute(cfg, cfg.schemes[scheme_index], seed, eta=eta)
-    return {
-        "scheme_index": scheme_index,
-        "eta": eta,
-        "scheme": cfg.schemes[scheme_index].scheme,
-        "groups": trace.meta["n_units"],
-        "seed": seed,
-        "best_val_loss": metrics["best_val_loss"],
-        "total_dist": metrics["total"],
-        "shortest_dist": metrics["shortest"],
-        "ratio": metrics["ratio"],
-        "per_task_best_val": metrics.get("per_task_best_val"),
-        "aborted": metrics["aborted"],
-    }
+    scheme = cfg.schemes[scheme_index]
+    trace, metrics = _execute(cfg, replace(scheme, lr=schemes.ConstantLR(eta)), seed)
+    return dict(metrics, scheme_index=scheme_index, eta=eta, scheme=scheme.scheme, groups=trace.meta["n_units"],
+                total_dist=metrics["total"], shortest_dist=metrics["shortest"])
 
 
 def _cell_name(cfg: RunConfig, cell) -> str:
@@ -247,10 +235,6 @@ def cmd_sweep(cfg: RunConfig, etas, out_dir: Path, seed_offset: int = 0, workers
 def cmd_verify(cfg: RunConfig, out_dir: Path, seed_offset: int = 0) -> int:
     if not isinstance(cfg.suite, QuadraticSuite):
         raise ConfigError("config.objective.family: verification requires the quadratic family")
-    try:  # the bound needs every task strongly convex
-        suite_constants(cfg.suite)
-    except ValueError as exc:
-        raise ConfigError(f"config.objective.tasks: {exc}") from exc
     seed = cfg.run_seeds(seed_offset)[0]
     w0 = cfg.initial_point(seed)
     v = cfg.verify
@@ -258,12 +242,16 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, seed_offset: int = 0) -> int:
     check = "convergence bound"
     try:  # an overflow anywhere in a check aborts it instead of reporting inf or NaN
         with np.errstate(over="raise", invalid="raise"):
+            try:  # the bound needs every task strongly convex
+                suite_constants(cfg.suite)
+            except ValueError as exc:
+                raise ConfigError(f"config.objective.tasks: {exc}") from exc
             theorem = verify_mod.verify_theorem(cfg.suite, v["T_list"], v["replicates"], seed, w0)
             check = "per-step inequalities"
             lemma1, lemma2 = verify_mod.verify_lemmas(
                 cfg.suite, v["lemma_steps"], v["lemma_replicates"], seed, w0
             )
-    except (FloatingPointError, OverflowError) as exc:
+    except ArithmeticError as exc:  # overflow, or a division by a square that underflowed
         print(f"numerical abort in the {check} check: {exc}", file=sys.stderr)
         return 2
 

@@ -6,6 +6,7 @@ curvature constants, which is what makes them usable for numerical
 verification of the convergence bound.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,8 @@ class QuadraticTask:
         if noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
         self.noise_sigma = float(noise_sigma)
-        # per-coordinate half-width so E||zeta||^2 == sigma^2
-        self.noise_halfwidth = noise_sigma * np.sqrt(3.0 / d)
+        # per-coordinate half-width so E||zeta||^2 == sigma^2; overflows quietly to inf
+        self.noise_halfwidth = self.noise_sigma * math.sqrt(3.0 / d)
 
     def value(self, w: np.ndarray, xi) -> float:
         r = w - self.center
@@ -180,10 +181,10 @@ class QuadraticSuite(TaskSuite):
         return self.validation_task_losses(ws[:, None, :])
 
     def unit_value_and_gradient(self, w: np.ndarray, unit, xi) -> tuple:
-        # The bits of the per-task loop, every zero's sign included: `0.0 +`
-        # plays the loop's zero start (sum() and np.zeros), and the tasks are
-        # summed in unit order. np.add.accumulate adds rows strictly in turn;
-        # np.add.reduce may sum a contiguous axis pairwise.
+        # The bits of the per-task loop, every zero's sign included: `0 +` and
+        # `0.0 +` play the loop's zero starts, and the tasks are summed in unit
+        # order. np.add.accumulate adds rows strictly in turn; np.add.reduce
+        # may add pairwise, and sum() of floats compensates since Python 3.12.
         if len(unit) == 1:
             task = self.tasks[unit[0]]
             r = w - task.center
@@ -202,8 +203,10 @@ class QuadraticSuite(TaskSuite):
         r = w - centers
         ar = _matvec(mats, r)
         noise = xi[noise_rows]
-        vals = _dot(0.5 * r, ar) + _dot(noise, r)
-        return sum(vals.tolist()), 0.0 + np.add.accumulate(ar + noise, axis=0)[-1]
+        loss = 0
+        for val in (_dot(0.5 * r, ar) + _dot(noise, r)).tolist():
+            loss += val
+        return loss, 0.0 + np.add.accumulate(ar + noise, axis=0)[-1]
 
 
 def finite_difference_check(task, w: np.ndarray, xi, h: float = 1e-5) -> float:

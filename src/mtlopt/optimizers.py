@@ -40,18 +40,6 @@ class OptimizerRule:
         if self.eps <= 0.0:
             raise ValueError(f"eps must be positive, got {self.eps}")
 
-    @staticmethod
-    def sgd() -> "OptimizerRule":
-        return OptimizerRule(kind="sgd")
-
-    @staticmethod
-    def momentum(beta: float = 0.9) -> "OptimizerRule":
-        return OptimizerRule(kind="momentum", beta=beta)
-
-    @staticmethod
-    def adam(beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> "OptimizerRule":
-        return OptimizerRule(kind="adam", beta1=beta1, beta2=beta2, eps=eps)
-
 
 @dataclass
 class OptimizerState:

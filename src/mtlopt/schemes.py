@@ -6,10 +6,10 @@ alternating schemes (`ius`, `io`) have one unit per task, or one per random
 balanced task group, and either share one optimizer state (`ius`) or give
 each unit its own (`io`).
 
-Grouping with one group reproduces the shared scheme exactly, and grouping
-with one group per task reproduces the ungrouped alternating schemes exactly
-(same seed, bit-identical trajectories). Groups are labeled canonically by
-their smallest member so those equivalences hold at the bit level.
+Every scheme draws its units from one random balanced grouping: `sus` is its
+1-group end and the ungrouped alternating schemes its n-group end. Groups are
+labeled canonically by their smallest member, so those two ends give the
+units (0, ..., n-1) and (0,), ..., (n-1,) whatever the draw.
 
 Updates are transactional: one that raises NonFiniteError leaves the
 parameters and its optimizer state as they were, so an aborted run reports
@@ -176,16 +176,10 @@ def _sample_orders(policy: str, n_units: int, k: int, gen: np.random.Generator) 
 
 def _materialize_units(config: SchemeConfig, suite, seed: int):
     n = suite.n_tasks
-    if config.scheme == "sus":
-        units = [tuple(range(n))]
-    elif config.n_groups is None or config.n_groups == n:
-        units = [(k,) for k in range(n)]
-    else:
-        units = list(make_grouping(n, config.n_groups, RngStream(seed, "grouping").gen))
-    if config.scheme == "io":
-        states = [optimizers.fresh_state(config.optimizer, suite.dim) for _ in units]
-    else:
-        states = [optimizers.fresh_state(config.optimizer, suite.dim)]
+    k = 1 if config.scheme == "sus" else n if config.n_groups is None else config.n_groups
+    units = make_grouping(n, k, RngStream(seed, "grouping").gen)
+    n_states = len(units) if config.scheme == "io" else 1
+    states = [optimizers.fresh_state(config.optimizer, suite.dim) for _ in range(n_states)]
     return units, states
 
 

@@ -25,7 +25,7 @@ that one pass ends.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -65,6 +65,8 @@ class BoundInputs:
     n_tasks: int
 
     def __post_init__(self):
+        if not np.isfinite(np.hstack(astuple(self))).all():  # a NaN passes most comparisons below
+            raise ValueError("every bound input must be finite")
         if not self.strong_convexity > 0:
             raise ValueError("strong_convexity must be positive")
         if self.smoothness < self.strong_convexity:
@@ -74,6 +76,9 @@ class BoundInputs:
             raise ValueError(f"offset must be >= {min_offset}, got {self.offset}")
         if min(self.grad_bound, self.gamma_het, self.w1_dist_sq, *self.sigmas, 0.0) < 0:
             raise ValueError("sigmas, grad_bound, gamma_het, w1_dist_sq must be nonnegative")
+        # finite inputs whose B overflows: an overflow, as grad_bound**2 alone raises
+        if not math.isfinite(self.noise_total):
+            raise OverflowError("the noise total B is not finite")
 
     @property
     def noise_total(self) -> float:
@@ -99,12 +104,16 @@ def theorem_bound(inputs: BoundInputs, t: int) -> float:
 
 
 def theorem_bound_max_form(inputs: BoundInputs, t: int) -> float:
-    """Tighter max-form variant from the induction; logged alongside."""
+    """Tighter max-form variant from the induction; logged alongside. It
+    raises OverflowError where it overflows, as theorem_bound does."""
     v = max(
         4.0 * inputs.noise_total / inputs.strong_convexity**2,
         (inputs.offset + 1.0) * inputs.w1_dist_sq,
     )
-    return 0.5 * inputs.smoothness * v / (inputs.offset + t)
+    bound = 0.5 * inputs.smoothness * v / (inputs.offset + t)
+    if not math.isfinite(bound):
+        raise OverflowError(f"the max-form bound at T={t} is not finite")
+    return bound
 
 
 def _passes(est, bound, se) -> bool:
@@ -166,6 +175,8 @@ def verify_theorem(suite: QuadraticSuite, T_list, replicates: int, seed: int, w0
         raise ValueError("need at least 2 replicates for a standard error")
     consts = suite_constants(suite)
     schedule = theorem_schedule(consts.smoothness, consts.strong_convexity)
+    if not math.isfinite(schedule.offset):  # 2L/mu overflows
+        raise OverflowError("the schedule offset 2L/mu - 1 is not finite")
     w0 = np.asarray(w0, dtype=np.float64)
     n_steps = max(T_list)
 
@@ -204,21 +215,13 @@ def verify_theorem(suite: QuadraticSuite, T_list, replicates: int, seed: int, w0
                 "pass": _passes(est, bound, se),
             }
         )
+    constants = asdict(inputs)
+    del constants["n_tasks"]
+    constants.update(noise_total=inputs.noise_total, f_star=consts.f_star, w_star=consts.w_star.tolist())
     return {
         "kind": "convergence_bound",
         "b_form_note": B_FORM_NOTE,
-        "constants": {
-            "smoothness": inputs.smoothness,
-            "strong_convexity": inputs.strong_convexity,
-            "sigmas": list(inputs.sigmas),
-            "grad_bound": grad_bound,
-            "gamma_het": inputs.gamma_het,
-            "offset": inputs.offset,
-            "w1_dist_sq": inputs.w1_dist_sq,
-            "noise_total": inputs.noise_total,
-            "f_star": consts.f_star,
-            "w_star": consts.w_star.tolist(),
-        },
+        "constants": constants,
         "replicates": replicates,
         "seed": seed,
         # kept output keys: the check always runs theorem_schedule unscaled

@@ -13,8 +13,8 @@ def loop_unit_value_and_gradient(suite, w, unit, xi):
     """The per-task loop that every unit oracle must reproduce bit for bit: the
     unit's task values added to 0 and their gradients to zeros, in unit order.
     Usable as a suite's unit_value_and_gradient method."""
-    loss = sum(suite.tasks[k].value(w, xi) for k in unit)
-    g = np.zeros(w.shape)
-    for k in unit:
+    loss, g = 0, np.zeros(w.shape)
+    for k in unit:  # not sum(), which compensates since Python 3.12
+        loss += suite.tasks[k].value(w, xi)
         g += suite.tasks[k].gradient(w, xi)
     return loss, g

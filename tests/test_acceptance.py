@@ -138,7 +138,7 @@ def test_criterion_4_exact_equivalences(tmp_path):
     def make(scheme, groups=None, opt=None):
         return SchemeConfig(
             scheme=scheme,
-            optimizer=opt or OptimizerRule.adam(),
+            optimizer=opt or OptimizerRule("adam"),
             lr=ConstantLR(0.05),
             n_groups=groups,
         )
@@ -153,8 +153,8 @@ def test_criterion_4_exact_equivalences(tmp_path):
         ("grouped n=N vs io", make("io", groups=2), make("io")),
         (
             "ius(sgd) vs io(sgd)",
-            make("ius", opt=OptimizerRule.sgd()),
-            make("io", opt=OptimizerRule.sgd()),
+            make("ius", opt=OptimizerRule("sgd")),
+            make("io", opt=OptimizerRule("sgd")),
         ),
     ]
     for label, cfg_a, cfg_b in pairs:
@@ -195,7 +195,7 @@ class _ConstantGradientSuite(TaskSuite):
 
 def test_criterion_5_optimizer_state_separation():
     suite = _ConstantGradientSuite([[1.0], [-1.0]])
-    mom = OptimizerRule.momentum(0.9)
+    mom = OptimizerRule("momentum", beta=0.9)
     xi = None
     units = [(0,), (1,)]
     for eta in (1.0, 0.1):
@@ -255,7 +255,7 @@ def test_criterion_7_distance_metrics(mlp_sweep):
     # and on quadratic runs across schemes and optimizers
     suite = two_task_suite(0.5)
     for scheme in ("sus", "ius", "io"):
-        for opt in (OptimizerRule.sgd(), OptimizerRule.momentum(0.9), OptimizerRule.adam()):
+        for opt in (OptimizerRule("sgd"), OptimizerRule("momentum", beta=0.9), OptimizerRule("adam")):
             cfg = SchemeConfig(scheme=scheme, optimizer=opt, lr=ConstantLR(0.05))
             d = covered_distances(run(cfg, suite, np.zeros(1), 30, seed=7))
             assert d.total >= d.shortest - 1e-12

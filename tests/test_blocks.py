@@ -196,13 +196,13 @@ def _both(config, suite_args, n_steps, seed, validation_every=1):
     return got
 
 
-IUS_ADAM = SchemeConfig("ius", OptimizerRule.adam(), ConstantLR(0.05))
-IO_MOMENTUM = SchemeConfig("io", OptimizerRule.momentum(0.9), ConstantLR(0.05), task_order="fixed")
-FRESH_RANDOM = SchemeConfig("ius", OptimizerRule.adam(), ConstantLR(0.05), task_order="uniform_random",
+IUS_ADAM = SchemeConfig("ius", OptimizerRule("adam"), ConstantLR(0.05))
+IO_MOMENTUM = SchemeConfig("io", OptimizerRule("momentum", beta=0.9), ConstantLR(0.05), task_order="fixed")
+FRESH_RANDOM = SchemeConfig("ius", OptimizerRule("adam"), ConstantLR(0.05), task_order="uniform_random",
                             fresh_minibatch_per_task=True)
-FRESH_ROUND_ROBIN = SchemeConfig("io", OptimizerRule.adam(), ConstantLR(0.05), fresh_minibatch_per_task=True)
-SUS_SGD = SchemeConfig("sus", OptimizerRule.sgd(), ConstantLR(0.05))
-GROUPED = SchemeConfig("ius", OptimizerRule.momentum(0.9), ConstantLR(0.05), n_groups=2)
+FRESH_ROUND_ROBIN = SchemeConfig("io", OptimizerRule("adam"), ConstantLR(0.05), fresh_minibatch_per_task=True)
+SUS_SGD = SchemeConfig("sus", OptimizerRule("sgd"), ConstantLR(0.05))
+GROUPED = SchemeConfig("ius", OptimizerRule("momentum", beta=0.9), ConstantLR(0.05), n_groups=2)
 CONFIGS = {"ius_adam": IUS_ADAM, "io_momentum_fixed": IO_MOMENTUM, "fresh_uniform_random": FRESH_RANDOM,
            "fresh_round_robin": FRESH_ROUND_ROBIN, "sus_sgd": SUS_SGD, "grouped": GROUPED}
 
@@ -249,5 +249,5 @@ def test_a_validation_abort_discards_a_later_training_abort_in_its_block(name):
 @pytest.mark.parametrize("lr, reason", [(InverseTimeLR(mu=1e-310, offset=0.0), "step 1: step size inf"),
                                         (InverseTimeLR(mu=1e6, offset=-200.0), "step 200: step size inf")])
 def test_a_step_size_that_overflows_aborts_as_before(lr, reason):
-    config = SchemeConfig("ius", OptimizerRule.adam(), lr)
+    config = SchemeConfig("ius", OptimizerRule("adam"), lr)
     assert _both(config, (), 300, seed=2).abort_reason == f"{reason} is non-finite"

@@ -224,20 +224,22 @@ def test_verify_overflow_is_a_numerical_abort(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_verify_bound_overflow_is_a_numerical_abort(tmp_path, capsys):
-    # every iterate and estimate is finite, but the convergence bound
-    # overflows: an infinite bound must abort the check, not pass it
+@pytest.mark.parametrize("w0, bound", [(1e154, "bound"), (7e153, "max-form bound")])
+def test_verify_bound_overflow_is_a_numerical_abort(tmp_path, capsys, w0, bound):
+    # every iterate and estimate is finite, but a bound overflows (at 7e153
+    # only the max-form one, whose noise term is twice as large): an infinite
+    # bound must abort the check, not pass it or be written as null
     payload = {
         "objective": {"family": "quadratic", "preset": "two_task"},
         "seeds": [0],
-        "w0": [1e154],
+        "w0": [w0],
         "verify": {"T_list": [10, 100, 1000], "replicates": 20, "lemma_steps": 5, "lemma_replicates": 20},
     }
     cfg = write_config(tmp_path, payload)
     out = tmp_path / "v"
     assert main(["verify", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err == "numerical abort in the convergence bound check: the bound at T=10 is not finite\n"
+    assert err == f"numerical abort in the convergence bound check: the {bound} at T=10 is not finite\n"
     assert not out.exists()
 
 

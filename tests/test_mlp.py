@@ -78,7 +78,7 @@ def test_validation_loss_is_mean_of_task_losses():
     w = init_mlp_params(suite, RngStream(6, "init").gen)
     per_task = suite.validation_task_losses(w)
     # the validation loss a run records is the mean of the task losses
-    config = SchemeConfig(scheme="sus", optimizer=OptimizerRule.sgd(), lr=ConstantLR(0.01))
+    config = SchemeConfig(scheme="sus", optimizer=OptimizerRule("sgd"), lr=ConstantLR(0.01))
     trace = run(config, suite, w, 1, seed=0)
     assert trace.val_losses[0] == float(np.mean(per_task))
     np.testing.assert_array_equal(trace.val_task_losses[0], per_task)

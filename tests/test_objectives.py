@@ -31,7 +31,7 @@ def all_task_update(suite, w, xi):
     """Loss and optimizer state of one update of the all-task unit from a fresh
     momentum state: the loss is the summed task value at w and, since
     0.9*0 + g == g, the state's m is the summed gradient."""
-    mom = OptimizerRule.momentum(0.9)
+    mom = OptimizerRule("momentum", beta=0.9)
     state = fresh_state(mom, suite.dim)
     [(_, loss, _)] = step(w, suite, [tuple(range(suite.n_tasks))], mom, [state], 1.0, xi, [0])
     return loss, state
@@ -239,6 +239,16 @@ def test_stacked_unit_oracle_equals_per_task_loop(d):
         assert type(loss) is float
         assert _bits(loss) == _bits(ref_loss), (w, unit)
         assert np.array_equal(_bits(g), _bits(ref_g)), (w, unit)
+
+
+def test_unit_loss_adds_task_values_in_order():
+    # task values 1e16, 1.0 and -1e16 at w = 1: added in turn from 0 they give
+    # 0.0, where sum() compensates since Python 3.12 and gives 1.0
+    suite = QuadraticSuite([QuadraticTask(k, [[1.0]], [0.0]) for k in range(3)])
+    w, xi = np.ones(1), np.array([[1e16], [0.5], [-1e16]])
+    assert [t.value(w, xi) for t in suite.tasks] == [1e16, 1.0, -1e16]
+    assert suite.unit_value_and_gradient(w, (0, 1, 2), xi)[0] == 0.0
+    assert loop_unit_value_and_gradient(suite, w, (0, 1, 2), xi)[0] == 0.0
 
 
 def _zero_sigma_suite():

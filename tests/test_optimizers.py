@@ -15,7 +15,7 @@ def gradient_sequences():
 
 
 def test_sgd_is_pure_passthrough_and_counts():
-    rule = OptimizerRule.sgd()
+    rule = OptimizerRule("sgd")
     state = fresh_state(rule, 3)
     g = np.array([1.5, -2.0, 0.0])
     out = apply(rule, state, g)
@@ -26,7 +26,7 @@ def test_sgd_is_pure_passthrough_and_counts():
 
 
 def test_momentum_hand_recurrence():
-    rule = OptimizerRule.momentum(0.9)
+    rule = OptimizerRule("momentum", beta=0.9)
     state = fresh_state(rule, 1)
     first = apply(rule, state, np.array([1.0]))
     second = apply(rule, state, np.array([1.0]))
@@ -37,8 +37,8 @@ def test_momentum_hand_recurrence():
 @given(gradient_sequences())
 @settings(max_examples=50)
 def test_momentum_beta_zero_equals_sgd(seq):
-    mom = OptimizerRule.momentum(0.0)
-    sgd = OptimizerRule.sgd()
+    mom = OptimizerRule("momentum", beta=0.0)
+    sgd = OptimizerRule("sgd")
     s_mom, s_sgd = fresh_state(mom, 2), fresh_state(sgd, 2)
     for g in seq:
         g = np.array(g)
@@ -46,13 +46,13 @@ def test_momentum_beta_zero_equals_sgd(seq):
 
 
 def test_adam_zero_gradient_fresh_state():
-    rule = OptimizerRule.adam()
+    rule = OptimizerRule("adam")
     state = fresh_state(rule, 4)
     np.testing.assert_array_equal(apply(rule, state, np.zeros(4)), np.zeros(4))
 
 
 def test_adam_first_step_magnitude_below_one():
-    rule = OptimizerRule.adam()
+    rule = OptimizerRule("adam")
     for g in ([1e-4, -3.0], [250.0, 0.5], [-1e4, 1e-6]):
         state = fresh_state(rule, 2)
         out = apply(rule, state, np.array(g))
@@ -62,7 +62,7 @@ def test_adam_first_step_magnitude_below_one():
 def test_adam_scale_invariance():
     # the returned direction depends on the gradient's shape over time, not
     # its magnitude (up to the eps regularizer)
-    rule = OptimizerRule.adam(eps=1e-12)
+    rule = OptimizerRule("adam", eps=1e-12)
     gen = np.random.default_rng(0)
     seq = gen.normal(size=(20, 3))
     s1, s2 = fresh_state(rule, 3), fresh_state(rule, 3)
@@ -73,7 +73,7 @@ def test_adam_scale_invariance():
 
 
 def test_adam_constant_gradient_converges_to_sign_pattern():
-    rule = OptimizerRule.adam()
+    rule = OptimizerRule("adam")
     state = fresh_state(rule, 3)
     g = np.array([2.0, -0.3, 5.0])
     for _ in range(500):
@@ -82,7 +82,7 @@ def test_adam_constant_gradient_converges_to_sign_pattern():
 
 
 def test_fresh_state_is_zero():
-    for rule in (OptimizerRule.sgd(), OptimizerRule.momentum(), OptimizerRule.adam()):
+    for rule in (OptimizerRule("sgd"), OptimizerRule("momentum"), OptimizerRule("adam")):
         state = fresh_state(rule, 3)
         assert np.array_equal(state.m, np.zeros(3)) and state.step == 0
         if rule.kind == "adam":
@@ -92,7 +92,7 @@ def test_fresh_state_is_zero():
 
 
 def test_interleaved_states_match_isolated_runs():
-    rule = OptimizerRule.momentum(0.9)
+    rule = OptimizerRule("momentum", beta=0.9)
     gen = np.random.default_rng(3)
     seq_a = gen.normal(size=(6, 2))
     seq_b = gen.normal(size=(6, 2))
@@ -115,7 +115,7 @@ def test_interleaved_states_match_isolated_runs():
 
 def test_clone_is_independent():
     # a from_dict(to_dict()) copy does not follow later updates of the original
-    rule = OptimizerRule.momentum(0.8)
+    rule = OptimizerRule("momentum", beta=0.8)
     state = fresh_state(rule, 2)
     apply(rule, state, np.array([1.0, 1.0]))
     snap = OptimizerState.from_dict(state.to_dict())
@@ -126,7 +126,7 @@ def test_clone_is_independent():
 
 
 def test_clone_replays_identically():
-    rule = OptimizerRule.adam()
+    rule = OptimizerRule("adam")
     gen = np.random.default_rng(7)
     warmup = gen.normal(size=(5, 2))
     tail = gen.normal(size=(6, 2))
@@ -141,7 +141,7 @@ def test_clone_replays_identically():
 
 
 def test_state_serialization_round_trip():
-    rule = OptimizerRule.adam()
+    rule = OptimizerRule("adam")
     state = fresh_state(rule, 3)
     for g in np.random.default_rng(1).normal(size=(4, 3)):
         apply(rule, state, g)
@@ -154,13 +154,13 @@ def test_rule_validation():
     with pytest.raises(ValueError):
         OptimizerRule(kind="nesterov")
     with pytest.raises(ValueError):
-        OptimizerRule.momentum(1.0)
+        OptimizerRule("momentum", beta=1.0)
     with pytest.raises(ValueError):
-        OptimizerRule.adam(eps=0.0)
+        OptimizerRule("adam", eps=0.0)
 
 
 def test_apply_rejects_non_finite_gradient():
-    rule = OptimizerRule.sgd()
+    rule = OptimizerRule("sgd")
     state = fresh_state(rule, 2)
     with pytest.raises(FloatingPointError):
         apply(rule, state, np.array([1.0, np.nan]))

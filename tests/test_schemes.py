@@ -28,7 +28,7 @@ from mtlopt.schemes import (
 )
 from mtlopt.tracing import write_trace_csv, write_trace_meta
 
-SGD = OptimizerRule.sgd()
+SGD = OptimizerRule("sgd")
 
 
 def noiseless_pair():
@@ -149,7 +149,7 @@ def test_momentum_memory_leak_hand_trace():
     # constant gradients +1 / -1: shared state drifts, per-task states cancel
     suite = ConstantGradientSuite([[1.0], [-1.0]])
     units = task_units(suite)
-    mom = OptimizerRule.momentum(0.9)
+    mom = OptimizerRule("momentum", beta=0.9)
     eta = 1.0
     xi = None
 
@@ -264,7 +264,7 @@ def test_grouped_step_state_count_validation():
 def cfg(scheme, groups=None, opt=None, eta=0.05, order="round_robin"):
     return SchemeConfig(
         scheme=scheme,
-        optimizer=opt or OptimizerRule.adam(),
+        optimizer=opt or OptimizerRule("adam"),
         lr=ConstantLR(eta),
         n_groups=groups,
         task_order=order,
@@ -371,9 +371,9 @@ class LoopOracleSuite(QuadraticSuite):
     "config",
     [
         cfg("sus"),
-        cfg("ius", groups=2, opt=OptimizerRule.momentum(0.9)),
+        cfg("ius", groups=2, opt=OptimizerRule("momentum", beta=0.9)),
         cfg("io"),
-        SchemeConfig("ius", OptimizerRule.adam(), ConstantLR(0.05), n_groups=3, fresh_minibatch_per_task=True),
+        SchemeConfig("ius", OptimizerRule("adam"), ConstantLR(0.05), n_groups=3, fresh_minibatch_per_task=True),
         cfg("io", groups=2, order="uniform_random"),
     ],
     ids=["sus", "ius_groups_momentum", "io_adam", "fresh_minibatch", "uniform_random"],
@@ -403,7 +403,7 @@ def test_abort_mid_step_keeps_the_update_that_landed_before_it():
     # unit 0 lands at w = 0 - 2 * (-1e154) = 2e154, where unit 1's loss,
     # 0.5 * (2e154)^2, overflows
     suite = QuadraticSuite([QuadraticTask(0, [[1.0]], [1e154]), QuadraticTask(1, [[1.0]], [0.0])])
-    mom = OptimizerRule.momentum(0.9)
+    mom = OptimizerRule("momentum", beta=0.9)
     trace = run(cfg("ius", opt=mom, eta=2.0, order="fixed"), suite, np.zeros(1), 5, seed=0)
     assert trace.aborted
     assert trace.abort_reason == "step 1: training loss for unit 1 is non-finite"
@@ -438,7 +438,7 @@ def test_non_finite_loss_aborts_with_diagnostic():
     assert trace.steps[-1] < 400  # the last step with a row
 
 
-@pytest.mark.parametrize("opt", [SGD, OptimizerRule.momentum(0.9), OptimizerRule.adam()])
+@pytest.mark.parametrize("opt", [SGD, OptimizerRule("momentum", beta=0.9), OptimizerRule("adam")])
 def test_abort_in_update_leaves_optimizer_state_of_last_landed_update(opt):
     # 0.5*w^2 at w0 = 1e150: the loss is finite, but w0 - 1e160*direction
     # overflows, so the first update fails in the parameter update (adam's
@@ -458,7 +458,7 @@ def test_abort_mid_run_keeps_each_state_at_its_last_landed_update():
     # linear tasks keep every loss finite while momentum grows the steps until
     # the parameter update overflows, after several updates per state landed
     suite = ConstantGradientSuite([[1.0], [1.0]])
-    trace = run(cfg("io", opt=OptimizerRule.momentum(0.9), eta=1e307), suite, np.zeros(1), 50, seed=0)
+    trace = run(cfg("io", opt=OptimizerRule("momentum", beta=0.9), eta=1e307), suite, np.zeros(1), 50, seed=0)
     assert trace.aborted and "axpy" in trace.abort_reason
     for k, state in enumerate(trace.final_states):
         landed = trace.labels.count(str(k))
@@ -505,7 +505,7 @@ def test_huge_displacement_is_recorded_finite_without_a_warning():
     assert displacement == l2_norm(trace.w_final - w0)
 
 
-@pytest.mark.parametrize("config", [cfg("sus"), cfg("ius", groups=2, opt=OptimizerRule.momentum(0.9)),
+@pytest.mark.parametrize("config", [cfg("sus"), cfg("ius", groups=2, opt=OptimizerRule("momentum", beta=0.9)),
                                     cfg("io")])
 def test_run_enters_one_errstate_scope_per_step_and_one_around_the_loop(config, monkeypatch):
     entered = []

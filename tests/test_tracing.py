@@ -61,7 +61,7 @@ def test_run_best_validation_step_rules():
     suite = QuadraticSuite([QuadraticTask(0, [[1.0]], [0.0], 0.0)])
 
     def best(eta, validation_every=1):
-        cfg = SchemeConfig("sus", OptimizerRule.sgd(), ConstantLR(eta))
+        cfg = SchemeConfig("sus", OptimizerRule("sgd"), ConstantLR(eta))
         trace = run(cfg, suite, np.array([1.0]), 3, seed=0, validation_every=validation_every)
         return trace.best_val_step, trace.best_val_loss
 
@@ -74,7 +74,7 @@ def test_total_at_least_shortest_on_real_runs():
     suite = two_task_suite(0.6)
     for seed in range(5):
         for scheme in ("sus", "ius", "io"):
-            cfg = SchemeConfig(scheme=scheme, optimizer=OptimizerRule.adam(), lr=ConstantLR(0.05))
+            cfg = SchemeConfig(scheme=scheme, optimizer=OptimizerRule("adam"), lr=ConstantLR(0.05))
             trace = run(cfg, suite, np.zeros(1), 30, seed=seed)
             d = covered_distances(trace)
             assert d.total >= d.shortest - 1e-12
@@ -93,7 +93,7 @@ def test_snapshot_recompute_matches_accumulated_total(monkeypatch):
 
     monkeypatch.setattr(schemes, "step", recording_step)
     suite = two_task_suite(0.6)
-    cfg = SchemeConfig(scheme="ius", optimizer=OptimizerRule.momentum(0.9), lr=ConstantLR(0.05))
+    cfg = SchemeConfig(scheme="ius", optimizer=OptimizerRule("momentum", beta=0.9), lr=ConstantLR(0.05))
     trace = run(cfg, suite, ws[0], 20, seed=8)
     assert len(ws) == 1 + len(trace.cumulative) == 41
     recomputed = sum(l2_norm(b - a) for a, b in zip(ws, ws[1:]))
@@ -102,8 +102,8 @@ def test_snapshot_recompute_matches_accumulated_total(monkeypatch):
 
 def test_row_counts_per_scheme():
     suite = two_task_suite(0.6)
-    sus = run(SchemeConfig("sus", OptimizerRule.sgd(), ConstantLR(0.05)), suite, np.zeros(1), 6, seed=1)
-    ius = run(SchemeConfig("ius", OptimizerRule.sgd(), ConstantLR(0.05)), suite, np.zeros(1), 6, seed=1)
+    sus = run(SchemeConfig("sus", OptimizerRule("sgd"), ConstantLR(0.05)), suite, np.zeros(1), 6, seed=1)
+    ius = run(SchemeConfig("ius", OptimizerRule("sgd"), ConstantLR(0.05)), suite, np.zeros(1), 6, seed=1)
     assert len(sus.displacements) == 6  # one update per step
     assert len(ius.displacements) == 12  # one per task per step
     assert sus.labels[0] == "0+1"
@@ -111,13 +111,13 @@ def test_row_counts_per_scheme():
 
 def test_cumulative_total_non_decreasing():
     suite = two_task_suite(0.6)
-    trace = run(SchemeConfig("io", OptimizerRule.adam(), ConstantLR(0.03)), suite, np.zeros(1), 25, seed=3)
+    trace = run(SchemeConfig("io", OptimizerRule("adam"), ConstantLR(0.03)), suite, np.zeros(1), 25, seed=3)
     assert all(b >= a for a, b in zip(trace.cumulative, trace.cumulative[1:]))
 
 
 def test_csv_round_trip_and_body_extraction(tmp_path):
     suite = two_task_suite(0.6)
-    cfg = SchemeConfig("ius", OptimizerRule.sgd(), ConstantLR(0.05))
+    cfg = SchemeConfig("ius", OptimizerRule("sgd"), ConstantLR(0.05))
     trace = run(cfg, suite, np.zeros(1), 5, seed=2)
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
@@ -155,8 +155,8 @@ def _reference_csv(trace, path):
 
 def test_csv_bytes_equal_csv_writer_reference(tmp_path):
     three_tasks = QuadraticSuite(five_task_suite().tasks[:3])
-    grouped = SchemeConfig("ius", OptimizerRule.momentum(0.9), ConstantLR(0.05), n_groups=2)
-    divergent = SchemeConfig("io", OptimizerRule.sgd(), ConstantLR(50.0))
+    grouped = SchemeConfig("ius", OptimizerRule("momentum", beta=0.9), ConstantLR(0.05), n_groups=2)
+    divergent = SchemeConfig("io", OptimizerRule("sgd"), ConstantLR(50.0))
     traces = [
         # groups (0, 2) and (1,); val_loss only every third step
         run(grouped, three_tasks, np.zeros(3), 12, seed=1, validation_every=3),

@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mtlopt import schemes
 from mtlopt.cli import main
@@ -119,6 +126,13 @@ def test_bound_inputs_validation():
         inputs(offset=0.5, smoothness=2.0)  # below 2L/mu - 1
     with pytest.raises(ValueError):
         inputs(gamma_het=-0.1)
+    # NaN passes every comparison above; a non-finite input checks nothing
+    nan, inf = float("nan"), float("inf")
+    for bad in ({"sigmas": (nan,)}, {"smoothness": inf}, {"grad_bound": nan}, {"w1_dist_sq": inf}, {"offset": inf}):
+        with pytest.raises(ValueError):
+            inputs(**bad)
+    with pytest.raises(OverflowError):  # finite inputs, but B = ... + 2 * L * gamma_het overflows
+        inputs(gamma_het=1e308)
 
 
 # ------------------------------------------------------------ lockstep engine
@@ -450,3 +464,98 @@ def test_fit_rate_clamps_nonpositive_estimates():
     with pytest.warns(UserWarning):
         slope = fit_rate(report)
     assert np.isfinite(slope)
+
+
+# ------------------------------------------------------------ verdict properties
+
+
+def _magnitudes(lo, hi):  # log-uniform on [10**lo, 10**hi]
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+def _signed(magnitudes):
+    return st.tuples(st.sampled_from([1.0, -1.0]), magnitudes).map(lambda p: p[0] * p[1])
+
+
+# mostly moderate values, and some at the edges of overflow and underflow
+_CURVATURE = st.one_of(_magnitudes(-3, 3), _magnitudes(-300, 300))
+_NOISE_SIGMA = st.one_of(st.just(0.0), _magnitudes(-3, 3), _magnitudes(-300, 308))
+_CENTER = st.one_of(st.floats(-10, 10), _signed(_magnitudes(-300, 300)))
+_W0 = st.one_of(st.floats(-10, 10), _signed(_magnitudes(150, 155)), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def verify_configs(draw):
+    """Schema-valid verify configs of 1-D or diagonal 2-D quadratic tasks,
+    with tiny replicate counts."""
+    d = draw(st.integers(1, 2))
+    tasks = []
+    for _ in range(draw(st.integers(1, 3))):
+        c = draw(_CURVATURE)
+        diag = [c, c * draw(st.floats(1.0, 1e6))][:d]  # positive definite to working precision
+        tasks.append(
+            {
+                "matrix": [[diag[i] if i == j else 0.0 for j in range(d)] for i in range(d)],
+                "center": [draw(_CENTER) for _ in range(d)],
+                "noise_sigma": draw(_NOISE_SIGMA),
+            }
+        )
+    return {
+        "objective": {"family": "quadratic", "tasks": tasks},
+        "seeds": [draw(st.integers(0, 3))],
+        "w0": [draw(_W0) for _ in range(d)],
+        "verify": {
+            "T_list": [1, 10, 100],
+            "replicates": draw(st.integers(2, 3)),
+            "lemma_steps": draw(st.integers(2, 4)),
+            "lemma_replicates": draw(st.integers(2, 3)),
+        },
+    }
+
+
+def _null_paths(obj, path=()):
+    """The key paths of every null in a parsed report: the non-finite numbers."""
+    if obj is None:
+        yield path
+    elif isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _null_paths(v, path + (k,))
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            yield from _null_paths(v, path + (i,))
+
+
+def _one_d_config(objective, w0, T_list=(1, 10, 100)):
+    verify = {"T_list": list(T_list), "replicates": 2, "lemma_steps": 2, "lemma_replicates": 2}
+    return {"objective": {"family": "quadratic", **objective}, "seeds": [0], "w0": [w0], "verify": verify}
+
+
+def _one_d_tasks(*curvature_and_sigma):
+    return {"tasks": [{"matrix": [[c]], "center": [0.0], "noise_sigma": s} for c, s in curvature_and_sigma]}
+
+
+# only the max-form bound overflows at 7e153; a noise half-width that
+# overflows; 2L/mu that overflows; mu**2 that underflows to 0
+@example(_one_d_config({"preset": "two_task"}, 7e153, T_list=(10, 100, 1000)))
+@example(_one_d_config(_one_d_tasks((1.0, 1.7e308)), 1.0))
+@example(_one_d_config(_one_d_tasks((1e10, 0.0), (1e-300, 0.0)), 1.0))
+@example(_one_d_config(_one_d_tasks((1e-200, 0.5)), 1.0))
+@given(verify_configs())
+@settings(max_examples=150, deadline=None)
+def test_verify_verdicts_are_never_vacuous(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out, err = Path(tmp) / "cfg.json", Path(tmp) / "v", io.StringIO()
+        cfg.write_text(json.dumps(payload))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), warnings.catch_warnings():
+            # fit_rate's documented warning; every other warning stays an error
+            warnings.filterwarnings("ignore", "nonpositive gap estimates clamped", UserWarning)
+            code = main(["verify", str(cfg), "--out", str(out)])
+        assert code in (0, 2, 3), err.getvalue()
+        if code == 2:
+            assert err.getvalue().count("\n") == 1 and not out.exists()
+            return
+        report = json.loads((out / "verification.json").read_text())
+        assert report["all_pass"] == (code == 0)
+        # all_pass or not, a null is only the slope of an exact convergence
+        assert all(p == ("rate_slope",) for p in _null_paths(report)), list(_null_paths(report))
+        assert (report["rate_slope"] is None) == report["rate_note"].startswith("exact convergence")
