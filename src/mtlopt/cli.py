@@ -9,7 +9,6 @@ import argparse
 import concurrent.futures
 import csv
 import functools
-import json
 import os
 import sys
 import traceback
@@ -21,7 +20,7 @@ import numpy as np
 from . import schemes, verify as verify_mod
 from .config import ConfigError, RunConfig, load_config
 from .objectives import QuadraticSuite, suite_constants
-from .tracing import covered_distances, write_json, write_trace_csv, write_trace_meta
+from .tracing import config_comment, covered_distances, write_json, write_trace_csv, write_trace_meta
 
 RATE_SLOPE_RANGE = (-1.3, -0.7)
 
@@ -107,10 +106,10 @@ def _cell_name(cfg: RunConfig, cell) -> str:
 
 
 def _cell_rows(cfg: RunConfig, cells, results):
-    """Yield each cell's row from (cell, get_row) pairs. At the first cell that
-    raises, report the failure on stderr with its traceback and stop."""
-    pending = list(cells)
-    for cell, get_row in results:
+    """Yield each cell's row, in cell order, from its get_row callable in
+    `results`. At the first cell that raises, report the failure on stderr with
+    its traceback and stop."""
+    for n, (cell, get_row) in enumerate(zip(cells, results)):
         try:
             row = get_row()
         except Exception as exc:
@@ -119,12 +118,11 @@ def _cell_rows(cfg: RunConfig, cells, results):
             # one it ran. Its base BrokenExecutor is tested: the sequential path
             # never loads concurrent.futures.process, which defines it.
             if isinstance(exc, concurrent.futures.BrokenExecutor):
-                missing = "; ".join(_cell_name(cfg, c) for c in pending)
+                missing = "; ".join(_cell_name(cfg, c) for c in cells[n:])
                 print(f"a sweep worker process died; cells without a row: {missing}", file=sys.stderr)
             else:
                 print(f"sweep cell {_cell_name(cfg, cell)} failed", file=sys.stderr)
             return
-        pending.remove(cell)
         yield row
 
 
@@ -133,7 +131,7 @@ def _write_sweep_csv(path: Path, header_meta: dict, rows) -> list:
     that partial results survive an interruption; returns the rows written."""
     written = []
     with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write(f"# config: {json.dumps(header_meta, sort_keys=True)}\n")
+        f.write(config_comment(header_meta))
         writer = csv.writer(f)
         writer.writerow(SWEEP_COLUMNS)
         for row in rows:
@@ -195,30 +193,27 @@ def cmd_sweep(cfg: RunConfig, etas, out_dir: Path, seed_offset: int = 0, workers
         raise ConfigError("config: 'sweep' needs 'scheme' or 'schemes'")
     if not etas:
         raise ConfigError("--etas: grid must be nonempty")
-    seeds = cfg.run_seeds(seed_offset)
-    cells = [(i, eta, seed) for i in range(len(cfg.schemes)) for eta in etas for seed in seeds]
+    # cells in the order of their rows: scheme, then ascending eta and seed
+    cells = [(i, eta, seed) for i in range(len(cfg.schemes)) for eta in sorted(etas)
+             for seed in sorted(cfg.run_seeds(seed_offset))]
     out_dir.mkdir(parents=True, exist_ok=True)
     header_meta = {"config": cfg.raw, "etas": etas, "seed_offset": seed_offset}
     csv_path = out_dir / "sweep.csv"
 
     # a process pool forks all of its workers at once
     workers = min(workers, len(cells), os.cpu_count() or 1)
-    if workers <= 1:
-        results = ((cell, functools.partial(_sweep_cell, cfg, *cell)) for cell in cells)
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        if pool is None:
+            results = [functools.partial(_sweep_cell, cfg, *cell) for cell in cells]
+        else:
+            results = [pool.submit(_sweep_cell, cfg.raw, *cell).result for cell in cells]
         rows = _write_sweep_csv(csv_path, header_meta, _cell_rows(cfg, cells, results))
-    else:
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
-        try:
-            futures = {pool.submit(_sweep_cell, cfg.raw, *cell): cell for cell in cells}
-            results = ((futures[fut], fut.result) for fut in concurrent.futures.as_completed(futures))
-            rows = _write_sweep_csv(csv_path, header_meta, _cell_rows(cfg, cells, results))
-        finally:
+    finally:
+        if pool is not None:
             pool.shutdown(cancel_futures=True)  # after a failed cell, start no other
     if len(rows) < len(cells):  # a cell failed; sweep.csv keeps the rows before it
         return 4
-    # deterministic final order regardless of completion order
-    rows.sort(key=lambda r: (r["scheme_index"], r["eta"], r["seed"]))
-    _write_sweep_csv(csv_path, header_meta, rows)
 
     summary = _sweep_summary(cfg, rows)
     summary["config"] = cfg.raw

@@ -202,10 +202,12 @@ def _build_lr(fields: dict, path: str, suite):
     if not isinstance(suite, QuadraticSuite):
         raise ConfigError(f"{path}: inverse_time without mu/offset needs a quadratic objective")
     try:
-        consts = suite_constants(suite)
-    except ValueError as exc:  # a curvature matrix that is not positive definite
+        # only L and mu feed the schedule, so an overflow in w_star or f_star is no error here
+        with np.errstate(all="ignore"):
+            consts = suite_constants(suite)
+        return theorem_schedule(consts.smoothness, consts.strong_convexity)
+    except (ValueError, OverflowError) as exc:  # a curvature matrix not positive definite, or 2L/mu overflows
         raise ConfigError(f"{path}: {exc}") from exc
-    return theorem_schedule(consts.smoothness, consts.strong_convexity)
 
 
 def _build_scheme(fields: dict, path: str, suite) -> SchemeConfig:

@@ -70,8 +70,12 @@ class InverseTimeLR:
 
 
 def theorem_schedule(smoothness: float, strong_convexity: float) -> InverseTimeLR:
-    """Smallest admissible offset, 2L/mu - 1, so the first step size is 1/L."""
-    return InverseTimeLR(mu=strong_convexity, offset=2.0 * smoothness / strong_convexity - 1.0)
+    """Smallest admissible offset, 2L/mu - 1, so the first step size is 1/L.
+    Raises OverflowError where 2L/mu overflows: every step size would be 0."""
+    offset = 2.0 * smoothness / strong_convexity - 1.0
+    if not math.isfinite(offset):
+        raise OverflowError("the schedule offset 2L/mu - 1 is not finite")
+    return InverseTimeLR(mu=strong_convexity, offset=offset)
 
 
 @dataclass(frozen=True)

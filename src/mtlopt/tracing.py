@@ -23,6 +23,7 @@ __all__ = [
     "write_trace_csv",
     "write_trace_meta",
     "write_json",
+    "config_comment",
 ]
 
 
@@ -125,7 +126,7 @@ def write_trace_csv(trace: RunTrace, path) -> None:
     reprs, empty, or labels of task indices joined by '+'.
     """
     with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write(f"# config: {json.dumps(trace.meta, sort_keys=True)}\n")
+        f.write(config_comment(trace.meta))
         f.write(",".join(_CSV_COLUMNS) + "\r\n")
         f.writelines(
             f"{step},{label},{loss!r},{'' if val is None else repr(val)},{disp!r},{cum!r}\r\n"
@@ -165,3 +166,9 @@ def write_json(obj, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(_finite_or_null(obj), f, sort_keys=True, indent=2, allow_nan=False)
         f.write("\n")
+
+
+def config_comment(meta) -> str:
+    """The '# config: ' header line of a CSV output: meta as strict JSON with
+    sorted keys, as write_json writes it, on one line."""
+    return f"# config: {json.dumps(_finite_or_null(meta), sort_keys=True, allow_nan=False)}\n"

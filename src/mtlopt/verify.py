@@ -175,8 +175,6 @@ def verify_theorem(suite: QuadraticSuite, T_list, replicates: int, seed: int, w0
         raise ValueError("need at least 2 replicates for a standard error")
     consts = suite_constants(suite)
     schedule = theorem_schedule(consts.smoothness, consts.strong_convexity)
-    if not math.isfinite(schedule.offset):  # 2L/mu overflows
-        raise OverflowError("the schedule offset 2L/mu - 1 is not finite")
     w0 = np.asarray(w0, dtype=np.float64)
     n_steps = max(T_list)
 

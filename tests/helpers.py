@@ -1,5 +1,7 @@
 """Shared test helpers."""
 
+import json
+
 import numpy as np
 
 
@@ -7,6 +9,15 @@ def read_csv_body(path) -> str:
     """File contents minus '#' comment lines (the byte-comparable body)."""
     with open(path, "r", encoding="utf-8") as f:
         return "".join(line for line in f if not line.startswith("#"))
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def load_strict_json(text):
+    """json.loads that rejects NaN, Infinity and -Infinity, which strict JSON lacks."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def loop_unit_value_and_gradient(suite, w, unit, xi):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import read_csv_body
+from helpers import load_strict_json, read_csv_body
 from mtlopt import cli
 from mtlopt.cli import main
 from mtlopt.config import ConfigError, RunConfig
@@ -131,12 +131,17 @@ def test_sweep_row_counts_and_single_eta(tmp_path):
 
 
 def test_sweep_deterministic_and_worker_independent(tmp_path):
-    payload = two_task_config(steps=6, seeds=[0, 1])
-    cfg = write_config(tmp_path, payload)
+    ascending = write_config(tmp_path, two_task_config(steps=6, seeds=[0, 1, 1]), "ascending.json")
     serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-    assert main(["sweep", cfg, "--etas", "0.02,0.08", "--out", str(serial)]) == 0
-    assert main(["sweep", cfg, "--etas", "0.02,0.08", "--out", str(parallel), "--workers", "2"]) == 0
+    assert main(["sweep", ascending, "--etas", "0.02,0.08", "--out", str(serial)]) == 0
+    assert main(["sweep", ascending, "--etas", "0.02,0.08", "--out", str(parallel), "--workers", "2"]) == 0
     assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
+    # rows come in scheme, eta, seed order, whatever order the rates and seeds are given in
+    shuffled = write_config(tmp_path, two_task_config(steps=6, seeds=[1, 0, 1]), "shuffled.json")
+    for workers in ["1", "2"]:
+        out = tmp_path / f"shuffled{workers}"
+        assert main(["sweep", shuffled, "--etas", "0.08,0.02", "--out", str(out), "--workers", workers]) == 0
+        assert read_csv_body(out / "sweep.csv") == read_csv_body(serial / "sweep.csv")
 
 
 def test_seed_offset_shifts_outputs(tmp_path):
@@ -182,8 +187,8 @@ def test_abort_before_first_update_writes_outputs(tmp_path, overrides):
     out = tmp_path / "o"
     assert main(["run", cfg, "--out", str(out)]) == 2
     assert read_csv_body(out / "trace_seed0.csv") == "step,task_or_group,train_loss,val_loss,displacement,cumulative_total\n"
-    meta = json.loads((out / "trace_seed0.meta.json").read_text(), parse_constant=_reject_constant)
-    summary = json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
+    meta = load_strict_json((out / "trace_seed0.meta.json").read_text())
+    summary = load_strict_json((out / "summary.json").read_text())
     assert meta["aborted"] is True and meta["best_val_step"] == 0
     assert meta["final_optimizer_states"][0]["step"] == 0
     seed = summary["per_seed"][0]
@@ -300,10 +305,6 @@ def test_inverse_time_needs_quadratic_or_explicit_constants():
         RunConfig(payload)
 
 
-def _reject_constant(name):
-    raise ValueError(f"non-strict JSON constant {name}")
-
-
 def test_degenerate_run_and_sweep_write_strict_json(tmp_path):
     # w0 is the joint optimum, so the validation-best point is the start point
     # and the distance ratio is undefined
@@ -315,9 +316,17 @@ def test_degenerate_run_and_sweep_write_strict_json(tmp_path):
     assert main(["sweep", cfg, "--etas", "0.1", "--out", str(sweep_out)]) == 0
     written = sorted(run_out.glob("*.json")) + sorted(sweep_out.glob("*.json"))
     assert len(written) == 3
-    loaded = {p.name: json.loads(p.read_text(), parse_constant=_reject_constant) for p in written}
+    loaded = {p.name: load_strict_json(p.read_text()) for p in written}
     assert loaded["summary.json"]["per_seed"][0]["ratio"] is None
     assert loaded["sweep_summary.json"]["schemes"][0]["ratio"]["mean"] is None
+
+
+def _finish(fut, fn, *args):
+    try:
+        fut.set_result(fn(*args))
+    except Exception as exc:  # a pool hands a cell's error back through its future
+        fut.set_exception(exc)
+    return fut
 
 
 class _InlinePool:
@@ -332,12 +341,23 @@ class _InlinePool:
         pass
 
     def submit(self, fn, *args):
-        fut = concurrent.futures.Future()
-        try:
-            fut.set_result(fn(*args))
-        except Exception as exc:  # a pool hands a cell's error back through its future
-            fut.set_exception(exc)
-        return fut
+        return _finish(concurrent.futures.Future(), fn, *args)
+
+
+class _LastToFirstPool(_InlinePool):
+    """Runs the cells of a three-cell sweep once all three are submitted, the
+    last first."""
+
+    def __init__(self, max_workers):
+        super().__init__(max_workers)
+        self.queued = []
+
+    def submit(self, fn, *args):
+        self.queued.append((concurrent.futures.Future(), fn, *args))
+        if len(self.queued) == 3:
+            for queued in reversed(self.queued):
+                _finish(*queued)
+        return self.queued[-1][0]
 
 
 @pytest.mark.parametrize("cpus, expected", [(64, 3), (2, 2)])
@@ -377,8 +397,6 @@ def _sweep_failing_at_second_cell(tmp_path, monkeypatch, workers, error):
     """Exit code of a three-cell sweep whose second cell (seed 1) raises `error`."""
     if workers > 1:  # the sequential path must work without touching the pool
         monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _InlinePool)
-    # completion order is submission order, as if the cells finished in turn
-    monkeypatch.setattr(cli.concurrent.futures, "as_completed", iter)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     real_cell = cli._sweep_cell
     calls = []
@@ -404,6 +422,29 @@ def test_sweep_streams_rows_until_a_cell_fails(tmp_path, monkeypatch, capsys, wo
     assert lines[0].startswith("# config: ")
     assert lines[1] == ",".join(cli.SWEEP_COLUMNS)
     assert len(lines) == 3 and lines[2].startswith("0.05,ius,2,0,")
+
+
+def test_cells_finishing_out_of_order_leave_the_rows_before_the_failed_cell(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _LastToFirstPool)
+    # and as_completed reports them done last to first
+    monkeypatch.setattr(cli.concurrent.futures, "as_completed", lambda fs: reversed(list(fs)))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    real_cell = cli._sweep_cell
+
+    def failing_seed_1(cfg, scheme_index, eta, seed):
+        if seed == 1:
+            raise RuntimeError("cell failed")
+        return real_cell(cfg, scheme_index, eta, seed)
+
+    monkeypatch.setattr(cli, "_sweep_cell", failing_seed_1)
+    cfg = write_config(tmp_path, two_task_config(steps=3))
+    for workers in ["1", "2"]:
+        assert main(["sweep", cfg, "--etas", "0.05", "--out", str(tmp_path / workers), "--workers", workers]) == 4
+        assert capsys.readouterr().err.endswith("sweep cell schemes[0] (ius), eta 0.05, seed 1 failed\n")
+    # the first cell's row only, as at --workers 1, though the third cell finished first
+    lines = (tmp_path / "2" / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 3 and lines[2].startswith("0.05,ius,2,0,")
+    assert (tmp_path / "2" / "sweep.csv").read_bytes() == (tmp_path / "1" / "sweep.csv").read_bytes()
 
 
 _FAILING_SWEEP = """

@@ -1,14 +1,15 @@
 import csv
 import json
+import math
 
 import numpy as np
 
-from helpers import read_csv_body
+from helpers import load_strict_json, read_csv_body
 from mtlopt import schemes
 from mtlopt.objectives import QuadraticSuite, QuadraticTask, five_task_suite, two_task_suite
 from mtlopt.optimizers import OptimizerRule
 from mtlopt.params import l2_norm
-from mtlopt.schemes import ConstantLR, SchemeConfig, run
+from mtlopt.schemes import ConstantLR, InverseTimeLR, SchemeConfig, run
 from mtlopt.tracing import RunTrace, covered_distances, write_trace_csv
 
 
@@ -130,6 +131,17 @@ def test_csv_round_trip_and_body_extraction(tmp_path):
     assert first_disp == trace.displacements[0]
     with open(path, encoding="utf-8") as f:
         assert f.readline().startswith("# config:")
+
+
+def test_config_line_is_strict_json(tmp_path):
+    # an infinite offset makes every step size 0: a useless schedule, but a library caller may pass it
+    cfg = SchemeConfig("sus", OptimizerRule("sgd"), InverseTimeLR(mu=1.0, offset=math.inf))
+    trace = run(cfg, two_task_suite(), np.zeros(1), 2, seed=0)
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    with open(tmp_path / "trace.csv", encoding="utf-8") as f:
+        line = f.readline()
+    assert line.startswith("# config: ") and line.endswith("}\n")
+    assert load_strict_json(line[len("# config: "):])["lr"] == {"kind": "inverse_time", "mu": 1.0, "offset": None}
 
 
 def _reference_csv(trace, path):

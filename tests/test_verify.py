@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import load_strict_json
 from mtlopt import schemes
 from mtlopt.cli import main
 from mtlopt.objectives import (
@@ -428,6 +429,10 @@ def test_theorem_schedule_meets_both_lemma_premises(L, mu):
     # lemma 1 needs eta_t <= 1/L; lemma 2 a non-increasing schedule with
     # eta_t <= 2*eta_(t+1). Each holds up to the rounding of eta_1 = 1/L,
     # which can land one ulp above 1/L, so the slack is relative.
+    if np.log10(L) - np.log10(mu) > 308:  # 2L/mu overflows: every step size would be 0
+        with pytest.raises(OverflowError, match="2L/mu - 1 is not finite"):
+            theorem_schedule(L, mu)
+        return
     schedule = theorem_schedule(L, mu)
     rel = 1.0 + 1e-12
     for t in [*range(1, 50), 10**3, 10**6, 10**9]:
@@ -485,9 +490,8 @@ _W0 = st.one_of(st.floats(-10, 10), _signed(_magnitudes(150, 155)), st.floats(al
 
 
 @st.composite
-def verify_configs(draw):
-    """Schema-valid verify configs of 1-D or diagonal 2-D quadratic tasks,
-    with tiny replicate counts."""
+def quadratic_tasks(draw):
+    """One to three schema-valid quadratic tasks, all 1-D or all diagonal 2-D."""
     d = draw(st.integers(1, 2))
     tasks = []
     for _ in range(draw(st.integers(1, 3))):
@@ -500,10 +504,17 @@ def verify_configs(draw):
                 "noise_sigma": draw(_NOISE_SIGMA),
             }
         )
+    return tasks
+
+
+@st.composite
+def verify_configs(draw):
+    """Schema-valid verify configs of quadratic_tasks, with tiny replicate counts."""
+    tasks = draw(quadratic_tasks())
     return {
         "objective": {"family": "quadratic", "tasks": tasks},
         "seeds": [draw(st.integers(0, 3))],
-        "w0": [draw(_W0) for _ in range(d)],
+        "w0": [draw(_W0) for _ in tasks[0]["center"]],
         "verify": {
             "T_list": [1, 10, 100],
             "replicates": draw(st.integers(2, 3)),
@@ -559,3 +570,46 @@ def test_verify_verdicts_are_never_vacuous(payload):
         # all_pass or not, a null is only the slope of an exact convergence
         assert all(p == ("rate_slope",) for p in _null_paths(report)), list(_null_paths(report))
         assert (report["rate_slope"] is None) == report["rate_note"].startswith("exact convergence")
+
+
+@st.composite
+def run_configs(draw):
+    """Schema-valid run configs of quadratic_tasks under the inverse_time
+    schedule derived from them, with a few steps."""
+    scheme = {"kind": draw(st.sampled_from(["sus", "ius", "io"])), "lr": {"kind": "inverse_time"}}
+    scheme["optimizer"] = {"kind": draw(st.sampled_from(["sgd", "momentum", "adam"]))}
+    return {
+        "objective": {"family": "quadratic", "tasks": draw(quadratic_tasks())},
+        "scheme": scheme,
+        "steps": draw(st.integers(1, 4)),
+        "seeds": [draw(st.integers(0, 3))],
+    }
+
+
+def _derived_schedule_run(objective):
+    scheme = {"kind": "sus", "optimizer": {"kind": "sgd"}, "lr": {"kind": "inverse_time"}}
+    return {"objective": {"family": "quadratic", **objective}, "scheme": scheme, "steps": 3, "seeds": [0]}
+
+
+# 2L/mu overflows; w_star overflows, and the first validation loss with it
+@example(_derived_schedule_run(_one_d_tasks((1e10, 0.0), (1e-300, 0.0))))
+@example(_derived_schedule_run({"tasks": [{"matrix": [[1e10]], "center": [1e300], "noise_sigma": 0.0}]}))
+@given(run_configs())
+@settings(max_examples=100, deadline=None)
+def test_runs_on_a_derived_schedule_exit_cleanly(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out, err = Path(tmp) / "cfg.json", Path(tmp) / "o", io.StringIO()
+        cfg.write_text(json.dumps(payload))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", str(cfg), "--out", str(out)])  # any warning raises here
+        assert code in (0, 1, 2), err.getvalue()
+        if code == 1:
+            assert err.getvalue().startswith("config error: config.scheme.lr: ") and not out.exists()
+            assert err.getvalue().count("\n") == 1
+            return
+        assert (code == 2) == ("aborted" in err.getvalue())
+        for path in out.glob("*.json"):
+            load_strict_json(path.read_text())
+        for path in out.glob("*.csv"):
+            with open(path, encoding="utf-8") as f:
+                load_strict_json(f.readline().removeprefix("# config: "))
