@@ -193,6 +193,8 @@ def cmd_sweep(cfg: RunConfig, etas, out_dir: Path, seed_offset: int = 0, workers
         raise ConfigError("config: 'sweep' needs 'scheme' or 'schemes'")
     if not etas:
         raise ConfigError("--etas: grid must be nonempty")
+    if workers < 1:
+        raise ConfigError(f"--workers: must be at least 1, got {workers}")
     # cells in the order of their rows: scheme, then ascending eta and seed
     cells = [(i, eta, seed) for i in range(len(cfg.schemes)) for eta in sorted(etas)
              for seed in sorted(cfg.run_seeds(seed_offset))]
@@ -326,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("run", parents=[common], help="execute one run per seed")
     p_sweep = sub.add_parser("sweep", parents=[common], help="grid over learning rates x seeds x schemes")
     p_sweep.add_argument("--etas", required=True, help="comma- or space-separated learning rates")
-    p_sweep.add_argument("--workers", type=int, default=1, help="parallel sweep cells (default 1)")
+    p_sweep.add_argument("--workers", type=int, default=1, help="parallel sweep cells, at least 1 (default 1)")
     sub.add_parser("verify", parents=[common], help="check the convergence bound and per-step inequalities")
     return parser
 

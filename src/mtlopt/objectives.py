@@ -186,11 +186,15 @@ class QuadraticSuite(TaskSuite):
         # order. np.add.accumulate adds rows strictly in turn; np.add.reduce
         # may add pairwise, and sum() of floats compensates since Python 3.12.
         if len(unit) == 1:
-            task = self.tasks[unit[0]]
-            r = w - task.center
-            ar = task.matrix @ r
-            noise = xi[task.index]
-            return 0.0 + float(0.5 * r @ ar + noise @ r), 0.0 + (ar + noise)
+            # the stacks' rows are the tasks' arrays, and ndarray.dot runs the
+            # BLAS routines of `@` with less dispatch
+            k = unit[0]
+            r = w - self.centers[k]
+            ar = self.matrices[k].dot(r)
+            noise = xi[self.tasks[k].index]
+            g = ar + noise
+            g += 0.0
+            return 0.0 + float((0.5 * r).dot(ar) + noise.dot(r)), g
         key = tuple(unit)
         if key not in self._unit_stacks:
             rows = list(key)

@@ -90,13 +90,23 @@ def apply(rule: OptimizerRule, state: OptimizerState, g: np.ndarray) -> np.ndarr
     if rule.kind == "momentum":
         state.m = rule.beta * state.m + g
         return state.m.copy()
-    # adam
+    # adam: each moment is a fresh array, built in place from its first
+    # temporary; one scratch array, tmp, holds each gradient term and then
+    # the denominator
     t = state.step
-    state.m = rule.beta1 * state.m + (1.0 - rule.beta1) * g
-    state.v = rule.beta2 * state.v + (1.0 - rule.beta2) * g * g
-    m_hat = state.m / (1.0 - rule.beta1**t)
-    v_hat = state.v / (1.0 - rule.beta2**t)
-    out = m_hat / (np.sqrt(v_hat) + rule.eps)
+    m = rule.beta1 * state.m
+    tmp = (1.0 - rule.beta1) * g
+    m += tmp
+    v = rule.beta2 * state.v
+    np.multiply(1.0 - rule.beta2, g, out=tmp)
+    tmp *= g
+    v += tmp
+    state.m, state.v = m, v
+    out = m / (1.0 - rule.beta1**t)
+    np.divide(v, 1.0 - rule.beta2**t, out=tmp)  # v_hat
+    np.sqrt(tmp, out=tmp)
+    tmp += rule.eps
+    out /= tmp
     check_finite(out, "adam direction")
     return out
 

@@ -60,7 +60,8 @@ def axpy(w: np.ndarray, direction: np.ndarray, scale: float) -> np.ndarray:
         )
     if not math.isfinite(scale):
         raise NonFiniteError("non-finite scale in axpy")
-    out = w + scale * direction
+    out = scale * direction
+    out += w  # addition commutes bit for bit: the bits of w + scale * direction
     check_finite(out, "axpy result")
     return out
 

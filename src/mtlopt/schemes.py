@@ -139,32 +139,44 @@ def step(w, suite, units, rule, states, eta, xi, order, out=None):
     An update that raises leaves the parameters and its optimizer state as
     they were, and the rows of the updates before it are already in `out`.
     """
+    out = [] if out is None else out
+    unit_states = _unit_states(units, states)
+    masks = [suite.unit_mask(unit) for unit in units]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _updates(w, suite.unit_value_and_gradient, units, masks, rule, unit_states, eta, xi, order, out)
+
+
+def _unit_states(units, states):
+    """The optimizer state of each unit: one shared state or one per unit."""
     if len(states) not in (1, len(units)):
         raise ValueError(f"need 1 or {len(units)} optimizer states, got {len(states)}")
-    out = [] if out is None else out
-    draw = xi if callable(xi) else lambda: xi
-    with np.errstate(over="ignore", invalid="ignore"):
-        for u in order:
-            u = int(u)
-            unit = units[u]
-            state = states[0] if len(states) == 1 else states[u]
-            loss, g = suite.unit_value_and_gradient(w, unit, draw())
-            if not math.isfinite(loss):
-                label = "+".join(str(k) for k in unit)
-                raise NonFiniteError(f"training loss for unit {label} is non-finite")
-            # apply rebinds m, v and step, never writes into them, so keeping
-            # the three references is enough to undo an update that fails
-            saved = state.m, state.v, state.step
-            try:
-                direction = optimizers.apply(rule, state, g)
-                mask = suite.unit_mask(unit)
-                if mask is not None:
-                    direction = np.where(mask, direction, 0.0)
-                w = axpy(w, direction, -eta)
-            except NonFiniteError:
-                state.m, state.v, state.step = saved
-                raise
-            out.append((u, loss, w))
+    return states * len(units) if len(states) == 1 else states
+
+
+def _updates(w, oracle, units, masks, rule, unit_states, eta, xi, order, out):
+    """The update loop of `step`, for a caller that holds its np.errstate
+    scope and has bound the suite's oracle and each unit's mask; returns `out`."""
+    fresh = callable(xi)
+    for u in order:
+        u = int(u)
+        unit = units[u]
+        state = unit_states[u]
+        loss, g = oracle(w, unit, xi() if fresh else xi)
+        if not math.isfinite(loss):
+            label = "+".join(str(k) for k in unit)
+            raise NonFiniteError(f"training loss for unit {label} is non-finite")
+        # apply rebinds m, v and step, never writes into them, so keeping
+        # the three references is enough to undo an update that fails
+        saved = state.m, state.v, state.step
+        try:
+            direction = optimizers.apply(rule, state, g)
+            if masks[u] is not None:
+                direction = np.where(masks[u], direction, 0.0)
+            w = axpy(w, direction, -eta)
+        except NonFiniteError:
+            state.m, state.v, state.step = saved
+            raise
+        out.append((u, loss, w))
     return out
 
 
@@ -235,6 +247,10 @@ def run(
         raise ValueError(f"w0 dimension {w.size} != suite dimension {suite.dim}")
     units, states = _materialize_units(config, suite, seed)
     labels = ["+".join(str(k) for k in unit) for unit in units]
+    # what `step` derives on each call, derived once for the whole run
+    oracle = suite.unit_value_and_gradient
+    masks = [suite.unit_mask(unit) for unit in units]
+    unit_states = _unit_states(units, states)
     shared_mask = suite.shared_mask
     data_gen = RngStream(seed, "data").gen
     order_gen = RngStream(seed, "task-order").gen
@@ -276,13 +292,17 @@ def run(
                         xi = batches.__next__ if fresh else next(batches)
                         landed = []
                         try:
-                            step(w, suite, units, config.optimizer, states, eta, xi, order, landed)
+                            _updates(w, oracle, units, masks, config.optimizer, unit_states, eta, xi, order, landed)
                         finally:  # an aborted step keeps the rows of the updates before the failure
                             for u, loss, w_new in landed:
                                 step_vec = w_new - w
                                 if shared_mask is not None:
                                     step_vec = step_vec[shared_mask]
-                                trace.add_row(t, labels[u], float(loss), l2_norm_kernel(step_vec))
+                                # l2_norm_kernel's first try, inline
+                                norm = math.sqrt(float(step_vec.dot(step_vec)))
+                                if not math.isfinite(norm):
+                                    norm = l2_norm_kernel(step_vec)
+                                trace.add_row(t, labels[u], float(loss), norm)
                                 w = w_new
                         if validation_every and t % validation_every == 0:
                             kept.append((t, w, len(trace.steps), [(s.m, s.v, s.step) for s in states]))

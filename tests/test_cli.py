@@ -645,6 +645,9 @@ BAD_CONFIGS = {
     "verify seed offset 2**64": ("verify", lambda c: None, "--seed-offset", f"--seed-offset={2**64}"),
     # the repeated rate's cells would run twice and count as extra seeds in the summary
     "sweep etas repeated": ("sweep", lambda c: None, "config error: --etas: ", "--etas=0.05,0.05"),
+    # the pool size is clamped from above only; these ran one cell at a time
+    "sweep workers 0": ("sweep", lambda c: None, "config error: --workers: ", "--workers=0", "--etas=0.05"),
+    "sweep workers -3": ("sweep", lambda c: None, "config error: --workers: ", "--workers=-3", "--etas=0.05"),
     # RngStream would reduce these mod 2**64 to the data of dataset seeds 2**64 - 1 and 0
     "dataset_seed -1": ("run", lambda c: _dataset_seed(c, -1), "config error: config.objective.dataset_seed"),
     "dataset_seed 2**64": ("run", lambda c: _dataset_seed(c, 2**64), "config error: config.objective.dataset_seed"),

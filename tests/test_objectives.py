@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,3 +331,42 @@ def test_task_gradients_equal_each_task_gradient(d):
     assert G.shape == (9, 6, d)
     for r, k in itertools.product(range(9), range(6)):
         assert np.array_equal(_bits(G[r, k]), _bits(suite.tasks[k].gradient(W[r], xi[r])))
+
+
+def check_one_task_oracle():
+    """The one-task unit oracle against QuadraticTask.value and .gradient,
+    added to 0 and to zeros, bit for bit with every zero's sign: on the
+    five-task suite, and on a 1-D suite whose task k reads noise row
+    index != k, where A @ r is -0.0 at w = -0.0 for its zero center. Run
+    in-process and under another BLAS kernel."""
+    gen = np.random.default_rng(5)
+    shuffled = QuadraticSuite(
+        [QuadraticTask(index, [[a]], [c], 0.4) for index, a, c in [(2, 1.5, 0.0), (0, 0.25, -1.0), (1, 3.0, 2.0)]]
+    )
+    for suite in (five_task_suite(), shuffled):
+        n, d = suite.n_tasks, suite.dim
+        points = [gen.standard_normal(d) * 10.0 ** gen.uniform(-8.0, 8.0) for _ in range(200)]
+        points += [np.full(d, -0.0), np.zeros(d), np.full(d, 1.35e154), np.full(d, 3e-161)]
+        points += [t.center.copy() for t in suite.tasks]
+        draws = [suite.sample_minibatch(gen) for _ in range(3)] + [np.full((n, d), -0.0), np.zeros((n, d))]
+        for w, xi, k in itertools.product(points, draws, range(n)):
+            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+                loss, g = suite.unit_value_and_gradient(w, (k,), xi)
+                ref_loss, ref_g = 0 + suite.tasks[k].value(w, xi), np.zeros(d) + suite.tasks[k].gradient(w, xi)
+            assert type(loss) is float
+            assert _bits(loss) == _bits(ref_loss), (w, k)
+            assert np.array_equal(_bits(g), _bits(ref_g)), (w, k)
+
+
+def test_one_task_oracle_equals_the_task_methods():
+    check_one_task_oracle()
+
+
+def test_one_task_oracle_equals_the_task_methods_under_the_prescott_kernel():
+    # OpenBLAS picks its kernels once, at load, from OPENBLAS_CORETYPE
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott"}
+    env["PYTHONPATH"] = os.pathsep.join([str(tests.parent / "src"), str(tests), env.get("PYTHONPATH", "")])
+    code = "import test_objectives; test_objectives.check_one_task_oracle()"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -164,3 +164,59 @@ def test_apply_rejects_non_finite_gradient():
     state = fresh_state(rule, 2)
     with pytest.raises(FloatingPointError):
         apply(rule, state, np.array([1.0, np.nan]))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def _extreme_gradients(gen, n, d):
+    """Gradients whose entries span 1e-300 to 1e300 in both signs, with rows
+    of signed zeros mixed in."""
+    gs = gen.choice([-1.0, 1.0], size=(n, d)) * 10.0 ** gen.uniform(-300.0, 300.0, size=(n, d))
+    gs[::5] = 0.0
+    gs[2::5] = -0.0
+    gs[3::5, ::2] = -0.0
+    return gs
+
+
+@pytest.mark.parametrize("kind", ["sgd", "momentum", "adam"])
+def test_apply_leaves_its_inputs_alone_and_returns_the_textbook_direction(kind):
+    # the rollback contract of schemes.step: g and the arrays state.m and
+    # state.v held before the call keep their bits, and state.m/state.v are
+    # bound to new arrays; the direction and moments equal the textbook
+    # expressions below bit for bit, overflowed moments included
+    rule = OptimizerRule(kind, beta=0.7, beta1=0.8, beta2=0.95, eps=1e-6)
+    gen = np.random.default_rng(["sgd", "momentum", "adam"].index(kind))
+    state = fresh_state(rule, 4)
+    m, v = state.m.copy(), None if state.v is None else state.v.copy()
+    for t, g in enumerate(_extreme_gradients(gen, 60, 4), start=1):
+        old_m, old_v = state.m, state.v
+        g_before, m_before, v_before = g.copy(), old_m.copy(), None if old_v is None else old_v.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            direction = apply(rule, state, g)
+            if kind == "sgd":
+                want = g
+            elif kind == "momentum":
+                m = rule.beta * m + g
+                want = m
+            else:
+                m = rule.beta1 * m + (1.0 - rule.beta1) * g
+                v = rule.beta2 * v + (1.0 - rule.beta2) * g * g
+                m_hat = m / (1.0 - rule.beta1**t)
+                v_hat = v / (1.0 - rule.beta2**t)
+                want = m_hat / (np.sqrt(v_hat) + rule.eps)
+        assert np.array_equal(_bits(g), _bits(g_before))
+        assert np.array_equal(_bits(old_m), _bits(m_before))
+        assert np.array_equal(_bits(direction), _bits(want)), (t, g)
+        assert not np.shares_memory(direction, g) and not np.shares_memory(direction, state.m)
+        assert np.array_equal(_bits(state.m), _bits(m))
+        assert state.step == t
+        if kind != "sgd":
+            assert state.m is not old_m
+        if kind == "adam":
+            assert state.v is not old_v and not np.shares_memory(state.v, state.m)
+            assert np.array_equal(_bits(old_v), _bits(v_before))
+            assert np.array_equal(_bits(state.v), _bits(v))
+        else:
+            assert state.v is None
