@@ -60,8 +60,7 @@ def axpy(w: np.ndarray, direction: np.ndarray, scale: float) -> np.ndarray:
         )
     if not math.isfinite(scale):
         raise NonFiniteError("non-finite scale in axpy")
-    out = scale * direction
-    out += w  # addition commutes bit for bit: the bits of w + scale * direction
+    out = w + scale * direction
     check_finite(out, "axpy result")
     return out
 

@@ -85,14 +85,14 @@ def test_total_at_least_shortest_on_real_runs():
 def test_snapshot_recompute_matches_accumulated_total(monkeypatch):
     # recompute the total from copies of every iterate that the update loop returns
     ws = [np.zeros(1)]
-    real_step = schemes._updates
+    real_updates = schemes._updates
 
-    def recording_step(*args):
-        updates = real_step(*args)
+    def recording_updates(*args):
+        updates = real_updates(*args)
         ws.extend(w.copy() for _, _, w in updates)
         return updates
 
-    monkeypatch.setattr(schemes, "_updates", recording_step)
+    monkeypatch.setattr(schemes, "_updates", recording_updates)
     suite = two_task_suite(0.6)
     cfg = SchemeConfig(scheme="ius", optimizer=OptimizerRule("momentum", beta=0.9), lr=ConstantLR(0.05))
     trace = run(cfg, suite, ws[0], 20, seed=8)

@@ -199,17 +199,17 @@ def test_lockstep_replicates_are_runs_of_the_engine_users_run(monkeypatch, make_
     R, T, seed, w0 = 4, 300, 3, np.zeros(suite.dim)
     lockstep = [(W.copy(), sel.copy()) for _, _, W, _, sel in _lockstep(suite, schedule, w0, T + 1, R, seed)]
     config = SchemeConfig("ius", OptimizerRule("sgd"), schedule, task_order="uniform_random")
-    real_step = schemes._updates
+    real_updates = schemes._updates
     for r in range(R):
         iterates, selected = [w0], []
 
-        def recording_step(*args):
-            landed = real_step(*args)
+        def recording_updates(*args):
+            landed = real_updates(*args)
             selected.extend(u for u, _, _ in landed)
             iterates.extend(w for _, _, w in landed)
             return landed
 
-        monkeypatch.setattr(schemes, "_updates", recording_step)
+        monkeypatch.setattr(schemes, "_updates", recording_updates)
         monkeypatch.setattr(schemes, "RngStream", lambda s, name, r=r: RngStream(s, f"{name}[{r}]"))
         trace = schemes.run(config, suite, w0, T, seed, validation_every=0)
         assert not trace.aborted and np.array_equal(trace.w_final, iterates[-1])
