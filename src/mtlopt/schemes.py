@@ -275,9 +275,10 @@ def run(
     t = 0
     kept = [(0, w, 0, [(s.m, s.v, s.step) for s in states])]  # step 0 validates with the first block
     try:
-        # one np.errstate scope for the whole loop, as in `step`: validation
-        # and the displacement norm ignore overflow and invalid operations,
-        # and the finiteness checks raise NonFiniteError instead
+        # one np.errstate scope for the whole run, the one `step` enters per
+        # call: updates, validation and the displacement norm ignore overflow
+        # and invalid operations, and the finiteness checks raise
+        # NonFiniteError instead
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(1, n_steps + 1, block):
                 k = min(block, n_steps + 1 - start)
