@@ -33,7 +33,8 @@ class QuadraticTask:
     the squared-norm gradient bound satisfiable on a bounded region, unlike
     Gaussian noise. The stochastic value adds zeta.(w-a) so that the value and
     gradient oracles stay consistent under finite differencing at fixed noise.
-    zeta is row `index` of the suite's (n_tasks, d) noise draw xi.
+    zeta is row `index` of the suite's (n_tasks, d) noise draw xi, and a
+    suite holds task k at position k.
 
     The suite stacks these records; value() and gradient() are the one-task
     oracle that finite_difference_check probes.
@@ -126,6 +127,7 @@ def _dot(a, b):
 class QuadraticSuite(TaskSuite):
     """Quadratic tasks of one dimension d. The curvature matrices and centers
     are stacked once, read-only, as `matrices` (n, d, d) and `centers` (n, d).
+    Task k must have index k: every oracle reads its noise from row k of xi.
 
     The tasks are fixed after construction: the stacks, and the per-unit
     stacks `unit_value_and_gradient` builds from them, never see a task that
@@ -134,6 +136,9 @@ class QuadraticSuite(TaskSuite):
 
     def __init__(self, tasks):
         super().__init__(tasks)
+        for k, t in enumerate(self.tasks):
+            if t.index != k:
+                raise ValueError(f"task at position {k} has index {t.index}; task k must have index k")
         dims = {t.center.size for t in self.tasks}
         if len(dims) != 1:
             raise DimensionMismatchError(f"tasks disagree on dimension: {sorted(dims)}")
@@ -191,22 +196,18 @@ class QuadraticSuite(TaskSuite):
             k = unit[0]
             r = w - self.centers[k]
             ar = self.matrices[k].dot(r)
-            noise = xi[self.tasks[k].index]
+            noise = xi[k]
             g = ar + noise
             g += 0.0
             return 0.0 + float((0.5 * r).dot(ar) + noise.dot(r)), g
         key = tuple(unit)
         if key not in self._unit_stacks:
-            rows = list(key)
-            self._unit_stacks[key] = (
-                self.matrices[rows],
-                self.centers[rows],
-                np.array([self.tasks[k].index for k in key]),
-            )
-        mats, centers, noise_rows = self._unit_stacks[key]
+            rows = np.array(key)  # an index array spares xi[rows] converting a list per call
+            self._unit_stacks[key] = (self.matrices[rows], self.centers[rows], rows)
+        mats, centers, rows = self._unit_stacks[key]
         r = w - centers
         ar = _matvec(mats, r)
-        noise = xi[noise_rows]
+        noise = xi[rows]
         loss = 0
         for val in (_dot(0.5 * r, ar) + _dot(noise, r)).tolist():
             loss += val
@@ -262,7 +263,7 @@ def suite_constants(suite: QuadraticSuite) -> SuiteConstants:
     eigs = np.linalg.eigvalsh(suite.matrices)  # (n, d), ascending per task
     bad = np.flatnonzero(eigs[:, 0] <= 0)
     if bad.size:
-        raise ValueError(f"task {suite.tasks[bad[0]].index}: curvature matrix is not positive definite")
+        raise ValueError(f"task {bad[0]}: curvature matrix is not positive definite")
     # the bits of sum() over the tasks: rows added in turn, from a zero start
     a_sum = 0.0 + np.add.accumulate(suite.matrices)[-1]
     rhs = 0.0 + np.add.accumulate(_matvec(suite.matrices, suite.centers))[-1]

@@ -1,11 +1,13 @@
-"""Moving-average optimizer rules with explicit state.
+"""Moving-average optimizer rules with explicit, immutable state.
 
 The rule maps a raw gradient to an adjusted descent direction; the learning
-rate is applied outside, by the update scheme. Keeping state explicit is what
-lets a scheme hold one shared state or one independent state per task.
+rate is applied outside, by the update scheme. `apply` is pure and returns
+the next state, which is what lets a scheme hold one shared state or one
+independent state per task, and commit a state only once its update lands.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,12 +43,12 @@ class OptimizerRule:
             raise ValueError(f"eps must be positive, got {self.eps}")
 
 
-@dataclass
-class OptimizerState:
+class OptimizerState(NamedTuple):
     """First/second moment accumulators plus a step counter.
 
-    Fresh state has zero accumulators and counter 0. States are single-owner
-    and mutable; to_dict/from_dict give an independent copy.
+    Fresh state has zero accumulators and counter 0. A state is an immutable
+    value: `apply` returns a new one and never writes into the arrays of the
+    one it was given, so holding a state keeps its bits.
     """
 
     m: np.ndarray
@@ -74,26 +76,26 @@ def fresh_state(rule: OptimizerRule, dim: int) -> OptimizerState:
     return OptimizerState(m=np.zeros(dim), v=v, step=0)
 
 
-def apply(rule: OptimizerRule, state: OptimizerState, g: np.ndarray) -> np.ndarray:
-    """Advance `state` with gradient `g` and return the adjusted direction.
+def apply(rule: OptimizerRule, state: OptimizerState, g: np.ndarray) -> tuple:
+    """The adjusted direction of gradient `g` and the state after it, as
+    (direction, next_state).
 
-    It rebinds state.m, state.v and state.step and never writes into the old
-    arrays, so restoring the three references undoes the update.
+    Pure: `state`, its arrays and `g` keep their bits, and the direction and
+    each moment the rule updates are fresh arrays.
     """
     if g.shape != state.m.shape:
         raise ValueError(f"gradient shape {g.shape} != state shape {state.m.shape}")
     if not all_finite(g):
         raise NonFiniteError("non-finite gradient passed to optimizer")
-    state.step += 1
+    t = state.step + 1
     if rule.kind == "sgd":
-        return g.copy()
+        return g.copy(), OptimizerState(state.m, None, t)
     if rule.kind == "momentum":
-        state.m = rule.beta * state.m + g
-        return state.m.copy()
+        m = rule.beta * state.m + g
+        return m.copy(), OptimizerState(m, None, t)
     # adam: each moment is a fresh array, built in place from its first
     # temporary; one scratch array, tmp, holds each gradient term and then
     # the denominator
-    t = state.step
     m = rule.beta1 * state.m
     tmp = (1.0 - rule.beta1) * g
     m += tmp
@@ -101,12 +103,10 @@ def apply(rule: OptimizerRule, state: OptimizerState, g: np.ndarray) -> np.ndarr
     np.multiply(1.0 - rule.beta2, g, out=tmp)
     tmp *= g
     v += tmp
-    state.m, state.v = m, v
     out = m / (1.0 - rule.beta1**t)
     np.divide(v, 1.0 - rule.beta2**t, out=tmp)  # v_hat
     np.sqrt(tmp, out=tmp)
     tmp += rule.eps
     out /= tmp
     check_finite(out, "adam direction")
-    return out
-
+    return out, OptimizerState(m, v, t)

@@ -76,19 +76,13 @@ def l2_norm(w: np.ndarray) -> float:
     is rescaled by its largest magnitude, so its norm is still finite when it
     fits in a float.
     """
-    with np.errstate(over="ignore"):
-        return l2_norm_kernel(w)
-
-
-def l2_norm_kernel(w: np.ndarray) -> float:
-    """l2_norm without its np.errstate scope, for a caller that already runs
-    under one that ignores overflow; the same bits."""
     x = w.ravel(order="K")
-    norm = math.sqrt(float(x.dot(x)))
-    if not math.isfinite(norm):  # a finite norm implies finite entries
-        check_finite(w, "l2_norm input")
-        scale = float(np.max(np.abs(w)))
-        norm = scale * float(np.linalg.norm(w / scale))
+    with np.errstate(over="ignore"):
+        norm = math.sqrt(float(x.dot(x)))
+        if not math.isfinite(norm):  # a finite norm implies finite entries
+            check_finite(w, "l2_norm input")
+            scale = float(np.max(np.abs(w)))
+            norm = scale * float(np.linalg.norm(w / scale))
     return norm
 
 

@@ -11,9 +11,10 @@ Every scheme draws its units from one random balanced grouping: `sus` is its
 labeled canonically by their smallest member, so those two ends give the
 units (0, ..., n-1) and (0,), ..., (n-1,) whatever the draw.
 
-Updates are transactional: one that raises NonFiniteError leaves the
-parameters and its optimizer state as they were, so an aborted run reports
-the state of its last update that landed.
+An update puts its unit's next optimizer state into its slot only after
+the parameter update lands, so one that raises NonFiniteError leaves the
+parameters and every optimizer state as they were, and an aborted run
+reports the state of its last update that landed.
 """
 
 import math
@@ -22,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import optimizers
-from .params import NonFiniteError, RngStream, as_params, axpy, l2_norm_kernel
+from .params import NonFiniteError, RngStream, as_params, axpy, l2_norm
 from .tracing import RunTrace
 
 __all__ = [
@@ -134,48 +135,48 @@ def step(w, suite, units, rule, states, eta, xi, order, out=None):
     `suite.unit_value_and_gradient`. `xi` is the minibatch of every update, or
     a callable that draws a fresh one per update.
 
+    `states` is a list that step updates in place: each update that lands
+    replaces its state in the list with the next one.
+
     All updates run under one np.errstate scope that ignores overflow and
     invalid operations; the finiteness checks raise NonFiniteError instead.
-    An update that raises leaves the parameters and its optimizer state as
-    they were, and the rows of the updates before it are already in `out`.
+    An update that raises leaves the parameters and `states` as they were,
+    and the rows of the updates before it are already in `out`.
     """
     out = [] if out is None else out
-    unit_states = _unit_states(units, states)
+    slots = _slots(units, states)
     masks = [suite.unit_mask(unit) for unit in units]
     with np.errstate(over="ignore", invalid="ignore"):
-        return _updates(w, suite.unit_value_and_gradient, units, masks, rule, unit_states, eta, xi, order, out)
+        return _updates(w, suite.unit_value_and_gradient, units, masks, rule, states, slots, eta, xi, order, out)
 
 
-def _unit_states(units, states):
-    """The optimizer state of each unit: one shared state or one per unit."""
+def _slots(units, states):
+    """The index in `states` of each unit's optimizer state: one slot shared
+    by every unit, or one per unit."""
     if len(states) not in (1, len(units)):
         raise ValueError(f"need 1 or {len(units)} optimizer states, got {len(states)}")
-    return states * len(units) if len(states) == 1 else states
+    return [0] * len(units) if len(states) == 1 else range(len(units))
 
 
-def _updates(w, oracle, units, masks, rule, unit_states, eta, xi, order, out):
+def _updates(w, oracle, units, masks, rule, states, slots, eta, xi, order, out):
     """The update loop of `step`, for a caller that holds its np.errstate
-    scope and has bound the suite's oracle and each unit's mask; returns `out`."""
+    scope and has bound the suite's oracle, each unit's mask and each unit's
+    slot in `states`; returns `out`. The next state goes into its slot once
+    axpy has landed, so an update that raises has changed nothing."""
     fresh = callable(xi)
     for u in order:
         u = int(u)
         unit = units[u]
-        state = unit_states[u]
         loss, g = oracle(w, unit, xi() if fresh else xi)
         if not math.isfinite(loss):
             label = "+".join(str(k) for k in unit)
             raise NonFiniteError(f"training loss for unit {label} is non-finite")
-        # apply rebinds m, v and step, never writes into them, so keeping
-        # the three references is enough to undo an update that fails
-        saved = state.m, state.v, state.step
-        try:
-            direction = optimizers.apply(rule, state, g)
-            if masks[u] is not None:
-                direction = np.where(masks[u], direction, 0.0)
-            w = axpy(w, direction, -eta)
-        except NonFiniteError:
-            state.m, state.v, state.step = saved
-            raise
+        slot = slots[u]
+        direction, state = optimizers.apply(rule, states[slot], g)
+        if masks[u] is not None:
+            direction = np.where(masks[u], direction, 0.0)
+        w = axpy(w, direction, -eta)
+        states[slot] = state
         out.append((u, loss, w))
     return out
 
@@ -200,7 +201,7 @@ def _materialize_units(config: SchemeConfig, suite, seed: int):
 
 
 def _validate(trace, suite, kept):
-    """Record the validation of each kept (t, w, n_rows, state refs) in turn,
+    """Record the validation of each kept (t, w, n_rows, states) in turn,
     from one stacked call; return the entry of the first non-finite one."""
     task_losses = suite.stacked_validation_task_losses(np.stack([w for _, w, _, _ in kept])) if kept else None
     if task_losses is None:
@@ -250,7 +251,7 @@ def run(
     # what `step` derives on each call, derived once for the whole run
     oracle = suite.unit_value_and_gradient
     masks = [suite.unit_mask(unit) for unit in units]
-    unit_states = _unit_states(units, states)
+    slots = _slots(units, states)
     shared_mask = suite.shared_mask
     data_gen = RngStream(seed, "data").gen
     order_gen = RngStream(seed, "task-order").gen
@@ -273,7 +274,7 @@ def run(
     trace.w0 = w.copy()
 
     t = 0
-    kept = [(0, w, 0, [(s.m, s.v, s.step) for s in states])]  # step 0 validates with the first block
+    kept = [(0, w, 0, tuple(states))]  # step 0 validates with the first block
     try:
         # one np.errstate scope for the whole run, the one `step` enters per
         # call: updates, validation and the displacement norm ignore overflow
@@ -293,28 +294,27 @@ def run(
                         xi = batches.__next__ if fresh else next(batches)
                         landed = []
                         try:
-                            _updates(w, oracle, units, masks, config.optimizer, unit_states, eta, xi, order, landed)
+                            _updates(w, oracle, units, masks, config.optimizer, states, slots, eta, xi, order, landed)
                         finally:  # an aborted step keeps the rows of the updates before the failure
                             for u, loss, w_new in landed:
                                 step_vec = w_new - w
                                 if shared_mask is not None:
                                     step_vec = step_vec[shared_mask]
-                                # l2_norm_kernel's first try, inline
+                                # l2_norm's first try, inline
                                 norm = math.sqrt(float(step_vec.dot(step_vec)))
                                 if not math.isfinite(norm):
-                                    norm = l2_norm_kernel(step_vec)
+                                    norm = l2_norm(step_vec)
                                 trace.add_row(t, labels[u], float(loss), norm)
                                 w = w_new
                         if validation_every and t % validation_every == 0:
-                            kept.append((t, w, len(trace.steps), [(s.m, s.v, s.step) for s in states]))
+                            kept.append((t, w, len(trace.steps), tuple(states)))
                 except NonFiniteError as exc:
                     failure = exc
                 cut = _validate(trace, suite, kept)
                 if cut is not None:  # back to the step whose validation failed
                     t, w, n_rows, saved = cut
                     trace.truncate(n_rows)
-                    for s, refs in zip(states, saved):
-                        s.m, s.v, s.step = refs
+                    states[:] = saved
                     raise NonFiniteError("validation loss is non-finite")
                 kept = []
                 if failure is not None:

@@ -16,7 +16,7 @@ from mtlopt import schemes
 from mtlopt.mlp import init_mlp_params, synthetic_mlp_suite
 from mtlopt.objectives import QuadraticSuite, QuadraticTask, five_task_suite
 from mtlopt.optimizers import OptimizerRule
-from mtlopt.params import NonFiniteError, RngStream, l2_norm_kernel
+from mtlopt.params import NonFiniteError, RngStream, l2_norm
 from mtlopt.schemes import ConstantLR, InverseTimeLR, SchemeConfig, run
 from mtlopt.tracing import RunTrace
 
@@ -74,7 +74,7 @@ def _reference_run(config, suite, w0, n_steps, seed, validation_every=1):
                         step_vec = w_new - w
                         if shared_mask is not None:
                             step_vec = step_vec[shared_mask]
-                        trace.add_row(t, labels[u], float(loss), l2_norm_kernel(step_vec))
+                        trace.add_row(t, labels[u], float(loss), l2_norm(step_vec))
                         w = w_new
                 if validation_every and t % validation_every == 0:
                     record_validation(t, w)

@@ -34,11 +34,12 @@ def empty_batch(suite):
 def all_task_update(suite, w, xi):
     """Loss and optimizer state of one update of the all-task unit from a fresh
     momentum state: the loss is the summed task value at w and, since
-    0.9*0 + g == g, the state's m is the summed gradient."""
+    0.9*0 + g == g, the state's m is the summed gradient. step puts the
+    next state into the list it was given."""
     mom = OptimizerRule("momentum", beta=0.9)
-    state = fresh_state(mom, suite.dim)
-    [(_, loss, _)] = step(w, suite, [tuple(range(suite.n_tasks))], mom, [state], 1.0, xi, [0])
-    return loss, state
+    states = [fresh_state(mom, suite.dim)]
+    [(_, loss, _)] = step(w, suite, [tuple(range(suite.n_tasks))], mom, states, 1.0, xi, [0])
+    return loss, states[0]
 
 
 def test_aggregated_loss_worked_example():
@@ -189,6 +190,16 @@ def test_dimension_mismatch_detected():
         )
 
 
+def test_suite_task_k_must_have_index_k():
+    # task k reads noise row k; a suite whose tasks' indices are not their
+    # positions, or a lone task with index 5, is rejected when it is built
+    swapped = [QuadraticTask(1, [[1.0]], [0.0], 0.0), QuadraticTask(0, [[1.0]], [2.0], 10.0)]
+    with pytest.raises(ValueError, match="^task at position 0 has index 1; task k must have index k$"):
+        QuadraticSuite(swapped)
+    with pytest.raises(ValueError, match="^task at position 0 has index 5; task k must have index k$"):
+        QuadraticSuite([QuadraticTask(5, [[1.0]], [0.0])])
+
+
 def test_quadratic_requires_symmetric_matrix():
     with pytest.raises(ValueError):
         QuadraticTask(0, [[1.0, 0.5], [0.0, 1.0]], [0.0, 0.0])
@@ -336,14 +347,13 @@ def test_task_gradients_equal_each_task_gradient(d):
 def check_one_task_oracle():
     """The one-task unit oracle against QuadraticTask.value and .gradient,
     added to 0 and to zeros, bit for bit with every zero's sign: on the
-    five-task suite, and on a 1-D suite whose task k reads noise row
-    index != k, where A @ r is -0.0 at w = -0.0 for its zero center. Run
-    in-process and under another BLAS kernel."""
+    five-task suite, and on a 1-D suite where A @ r is -0.0 at w = -0.0 for
+    task 0's zero center. Run in-process and under another BLAS kernel."""
     gen = np.random.default_rng(5)
-    shuffled = QuadraticSuite(
-        [QuadraticTask(index, [[a]], [c], 0.4) for index, a, c in [(2, 1.5, 0.0), (0, 0.25, -1.0), (1, 3.0, 2.0)]]
+    one_d = QuadraticSuite(
+        [QuadraticTask(k, [[a]], [c], 0.4) for k, (a, c) in enumerate([(1.5, 0.0), (0.25, -1.0), (3.0, 2.0)])]
     )
-    for suite in (five_task_suite(), shuffled):
+    for suite in (five_task_suite(), one_d):
         n, d = suite.n_tasks, suite.dim
         points = [gen.standard_normal(d) * 10.0 ** gen.uniform(-8.0, 8.0) for _ in range(200)]
         points += [np.full(d, -0.0), np.zeros(d), np.full(d, 1.35e154), np.full(d, 3e-161)]

@@ -18,18 +18,18 @@ def test_sgd_is_pure_passthrough_and_counts():
     rule = OptimizerRule("sgd")
     state = fresh_state(rule, 3)
     g = np.array([1.5, -2.0, 0.0])
-    out = apply(rule, state, g)
+    out, state = apply(rule, state, g)
     assert np.array_equal(out, g)
     assert state.step == 1
-    apply(rule, state, g)
+    _, state = apply(rule, state, g)
     assert state.step == 2
 
 
 def test_momentum_hand_recurrence():
     rule = OptimizerRule("momentum", beta=0.9)
     state = fresh_state(rule, 1)
-    first = apply(rule, state, np.array([1.0]))
-    second = apply(rule, state, np.array([1.0]))
+    first, state = apply(rule, state, np.array([1.0]))
+    second, state = apply(rule, state, np.array([1.0]))
     np.testing.assert_array_equal(first, [1.0])
     np.testing.assert_array_equal(second, [1.9])
 
@@ -42,20 +42,22 @@ def test_momentum_beta_zero_equals_sgd(seq):
     s_mom, s_sgd = fresh_state(mom, 2), fresh_state(sgd, 2)
     for g in seq:
         g = np.array(g)
-        assert np.array_equal(apply(mom, s_mom, g), apply(sgd, s_sgd, g))
+        d_mom, s_mom = apply(mom, s_mom, g)
+        d_sgd, s_sgd = apply(sgd, s_sgd, g)
+        assert np.array_equal(d_mom, d_sgd)
 
 
 def test_adam_zero_gradient_fresh_state():
     rule = OptimizerRule("adam")
     state = fresh_state(rule, 4)
-    np.testing.assert_array_equal(apply(rule, state, np.zeros(4)), np.zeros(4))
+    np.testing.assert_array_equal(apply(rule, state, np.zeros(4))[0], np.zeros(4))
 
 
 def test_adam_first_step_magnitude_below_one():
     rule = OptimizerRule("adam")
     for g in ([1e-4, -3.0], [250.0, 0.5], [-1e4, 1e-6]):
         state = fresh_state(rule, 2)
-        out = apply(rule, state, np.array(g))
+        out, _ = apply(rule, state, np.array(g))
         assert np.all(np.abs(out) <= 1.0)
 
 
@@ -67,8 +69,8 @@ def test_adam_scale_invariance():
     seq = gen.normal(size=(20, 3))
     s1, s2 = fresh_state(rule, 3), fresh_state(rule, 3)
     for g in seq:
-        a = apply(rule, s1, g)
-        b = apply(rule, s2, 1000.0 * g)
+        a, s1 = apply(rule, s1, g)
+        b, s2 = apply(rule, s2, 1000.0 * g)
     np.testing.assert_allclose(a, b, rtol=1e-6)
 
 
@@ -77,7 +79,7 @@ def test_adam_constant_gradient_converges_to_sign_pattern():
     state = fresh_state(rule, 3)
     g = np.array([2.0, -0.3, 5.0])
     for _ in range(500):
-        out = apply(rule, state, g)
+        out, state = apply(rule, state, g)
     np.testing.assert_allclose(out, np.sign(g), atol=1e-3)
 
 
@@ -100,12 +102,19 @@ def test_interleaved_states_match_isolated_runs():
     sa, sb = fresh_state(rule, 2), fresh_state(rule, 2)
     interleaved_a, interleaved_b = [], []
     for ga, gb in zip(seq_a, seq_b):
-        interleaved_a.append(apply(rule, sa, ga))
-        interleaved_b.append(apply(rule, sb, gb))
+        da, sa = apply(rule, sa, ga)
+        db, sb = apply(rule, sb, gb)
+        interleaved_a.append(da)
+        interleaved_b.append(db)
 
-    sa2, sb2 = fresh_state(rule, 2), fresh_state(rule, 2)
-    isolated_a = [apply(rule, sa2, g) for g in seq_a]
-    isolated_b = [apply(rule, sb2, g) for g in seq_b]
+    def isolated(seq):
+        state, out = fresh_state(rule, 2), []
+        for g in seq:
+            d, state = apply(rule, state, g)
+            out.append(d)
+        return out
+
+    isolated_a, isolated_b = isolated(seq_a), isolated(seq_b)
 
     for x, y in zip(interleaved_a, isolated_a):
         np.testing.assert_array_equal(x, y)
@@ -117,9 +126,9 @@ def test_clone_is_independent():
     # a from_dict(to_dict()) copy does not follow later updates of the original
     rule = OptimizerRule("momentum", beta=0.8)
     state = fresh_state(rule, 2)
-    apply(rule, state, np.array([1.0, 1.0]))
+    _, state = apply(rule, state, np.array([1.0, 1.0]))
     snap = OptimizerState.from_dict(state.to_dict())
-    apply(rule, state, np.array([5.0, -5.0]))
+    _, state = apply(rule, state, np.array([5.0, -5.0]))
     np.testing.assert_array_equal(snap.m, [1.0, 1.0])
     assert snap.step == 1
     assert state.step == 2
@@ -132,11 +141,11 @@ def test_clone_replays_identically():
     tail = gen.normal(size=(6, 2))
     state = fresh_state(rule, 2)
     for g in warmup:
-        apply(rule, state, g)
+        _, state = apply(rule, state, g)
     twin = OptimizerState.from_dict(state.to_dict())
     for g in tail:
-        a = apply(rule, state, g)
-        b = apply(rule, twin, g)
+        a, state = apply(rule, state, g)
+        b, twin = apply(rule, twin, g)
         np.testing.assert_array_equal(a, b)
 
 
@@ -144,10 +153,10 @@ def test_state_serialization_round_trip():
     rule = OptimizerRule("adam")
     state = fresh_state(rule, 3)
     for g in np.random.default_rng(1).normal(size=(4, 3)):
-        apply(rule, state, g)
+        _, state = apply(rule, state, g)
     restored = OptimizerState.from_dict(state.to_dict())
     g = np.array([0.1, 0.2, 0.3])
-    np.testing.assert_array_equal(apply(rule, state, g), apply(rule, restored, g))
+    np.testing.assert_array_equal(apply(rule, state, g)[0], apply(rule, restored, g)[0])
 
 
 def test_rule_validation():
@@ -182,19 +191,21 @@ def _extreme_gradients(gen, n, d):
 
 @pytest.mark.parametrize("kind", ["sgd", "momentum", "adam"])
 def test_apply_leaves_its_inputs_alone_and_returns_the_textbook_direction(kind):
-    # the rollback contract of schemes.step: g and the arrays state.m and
-    # state.v held before the call keep their bits, and state.m/state.v are
-    # bound to new arrays; the direction and moments equal the textbook
-    # expressions below bit for bit, overflowed moments included
+    # the contract schemes.step and run's snapshots rely on: the state passed
+    # in keeps its m and v objects, their bits and its step, g keeps its
+    # bits, and the next state holds new moment arrays; the direction and
+    # moments equal the textbook expressions below bit for bit, overflowed
+    # moments included
     rule = OptimizerRule(kind, beta=0.7, beta1=0.8, beta2=0.95, eps=1e-6)
     gen = np.random.default_rng(["sgd", "momentum", "adam"].index(kind))
     state = fresh_state(rule, 4)
     m, v = state.m.copy(), None if state.v is None else state.v.copy()
     for t, g in enumerate(_extreme_gradients(gen, 60, 4), start=1):
+        given = state
         old_m, old_v = state.m, state.v
         g_before, m_before, v_before = g.copy(), old_m.copy(), None if old_v is None else old_v.copy()
         with np.errstate(over="ignore", invalid="ignore"):
-            direction = apply(rule, state, g)
+            direction, state = apply(rule, given, g)
             if kind == "sgd":
                 want = g
             elif kind == "momentum":
@@ -206,6 +217,7 @@ def test_apply_leaves_its_inputs_alone_and_returns_the_textbook_direction(kind):
                 m_hat = m / (1.0 - rule.beta1**t)
                 v_hat = v / (1.0 - rule.beta2**t)
                 want = m_hat / (np.sqrt(v_hat) + rule.eps)
+        assert given.m is old_m and given.v is old_v and given.step == t - 1
         assert np.array_equal(_bits(g), _bits(g_before))
         assert np.array_equal(_bits(old_m), _bits(m_before))
         assert np.array_equal(_bits(direction), _bits(want)), (t, g)
