@@ -151,6 +151,9 @@ class QuadraticSuite(TaskSuite):
         self.centers = np.stack([t.center for t in self.tasks])
         self.matrices.flags.writeable = False
         self.centers.flags.writeable = False
+        # each task's (matrix, center) rows of the stacks, read-only views
+        # that the one-task oracle reads without indexing the stacks per call
+        self._task_rows = list(zip(self.matrices, self.centers))
         self._unit_stacks = {}
 
     @property
@@ -194,8 +197,9 @@ class QuadraticSuite(TaskSuite):
             # the stacks' rows are the tasks' arrays, and ndarray.dot runs the
             # BLAS routines of `@` with less dispatch
             k = unit[0]
-            r = w - self.centers[k]
-            ar = self.matrices[k].dot(r)
+            matrix, center = self._task_rows[k]
+            r = w - center
+            ar = matrix.dot(r)
             noise = xi[k]
             g = ar + noise
             g += 0.0

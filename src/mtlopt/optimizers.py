@@ -62,13 +62,11 @@ class OptimizerState(NamedTuple):
             "step": self.step,
         }
 
-    @staticmethod
-    def from_dict(d: dict) -> "OptimizerState":
-        return OptimizerState(
-            m=np.asarray(d["m"], dtype=np.float64),
-            v=None if d["v"] is None else np.asarray(d["v"], dtype=np.float64),
-            step=int(d["step"]),
-        )
+
+# apply builds each next state as _new_state(OptimizerState, (m, v, step)):
+# the value OptimizerState(m, v, step) gives, without the NamedTuple's
+# Python-level __new__
+_new_state = tuple.__new__
 
 
 def fresh_state(rule: OptimizerRule, dim: int) -> OptimizerState:
@@ -81,7 +79,8 @@ def apply(rule: OptimizerRule, state: OptimizerState, g: np.ndarray) -> tuple:
     (direction, next_state).
 
     Pure: `state`, its arrays and `g` keep their bits, and the direction and
-    each moment the rule updates are fresh arrays.
+    each moment the rule updates are fresh arrays. Raises NonFiniteError if
+    `g` or adam's direction has a non-finite entry.
     """
     if g.shape != state.m.shape:
         raise ValueError(f"gradient shape {g.shape} != state shape {state.m.shape}")
@@ -89,10 +88,10 @@ def apply(rule: OptimizerRule, state: OptimizerState, g: np.ndarray) -> tuple:
         raise NonFiniteError("non-finite gradient passed to optimizer")
     t = state.step + 1
     if rule.kind == "sgd":
-        return g.copy(), OptimizerState(state.m, None, t)
+        return g.copy(), _new_state(OptimizerState, (state.m, None, t))
     if rule.kind == "momentum":
         m = rule.beta * state.m + g
-        return m.copy(), OptimizerState(m, None, t)
+        return m.copy(), _new_state(OptimizerState, (m, None, t))
     # adam: each moment is a fresh array, built in place from its first
     # temporary; one scratch array, tmp, holds each gradient term and then
     # the denominator
@@ -100,13 +99,13 @@ def apply(rule: OptimizerRule, state: OptimizerState, g: np.ndarray) -> tuple:
     tmp = (1.0 - rule.beta1) * g
     m += tmp
     v = rule.beta2 * state.v
-    np.multiply(1.0 - rule.beta2, g, out=tmp)
+    np.multiply(1.0 - rule.beta2, g, tmp)  # out passed positionally: less dispatch
     tmp *= g
     v += tmp
     out = m / (1.0 - rule.beta1**t)
-    np.divide(v, 1.0 - rule.beta2**t, out=tmp)  # v_hat
-    np.sqrt(tmp, out=tmp)
+    np.divide(v, 1.0 - rule.beta2**t, tmp)  # v_hat
+    np.sqrt(tmp, tmp)
     tmp += rule.eps
     out /= tmp
     check_finite(out, "adam direction")
-    return out, OptimizerState(m, v, t)
+    return out, _new_state(OptimizerState, (m, v, t))

@@ -203,7 +203,8 @@ def _materialize_units(config: SchemeConfig, suite, seed: int):
 def _validate(trace, suite, kept):
     """Record the validation of each kept (t, w, n_rows, states) in turn,
     from one stacked call; return the entry of the first non-finite one."""
-    task_losses = suite.stacked_validation_task_losses(np.stack([w for _, w, _, _ in kept])) if kept else None
+    # np.array stacks the same rows as np.stack, with less dispatch
+    task_losses = suite.stacked_validation_task_losses(np.array([w for _, w, _, _ in kept])) if kept else None
     if task_losses is None:
         return None
     vals = (task_losses.sum(axis=-1) / task_losses.shape[-1]).tolist()  # each the bits of np.mean

@@ -122,12 +122,17 @@ def test_interleaved_states_match_isolated_runs():
         np.testing.assert_array_equal(x, y)
 
 
+def copy_state(state):
+    """An independent copy of a state's m, v and step."""
+    return OptimizerState(state.m.copy(), None if state.v is None else state.v.copy(), state.step)
+
+
 def test_clone_is_independent():
-    # a from_dict(to_dict()) copy does not follow later updates of the original
+    # a copy does not follow later updates of the original
     rule = OptimizerRule("momentum", beta=0.8)
     state = fresh_state(rule, 2)
     _, state = apply(rule, state, np.array([1.0, 1.0]))
-    snap = OptimizerState.from_dict(state.to_dict())
+    snap = copy_state(state)
     _, state = apply(rule, state, np.array([5.0, -5.0]))
     np.testing.assert_array_equal(snap.m, [1.0, 1.0])
     assert snap.step == 1
@@ -142,7 +147,7 @@ def test_clone_replays_identically():
     state = fresh_state(rule, 2)
     for g in warmup:
         _, state = apply(rule, state, g)
-    twin = OptimizerState.from_dict(state.to_dict())
+    twin = copy_state(state)
     for g in tail:
         a, state = apply(rule, state, g)
         b, twin = apply(rule, twin, g)
@@ -150,13 +155,32 @@ def test_clone_replays_identically():
 
 
 def test_state_serialization_round_trip():
-    rule = OptimizerRule("adam")
-    state = fresh_state(rule, 3)
-    for g in np.random.default_rng(1).normal(size=(4, 3)):
-        _, state = apply(rule, state, g)
-    restored = OptimizerState.from_dict(state.to_dict())
-    g = np.array([0.1, 0.2, 0.3])
-    np.testing.assert_array_equal(apply(rule, state, g)[0], apply(rule, restored, g)[0])
+    # the trace meta writes states through to_dict: arrays rebuilt from its
+    # lists hold m and v bit for bit, -0.0 and subnormals included, and step
+    # on identically
+    cases = []
+    for kind in ("sgd", "momentum", "adam"):
+        rule = OptimizerRule(kind)
+        state = fresh_state(rule, 4)
+        for g in ([-0.0, 5e-324, 1e150, -2.5], [0.3, -1e-310, 7.0, 0.0]):
+            _, state = apply(rule, state, np.array(g))
+        cases.append((rule, state))
+    cases.append((OptimizerRule("adam"), OptimizerState(np.array([-0.0, 5e-324, -1e300, 2.0]),
+                                                        np.array([0.0, 1e-320, 1e300, 3.0]), 7)))
+    for rule, state in cases:
+        d = state.to_dict()
+        restored = OptimizerState(
+            np.array(d["m"], dtype=np.float64),
+            None if d["v"] is None else np.array(d["v"], dtype=np.float64),
+            d["step"],
+        )
+        assert restored.step == state.step
+        assert restored.m.tobytes() == state.m.tobytes()
+        assert (restored.v is None) == (state.v is None)
+        if state.v is not None:
+            assert restored.v.tobytes() == state.v.tobytes()
+        g = np.array([0.1, 0.2, 0.3, -0.4])
+        np.testing.assert_array_equal(apply(rule, state, g)[0], apply(rule, restored, g)[0])
 
 
 def test_rule_validation():

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from mtlopt.params import (
     DimensionMismatchError,
     NonFiniteError,
     RngStream,
+    all_finite,
     as_params,
     axpy,
     l2_norm,
@@ -48,6 +49,29 @@ def test_axpy_errors():
         axpy(np.zeros(2), np.ones(2), np.inf)
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
         axpy(np.array([1e308]), np.array([1e308]), 10.0)  # overflows to inf
+
+
+# the entries where a cheaper scalar test of finiteness goes wrong: squares
+# that overflow from about 1e154 on, squares that underflow, and signed zeros
+edge_floats = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e154, -1e154, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(min_value=1e154, max_value=1e308),
+    st.floats(min_value=-1e308, max_value=-1e154),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+    st.floats(),
+)
+
+
+@given(arrays(np.float64, array_shapes(min_dims=1, max_dims=3, max_side=4), elements=edge_floats))
+@settings(max_examples=300)
+def test_all_finite_is_exact_and_warns_at_no_magnitude(x):
+    # outside any np.errstate scope, where numpy warns on overflow
+    assert np.geterr()["over"] == "warn"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = all_finite(x)
+    assert got == bool(np.isfinite(x).all())
 
 
 def test_l2_norm_worked_examples():

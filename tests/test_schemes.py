@@ -15,7 +15,7 @@ from mtlopt.objectives import (
     suite_constants,
     two_task_suite,
 )
-from mtlopt.optimizers import OptimizerRule, fresh_state
+from mtlopt.optimizers import OptimizerRule, apply, fresh_state
 from mtlopt.params import NonFiniteError, RngStream, l2_norm
 from mtlopt.schemes import (
     ConstantLR,
@@ -452,6 +452,76 @@ def test_abort_in_update_leaves_optimizer_state_of_last_landed_update(opt):
         assert landed == 0
         assert trace.final_states[0]["m"] == [0.0]
         np.testing.assert_array_equal(trace.w_final, [1e150])
+
+
+class OneTaskStubSuite(TaskSuite):
+    """One task whose loss, sum(w), stays finite while w does; its gradient
+    at w is gradient(w), and its update may touch only `mask` (None: all)."""
+
+    def __init__(self, gradient, dim=1, mask=None):
+        super().__init__([None])
+        self._gradient, self._dim, self._mask = gradient, dim, mask
+
+    @property
+    def dim(self):
+        return self._dim
+
+    def unit_mask(self, unit):
+        return self._mask
+
+    def unit_value_and_gradient(self, w, unit, xi):
+        return float(w.sum()), self._gradient(w)
+
+    def sample_minibatch(self, gen):
+        return None
+
+
+def _nan_below(level):
+    # gradient 1 at every coordinate, NaN in the last one once w[0] < level
+    def gradient(w):
+        g = np.ones(w.size)
+        if w[0] < level:
+            g[-1] = math.nan
+        return g
+    return gradient
+
+
+@pytest.mark.parametrize(
+    "opt, eta, suite, landed, reason",
+    [
+        # sgd from 0 at eta 1: the gradient at w = -3 is NaN
+        (SGD, 1.0, OneTaskStubSuite(_nan_below(-2.5)), 3, "non-finite gradient passed to optimizer"),
+        # NaN only in the coordinate the unit's mask leaves out: the masked
+        # direction would be finite, but the gradient check covers every entry
+        (SGD, 1.0, OneTaskStubSuite(_nan_below(-2.5), dim=2, mask=np.array([True, False])), 3,
+         "non-finite gradient passed to optimizer"),
+        # adam on a constant gradient of the largest float: v overflows at
+        # once, so the first direction is m_hat / inf = 0; the second bias
+        # correction of m rounds above the largest float, and inf / inf is NaN
+        (OptimizerRule("adam"), 1.0, OneTaskStubSuite(lambda w: np.full(w.size, np.finfo(np.float64).max)), 1,
+         "non-finite entries in adam direction"),
+        # momentum at eta 1e307 on a constant gradient of 1: the partial sums
+        # of m reach 17.83, and the seventh update takes w below -1.8e308
+        (OptimizerRule("momentum", beta=0.9), 1e307, OneTaskStubSuite(lambda w: np.ones(w.size)), 6,
+         "non-finite entries in axpy result"),
+    ],
+    ids=["gradient", "gradient-outside-mask", "adam-direction", "axpy-result"],
+)
+def test_update_path_aborts_name_the_check_and_keep_the_last_landed_state(opt, eta, suite, landed, reason):
+    w0 = np.zeros(suite.dim)
+    trace = run(cfg("ius", opt=opt, eta=eta), suite, w0, 20, seed=0)
+    assert trace.aborted
+    assert trace.abort_reason == f"step {landed + 1}: {reason}"
+    assert len(trace.steps) == landed
+    # replay the updates that landed, under run's error settings: the run
+    # ends at their iterate and state
+    w, state, mask = w0, fresh_state(opt, suite.dim), suite.unit_mask((0,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(landed):
+            direction, state = apply(opt, state, suite.unit_value_and_gradient(w, (0,), None)[1])
+            w = w - eta * (direction if mask is None else np.where(mask, direction, 0.0))
+    assert trace.final_states == [state.to_dict()]
+    np.testing.assert_array_equal(trace.w_final, w)
 
 
 def test_abort_mid_run_keeps_each_state_at_its_last_landed_update():

@@ -45,7 +45,8 @@ gen = np.random.default_rng(0)
 xi = suite.sample_minibatch(gen)
 w = mlp.init_mlp_params(suite, gen)
 err = objectives.finite_difference_check(suite.tasks[1], w, xi, h=1e-5)
-print(json.dumps({"rcs": rcs, "fd_error": err, "dim": suite.dim, "counts": t.summary()["counts"]}))
+summary = t.summary()
+print(json.dumps({"rcs": rcs, "fd_error": err, "dim": suite.dim, "counts": summary["counts"], "calls": summary["calls"]}))
 """
 
 
@@ -74,6 +75,9 @@ def test_traced_verify_run_and_gradient_check_keep_the_benchmark_counts(tmp_path
     steps = workloads.verify_steps(VERIFY)
     assert steps["needed"] <= counts["verify.steps"] <= steps["simulated"], counts
     assert counts["schemes.updates"] == workloads.updates_per_run(RUN) == 6
+    # one optimizers.apply call and one params.axpy call per update
+    calls = {name: out["calls"].get(name, 0) for name in ("optimizers.apply", "params.axpy")}
+    assert calls["optimizers.apply"] == calls["params.axpy"] == workloads.updates_per_run(RUN), calls
     assert out["dim"] == workloads.mlp_dim(RUN) == 22
     assert counts["mlp.value.fdcheck"] == 2 * out["dim"]
     assert out["fd_error"] <= 1e-5
