@@ -243,10 +243,12 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, seed_offset: int = 0) -> int:
                 suite_constants(cfg.suite)
             except ValueError as exc:
                 raise ConfigError(f"config.objective.tasks: {exc}") from exc
-            theorem = verify_mod.verify_theorem(cfg.suite, v["T_list"], v["replicates"], seed, w0)
+            # the per-step checks read their trajectories off the bound's pass
+            prefix = verify_mod.LockstepPrefix(v["lemma_steps"])
+            theorem = verify_mod.verify_theorem(cfg.suite, v["T_list"], v["replicates"], seed, w0, record=prefix)
             check = "per-step inequalities"
             lemma1, lemma2 = verify_mod.verify_lemmas(
-                cfg.suite, v["lemma_steps"], v["lemma_replicates"], seed, w0
+                cfg.suite, v["lemma_steps"], v["lemma_replicates"], seed, w0, prefix=prefix
             )
     except ArithmeticError as exc:  # overflow, or a division by a square that underflowed
         print(f"numerical abort in the {check} check: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .params import NonFiniteError, all_finite, check_finite
+from .params import NonFiniteError, _count_nonzero, all_finite, check_finite
 
 __all__ = ["OptimizerRule", "OptimizerState", "fresh_state", "apply"]
 
@@ -80,7 +80,8 @@ def apply(rule: OptimizerRule, state: OptimizerState, g: np.ndarray) -> tuple:
 
     Pure: `state`, its arrays and `g` keep their bits, and the direction and
     each moment the rule updates are fresh arrays. Raises NonFiniteError if
-    `g` or adam's direction has a non-finite entry.
+    `g`, adam's denominator sqrt(v_hat) + eps or adam's direction has a
+    non-finite entry.
     """
     if g.shape != state.m.shape:
         raise ValueError(f"gradient shape {g.shape} != state shape {state.m.shape}")
@@ -107,5 +108,13 @@ def apply(rule: OptimizerRule, state: OptimizerState, g: np.ndarray) -> tuple:
     np.sqrt(tmp, tmp)
     tmp += rule.eps
     out /= tmp
-    check_finite(out, "adam direction")
+    # A second moment that overflowed, in v or in v_hat, leaves a direction
+    # entry m_hat / inf = 0 (or NaN), and every later step on that coordinate
+    # would be 0 too: the run would stall without an abort. So a direction
+    # with a zero or non-finite entry has its denominator checked first.
+    finite = _count_nonzero(np.isfinite(out))
+    if finite + _count_nonzero(out) < 2 * out.size:
+        check_finite(tmp, "adam second moment")
+        if finite < out.size:
+            raise NonFiniteError("non-finite entries in adam direction")
     return out, _new_state(OptimizerState, (m, v, t))

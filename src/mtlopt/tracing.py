@@ -11,6 +11,7 @@ import bisect
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -47,10 +48,11 @@ class RunTrace:
     aborted: bool = False
     abort_reason: str | None = None
 
-    @property
+    @cached_property
     def best_val_task_losses(self) -> list | None:
         """Each task's own minimum over the validation steps (not the task
-        losses at best_val_step); None without per-task validation."""
+        losses at best_val_step); None without per-task validation. Kept
+        from its first access until the next add_validation."""
         if not self.val_task_losses:
             return None
         return np.stack(self.val_task_losses).min(axis=0).tolist()
@@ -69,6 +71,7 @@ class RunTrace:
             del column[n_rows:]
 
     def add_validation(self, step, loss, task_losses=None):
+        self.__dict__.pop("best_val_task_losses", None)  # the cached_property's value
         self.val_steps.append(step)
         self.val_losses.append(loss)
         if task_losses is not None:

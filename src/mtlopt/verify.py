@@ -7,22 +7,26 @@ is selected uniformly at random, and the iterate follows that task's update.
 The initial iterate is indexed 1, so the expected optimality gap "at T" is
 measured after T-1 update steps.
 
-A verification makes two passes: verify_theorem's, and one that both
-per-step checks read (verify_lemmas). Each pass steps all its R replicates in
-lockstep, with array ops over an (R, d) array of iterates. Replicate r draws
-from its own streams, data[r] and task-order[r], so every number equals that
-of the replicate stepped alone.
+A pass steps all its R replicates in lockstep, with array ops over an (R, d)
+array of iterates. Replicate r draws from its own streams, data[r] and
+task-order[r], so every number equals that of the replicate stepped alone,
+whichever pass steps it. The per-step checks (verify_lemmas) can therefore
+read their trajectories off the bound's pass (verify_theorem): recorded with
+a LockstepPrefix, its first steps of its first replicates serve them. Only
+the lemma replicates it lacks, or every one if it is too short, are
+simulated anew.
 
 Statistical policy: the bound is an upper bound in expectation, so a check
 passes when the Monte-Carlo estimate does not exceed it by more than three
 standard errors, and all three numbers are finite. The uniform gradient-norm
 bound has no closed form for quadratics on an unbounded domain, so it is
 estimated empirically: the largest stochastic gradient norm over all (task,
-step, replicate) triples of a check's own pass, inflated by a 5% safety
-factor. Trajectories do not depend on it, so the bounds are evaluated once
-that one pass ends.
+step, replicate) triples that a check reads, inflated by a 5% safety factor.
+Trajectories do not depend on it, so the bounds are evaluated once the check
+has read them all.
 """
 
+import itertools
 import math
 import warnings
 from dataclasses import asdict, astuple, dataclass
@@ -30,8 +34,8 @@ from dataclasses import asdict, astuple, dataclass
 import numpy as np
 
 from .objectives import QuadraticSuite, _dot, suite_constants
-from .params import RngStream, check_finite, l2_norm
-from .schemes import theorem_schedule
+from .params import RngStream, _count_nonzero, check_finite, l2_norm
+from .schemes import _BLOCK_FLOATS, theorem_schedule
 
 __all__ = [
     "BoundInputs",
@@ -39,6 +43,7 @@ __all__ = [
     "theorem_bound_max_form",
     "estimate_grad_bound",
     "verify_theorem",
+    "LockstepPrefix",
     "verify_lemmas",
     "verify_lemma1",
     "verify_lemma2",
@@ -121,34 +126,46 @@ def _passes(est, bound, se) -> bool:
     return bool(all(map(math.isfinite, (est, bound, se))) and est <= bound + 3.0 * se)
 
 
-def _std_error(vals) -> float:  # of the mean over replicates
-    return float(vals.std(ddof=1)) / np.sqrt(vals.size) if vals.size > 1 else 0.0
+def _std_errors(vals):
+    """The standard error of the mean of each row of an (S, R) array of
+    replicate values: 0.0 at one replicate, where ddof=1 has no degrees left."""
+    if vals.shape[1] < 2:
+        return np.zeros(len(vals))
+    return vals.std(axis=1, ddof=1) / np.sqrt(vals.shape[1])
 
 
 def _norms(x):  # np.linalg.norm of every vector along the last axis
     return np.sqrt(_dot(x, x))
 
 
+def _max_norm(x) -> float:
+    return float(_norms(x).max())
+
+
 def _max_grad_norm(G) -> float:
     check_finite(G, "stochastic gradients")
-    return float(_norms(G).max())
+    return _max_norm(G)
 
 
-def _lockstep(suite, schedule, w0, n_steps, replicates, seed):
-    """Yield (t, eta, W, G, sel) for t = 1..n_steps: the iterates W (R, d)
-    before the update, every task's stochastic gradient there G (R, n, d) and
-    the selected tasks sel (R,). Replicate r's noise is one sample_minibatch
-    call per step on its stream data[r]."""
+def _lockstep(suite, schedule, w0, n_steps, replicates, seed, first=0):
+    """Yield (t, eta, W, G, sel) for t = 1..n_steps of the replicates first,
+    ..., first + replicates - 1: the iterates W (R, d) before the update,
+    every task's stochastic gradient there G (R, n, d) and the selected tasks
+    sel (R,). Replicate r's noise is one sample_minibatch call per step on its
+    stream data[r]."""
     n = suite.n_tasks
-    data = [RngStream(seed, f"data[{r}]").gen for r in range(replicates)]
+    labels = range(first, first + replicates)
+    data = [RngStream(seed, f"data[{r}]").gen for r in labels]
     # one bulk draw yields the same values as n_steps draws of integers(n)
-    order = np.array([RngStream(seed, f"task-order[{r}]").gen.integers(n, size=n_steps)
-                      for r in range(replicates)])
+    order = np.array([RngStream(seed, f"task-order[{r}]").gen.integers(n, size=n_steps) for r in labels])
     rows = np.arange(replicates)
+    draws_shape = (replicates, n, suite.dim)
     W = np.tile(np.asarray(w0, dtype=np.float64), (replicates, 1))
     for t in range(1, n_steps + 1):
         eta = schedule.at(t)
-        G = suite.task_gradients(W, np.array([suite.sample_minibatch(gen) for gen in data]))
+        # np.concatenate copies the draws as np.array would, with less dispatch
+        xi = np.concatenate([suite.sample_minibatch(gen) for gen in data]).reshape(draws_shape)
+        G = suite.task_gradients(W, xi)
         sel = order[:, t - 1]
         yield t, eta, W, G, sel
         W = W - eta * G[rows, sel]
@@ -165,9 +182,13 @@ def estimate_grad_bound(suite, schedule, n_steps, replicates, seed, w0) -> float
     return worst * GRAD_BOUND_SAFETY
 
 
-def verify_theorem(suite: QuadraticSuite, T_list, replicates: int, seed: int, w0) -> dict:
+def verify_theorem(suite: QuadraticSuite, T_list, replicates: int, seed: int, w0, record=None) -> dict:
     """Estimate the expected average-objective gap at each T and compare it
-    with the closed-form bound."""
+    with the closed-form bound.
+
+    `record`, if given, is called with (t, eta, W, G, sel) at every step of
+    the pass, as _lockstep yields them; a LockstepPrefix keeps the steps that
+    verify_lemmas reads."""
     T_list = sorted(int(t) for t in T_list)
     if min(T_list) < 1:
         raise ValueError("every T must be >= 1")
@@ -178,11 +199,26 @@ def verify_theorem(suite: QuadraticSuite, T_list, replicates: int, seed: int, w0
     w0 = np.asarray(w0, dtype=np.float64)
     n_steps = max(T_list)
 
-    worst, gaps = 0.0, {}
-    for t, _, W, G, _ in _lockstep(suite, schedule, w0, n_steps, replicates, seed):
-        worst = max(worst, _max_grad_norm(G))
+    # The gradient norms are taken for a block of steps at once. A step with
+    # an entry at or above `limit`, or a non-finite one, takes its own at
+    # once instead: below it no squared norm can overflow, so a blocked norm
+    # raises and warns nowhere a per-step one would not.
+    limit = math.sqrt(np.finfo(np.float64).max / suite.dim) / 2.0
+    block = max(1, _BLOCK_FLOATS // (replicates * suite.n_tasks * suite.dim))
+    pending, worst, gaps = [], 0.0, {}
+    for t, eta, W, G, sel in _lockstep(suite, schedule, w0, n_steps, replicates, seed):
+        if record is not None:
+            record(t, eta, W, G, sel)
+        if _count_nonzero(np.abs(G) < limit) == G.size:
+            pending.append(G)
+            if len(pending) == block:
+                worst, pending = max(worst, _max_norm(np.array(pending))), []
+        else:
+            worst = max(worst, _max_grad_norm(G))
         if t in T_list:  # every replicate's exact average objective, less f_star
             gaps[t] = suite.validation_task_losses(W[:, None, :]).mean(axis=1) - consts.f_star
+    if pending:
+        worst = max(worst, _max_norm(np.array(pending)))
     grad_bound = worst * GRAD_BOUND_SAFETY  # as estimate_grad_bound on the same pass
     inputs = BoundInputs(
         smoothness=consts.smoothness,
@@ -230,7 +266,39 @@ def verify_theorem(suite: QuadraticSuite, T_list, replicates: int, seed: int, w0
     }
 
 
-def verify_lemmas(suite: QuadraticSuite, n_steps: int, replicates: int, seed: int, w0):
+class LockstepPrefix:
+    """A `record` for verify_theorem that keeps its pass's first `n_steps`
+    steps, every replicate's, for verify_lemmas to read on the same suite,
+    seed and w0."""
+
+    def __init__(self, n_steps: int):
+        self.n_steps = n_steps
+        self.steps = []  # (eta, W, G, sel) of steps 1, 2, ...
+
+    def __call__(self, t, eta, W, G, sel):
+        if t <= self.n_steps:
+            self.steps.append((eta, W, G, sel))
+
+
+def _lemma_trajectories(suite, schedule, w0, n_steps, replicates, seed, prefix):
+    """Yield (eta, W, G, sel) for the n_steps steps of `replicates`
+    replicates: read off `prefix` for the replicates it holds, if it holds
+    every step, and simulated for the others."""
+    recorded = prefix.steps[:n_steps] if prefix is not None and len(prefix.steps) >= n_steps else []
+    shared = min(replicates, len(recorded[0][1])) if recorded else 0
+    if shared == replicates:
+        for eta, W, G, sel in recorded:
+            yield eta, W[:shared], G[:shared], sel[:shared]
+        return
+    fresh = (step[1:] for step in _lockstep(suite, schedule, w0, n_steps, replicates - shared, seed, first=shared))
+    if not shared:
+        yield from fresh
+        return
+    for recorded_step, fresh_step in zip(recorded, fresh):
+        yield recorded_step[0], *(np.concatenate(pair) for pair in zip(recorded_step[1:], fresh_step[1:]))
+
+
+def verify_lemmas(suite: QuadraticSuite, n_steps: int, replicates: int, seed: int, w0, prefix=None):
     """Both per-step checks, read off one lockstep pass: returns the reports
     (lemma1, lemma2).
 
@@ -241,44 +309,77 @@ def verify_lemmas(suite: QuadraticSuite, n_steps: int, replicates: int, seed: in
 
     Lemma 2: the selection variance (exact expectation over the selected task,
     by enumerating all candidates) stays below eta_t^2 G^2, with G estimated,
-    as estimate_grad_bound does, from the gradients of this pass.
+    as estimate_grad_bound does, from the gradients that the check reads.
 
     theorem_schedule meets both premises: eta_t <= 1/L (lemma 1), and a
     non-increasing schedule with eta_t <= 2*eta_(t+1) (lemma 2).
+
+    `prefix`, a LockstepPrefix that verify_theorem filled on the same suite,
+    seed and w0, serves the replicates it holds when it holds all n_steps
+    steps: a replicate's trajectory does not depend on the pass that steps it.
+    Only the other replicates, or without such a prefix every one, are
+    simulated here.
+
+    Each statistic of a report is one reduction over an (S, R) array of
+    per-replicate values for S steps. A step that overflows or turns
+    non-finite ends that stacked pass, and the checks run again one step at a
+    time under the caller's error settings, in the order of a per-step pass,
+    so that they raise or warn where it does.
     """
     consts = suite_constants(suite)
     schedule = theorem_schedule(consts.smoothness, consts.strong_convexity)
     w0 = np.asarray(w0, dtype=np.float64)
+    args = (suite, consts, schedule, w0, n_steps, replicates, seed, prefix)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return _lemma_reports(*args, max(1, _BLOCK_FLOATS // (replicates * suite.n_tasks * suite.dim)))
+    except (ArithmeticError, Warning):
+        pass
+    return _lemma_reports(*args, 1)
+
+
+def _lemma_reports(suite, consts, schedule, w0, n_steps, replicates, seed, prefix, block):
+    """verify_lemmas' reports, with every statistic reduced over `block`
+    steps at a time."""
     n = suite.n_tasks
     mu = consts.strong_convexity
     noise_term = float(np.sum(np.square(consts.sigmas))) / n**2
+    steps = _lemma_trajectories(suite, schedule, w0, n_steps, replicates, seed, prefix)
 
-    rows1, steps, observed_max = [], [], 0.0
-    for t, eta, W, G, sel in _lockstep(suite, schedule, w0, n_steps, replicates, seed):
-        vbar = W - eta * G.mean(axis=1)  # the average of the candidate updates
+    etas, rows1, observed_max = [], [], 0.0
+    # per replicate: exact expectation over the selection; the run's own
+    # selection (MC check)
+    enum_vals, mc_vals = np.empty((n_steps, replicates)), np.empty((n_steps, replicates))
+    for start in range(0, n_steps, block):
+        eta, W, G, sel = map(np.array, zip(*itertools.islice(steps, block)))
+        rows = slice(start, start + len(eta))
+        e = eta[:, None, None]
+        vbar = W - e * G.mean(axis=2)  # the average of the candidate updates
         check_finite(vbar, "averaged candidate update")  # non-finite whenever W or G is
         observed_max = max(observed_max, _max_grad_norm(G))
         vbar_sq = _norms(vbar - consts.w_star) ** 2
         here_sq = _norms(W - consts.w_star) ** 2
-        excess = vbar_sq - (1.0 - mu * eta) * here_sq  # paired, per replicate
-        rhs = 2.0 * consts.smoothness * eta**2 * consts.gamma_het + eta**2 * noise_term
-        est = float(excess.mean())
-        se = _std_error(excess)
-        rows1.append(
-            {
-                "t": t,
-                "eta": eta,
-                "lhs_mean": float(vbar_sq.mean()),
-                "excess_mean": est,
-                "rhs": rhs,
-                "std_error": se,
-                "pass": _passes(est, rhs, se),
-            }
-        )
-        candidates = W[:, None, :] - eta * G
-        dists = _norms(candidates - vbar[:, None, :]) ** 2
-        # exact expectation over the selection; the run's own selection (MC check)
-        steps.append((t, eta, dists.mean(axis=1), dists[np.arange(replicates), sel]))
+        excess = vbar_sq - (1.0 - mu * eta)[:, None] * here_sq  # paired, per replicate
+        rhs = [2.0 * consts.smoothness * x**2 * consts.gamma_het + x**2 * noise_term for x in eta.tolist()]
+        stats = (excess.mean(axis=1), _std_errors(excess), vbar_sq.mean(axis=1))
+        for t, x, r, est, se, lhs in zip(range(start + 1, n_steps + 1), eta.tolist(), rhs,
+                                          *(v.tolist() for v in stats)):
+            rows1.append(
+                {
+                    "t": t,
+                    "eta": x,
+                    "lhs_mean": lhs,
+                    "excess_mean": est,
+                    "rhs": r,
+                    "std_error": se,
+                    "pass": _passes(est, r, se),
+                }
+            )
+        dists = _norms(W[:, :, None, :] - e[..., None] * G - vbar[:, :, None, :]) ** 2
+        enum_vals[rows] = dists.mean(axis=2)
+        mc_vals[rows] = np.take_along_axis(dists, sel[..., None], axis=2)[..., 0]
+        etas += eta.tolist()
     lemma1 = {
         "kind": "contraction_inequality",
         "replicates": replicates,
@@ -295,22 +396,26 @@ def verify_lemmas(suite: QuadraticSuite, n_steps: int, replicates: int, seed: in
 
     grad_bound = observed_max * GRAD_BOUND_SAFETY
     rows2 = []
-    for t, eta, enum_vals, mc_vals in steps:
-        bound = (eta * grad_bound) ** 2
-        est, se = float(enum_vals.mean()), _std_error(enum_vals)
-        rows2.append(
-            {
-                "t": t,
-                "eta": eta,
-                "lhs_mean": est,
-                "lhs_max": float(enum_vals.max()),
-                "mc_mean": float(mc_vals.mean()),
-                "mc_std_error": _std_error(mc_vals),
-                "bound": bound,
-                "std_error": se,
-                "pass": _passes(est, bound, se),
-            }
-        )
+    for start in range(0, n_steps, block):
+        rows = slice(start, start + block)
+        bounds = [(x * grad_bound) ** 2 for x in etas[rows]]
+        enum, mc = enum_vals[rows], mc_vals[rows]
+        stats = (enum.mean(axis=1), _std_errors(enum), enum.max(axis=1), mc.mean(axis=1), _std_errors(mc))
+        for t, x, bound, est, se, lhs_max, mc_mean, mc_se in zip(range(start + 1, n_steps + 1), etas[rows],
+                                                                 bounds, *(v.tolist() for v in stats)):
+            rows2.append(
+                {
+                    "t": t,
+                    "eta": x,
+                    "lhs_mean": est,
+                    "lhs_max": lhs_max,
+                    "mc_mean": mc_mean,
+                    "mc_std_error": mc_se,
+                    "bound": bound,
+                    "std_error": se,
+                    "pass": _passes(est, bound, se),
+                }
+            )
     lemma2 = {
         "kind": "selection_variance_inequality",
         "replicates": replicates,

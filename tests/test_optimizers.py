@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtlopt.optimizers import OptimizerRule, OptimizerState, apply, fresh_state
+from mtlopt.params import NonFiniteError
 
 
 def gradient_sequences():
@@ -218,32 +219,45 @@ def test_apply_leaves_its_inputs_alone_and_returns_the_textbook_direction(kind):
     # the contract schemes.step and run's snapshots rely on: the state passed
     # in keeps its m and v objects, their bits and its step, g keeps its
     # bits, and the next state holds new moment arrays; the direction and
-    # moments equal the textbook expressions below bit for bit, overflowed
-    # moments included
+    # moments equal the textbook expressions below bit for bit. A gradient
+    # whose adam second moment overflows, in v or in v_hat, raises instead.
     rule = OptimizerRule(kind, beta=0.7, beta1=0.8, beta2=0.95, eps=1e-6)
     gen = np.random.default_rng(["sgd", "momentum", "adam"].index(kind))
     state = fresh_state(rule, 4)
     m, v = state.m.copy(), None if state.v is None else state.v.copy()
-    for t, g in enumerate(_extreme_gradients(gen, 60, 4), start=1):
+    landed = 0
+    for g in _extreme_gradients(gen, 60, 4):
         given = state
         old_m, old_v = state.m, state.v
         g_before, m_before, v_before = g.copy(), old_m.copy(), None if old_v is None else old_v.copy()
+        t = given.step + 1
         with np.errstate(over="ignore", invalid="ignore"):
-            direction, state = apply(rule, given, g)
             if kind == "sgd":
-                want = g
+                want, m_next, v_next = g, m, None
             elif kind == "momentum":
-                m = rule.beta * m + g
-                want = m
+                m_next = rule.beta * m + g
+                want, v_next = m_next, None
             else:
-                m = rule.beta1 * m + (1.0 - rule.beta1) * g
-                v = rule.beta2 * v + (1.0 - rule.beta2) * g * g
-                m_hat = m / (1.0 - rule.beta1**t)
-                v_hat = v / (1.0 - rule.beta2**t)
-                want = m_hat / (np.sqrt(v_hat) + rule.eps)
+                m_next = rule.beta1 * m + (1.0 - rule.beta1) * g
+                v_next = rule.beta2 * v + (1.0 - rule.beta2) * g * g
+                m_hat = m_next / (1.0 - rule.beta1**t)
+                v_hat = v_next / (1.0 - rule.beta2**t)
+                denominator = np.sqrt(v_hat) + rule.eps
+                want = m_hat / denominator
+            if kind == "adam" and not np.isfinite(denominator).all():
+                with pytest.raises(NonFiniteError, match="^non-finite entries in adam second moment$"):
+                    apply(rule, given, g)
+            else:
+                direction, state = apply(rule, given, g)
+                m, v = m_next, v_next
+                landed += 1
         assert given.m is old_m and given.v is old_v and given.step == t - 1
         assert np.array_equal(_bits(g), _bits(g_before))
         assert np.array_equal(_bits(old_m), _bits(m_before))
+        if state is given:  # the update raised
+            if kind == "adam":
+                assert np.array_equal(_bits(old_v), _bits(v_before))
+            continue
         assert np.array_equal(_bits(direction), _bits(want)), (t, g)
         assert not np.shares_memory(direction, g) and not np.shares_memory(direction, state.m)
         assert np.array_equal(_bits(state.m), _bits(m))
@@ -256,3 +270,4 @@ def test_apply_leaves_its_inputs_alone_and_returns_the_textbook_direction(kind):
             assert np.array_equal(_bits(state.v), _bits(v))
         else:
             assert state.v is None
+    assert landed >= 20  # enough updates land for the bits to be checked

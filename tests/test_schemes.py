@@ -496,16 +496,26 @@ def _nan_below(level):
         (SGD, 1.0, OneTaskStubSuite(_nan_below(-2.5), dim=2, mask=np.array([True, False])), 3,
          "non-finite gradient passed to optimizer"),
         # adam on a constant gradient of the largest float: v overflows at
-        # once, so the first direction is m_hat / inf = 0; the second bias
-        # correction of m rounds above the largest float, and inf / inf is NaN
-        (OptimizerRule("adam"), 1.0, OneTaskStubSuite(lambda w: np.full(w.size, np.finfo(np.float64).max)), 1,
+        # once, and the direction m_hat / inf = 0 would stall the run
+        (OptimizerRule("adam"), 1.0, OneTaskStubSuite(lambda w: np.full(w.size, np.finfo(np.float64).max)), 0,
+         "non-finite entries in adam second moment"),
+        # a gradient of 1e155: v = 0.001 * g**2 is finite, but its bias
+        # correction v_hat = g**2 overflows, with the same stall
+        (OptimizerRule("adam"), 1.0, OneTaskStubSuite(lambda w: np.full(w.size, 1e155)), 0,
+         "non-finite entries in adam second moment"),
+        # without a second-moment average (beta2 = 0), a gradient of 1e150
+        # and then 0 leaves m_hat at about 4.7e148 over a denominator of eps,
+        # 1e-300: the second direction overflows
+        (OptimizerRule("adam", beta2=0.0, eps=1e-300), 1.0,
+         OneTaskStubSuite(lambda w: np.full(w.size, 1e150 if w[0] == 0.0 else 0.0)), 1,
          "non-finite entries in adam direction"),
         # momentum at eta 1e307 on a constant gradient of 1: the partial sums
         # of m reach 17.83, and the seventh update takes w below -1.8e308
         (OptimizerRule("momentum", beta=0.9), 1e307, OneTaskStubSuite(lambda w: np.ones(w.size)), 6,
          "non-finite entries in axpy result"),
     ],
-    ids=["gradient", "gradient-outside-mask", "adam-direction", "axpy-result"],
+    ids=["gradient", "gradient-outside-mask", "adam-second-moment", "adam-bias-corrected-second-moment",
+         "adam-direction", "axpy-result"],
 )
 def test_update_path_aborts_name_the_check_and_keep_the_last_landed_state(opt, eta, suite, landed, reason):
     w0 = np.zeros(suite.dim)

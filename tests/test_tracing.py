@@ -37,6 +37,22 @@ def test_hand_path_distances_exact():
     assert not d.degenerate
 
 
+def test_best_val_task_losses_are_taken_once_until_the_next_validation(monkeypatch):
+    trace = RunTrace(meta={})
+    assert trace.best_val_task_losses is None
+    trace.add_validation(0, 2.0, [3.0, 1.0])
+    trace.add_validation(1, 3.0, [2.0, 4.0])
+    stacks = []
+    real_stack = np.stack
+    monkeypatch.setattr(np, "stack", lambda *a, **k: stacks.append(a) or real_stack(*a, **k))
+    # each task's own minimum, read twice (summary and trace meta) from one stack
+    assert trace.best_val_task_losses == trace.best_val_task_losses == [2.0, 1.0]
+    assert len(stacks) == 1
+    trace.add_validation(2, 3.0, [1.0, 5.0])
+    assert trace.best_val_task_losses == [1.0, 1.0]
+    assert len(stacks) == 2
+
+
 def test_zero_motion_is_degenerate():
     trace = RunTrace(meta={})
     trace.w0 = np.zeros(2)

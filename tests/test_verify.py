@@ -21,16 +21,17 @@ from mtlopt.objectives import (
     two_task_suite,
 )
 from mtlopt.optimizers import OptimizerRule
-from mtlopt.params import RngStream
+from mtlopt.params import NonFiniteError, RngStream, check_finite
 from mtlopt.schemes import SchemeConfig, theorem_schedule
+from mtlopt.tracing import write_json
 from mtlopt.verify import (
     GRAD_BOUND_SAFETY,
     BoundInputs,
+    LockstepPrefix,
     _lockstep,
     _max_grad_norm,
     _norms,
     _passes,
-    _std_error,
     estimate_grad_bound,
     fit_rate,
     theorem_bound,
@@ -275,18 +276,45 @@ def test_verify_lemmas_steps_each_replicate_once(make_suite):
     assert suite.draws == 7 * 12
 
 
-def test_cmd_verify_makes_one_theorem_pass_and_one_lemma_pass(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "lemma_steps, lemma_replicates, draws_expected",
+    [
+        (7, 5, 3 * 300 + (5 - 3) * 7),  # lemma replicates 3 and 4 are simulated anew
+        (7, 3, 3 * 300),  # every lemma trajectory is a prefix of a theorem one
+        (7, 2, 3 * 300),
+        (301, 2, 3 * 300 + 2 * 301),  # the theorem pass is too short: all anew
+    ],
+)
+def test_cmd_verify_simulates_only_what_the_theorem_pass_lacks(tmp_path, monkeypatch, lemma_steps,
+                                                               lemma_replicates, draws_expected):
     draws = []
     real = QuadraticSuite.sample_minibatch
     monkeypatch.setattr(QuadraticSuite, "sample_minibatch", lambda self, gen: draws.append(gen) or real(self, gen))
-    v = {"T_list": [2, 300, 30], "replicates": 3, "lemma_steps": 7, "lemma_replicates": 5}
+    v = {"T_list": [2, 300, 30], "replicates": 3, "lemma_steps": lemma_steps, "lemma_replicates": lemma_replicates}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"objective": {"family": "quadratic", "preset": "five_task"}, "seeds": [0], "verify": v}))
     assert main(["verify", str(cfg), "--out", str(tmp_path / "v")]) in (0, 3)
-    assert len(draws) == 3 * 300 + 5 * 7
+    assert len(draws) == draws_expected
 
 
 # ------------------------------------------------------------ theorem check
+
+
+@pytest.mark.parametrize(
+    "errors, error, message",
+    [
+        ({"over": "raise", "invalid": "raise"}, FloatingPointError, "overflow encountered in matmul"),
+        ({}, RuntimeWarning, "overflow encountered in matmul"),  # the test settings raise warnings
+        ({"over": "ignore"}, NonFiniteError, "non-finite entries in stochastic gradients"),
+    ],
+)
+def test_verify_theorem_fails_at_the_step_whose_gradient_norm_overflows(errors, error, message):
+    # the step-1 gradients under noise 1e308 are finite, but their squared
+    # norms overflow (or, with overflow ignored, the gradients of step 2 are
+    # inf); a norm left to the end of a block would let later steps fail first
+    suite = QuadraticSuite([QuadraticTask(k, [[1.0]], [float(k)], 1e308) for k in range(2)])
+    with np.errstate(**errors), pytest.raises(error, match=f"^{message}$"):
+        verify_theorem(suite, [1, 5, 20], replicates=2, seed=0, w0=[0.0])
 
 
 def test_verify_theorem_noiseless_single_task():
@@ -354,6 +382,11 @@ def test_lemma2_small_real_suite_and_cross_check():
         assert abs(row["mc_mean"] - row["lhs_mean"]) <= slack
 
 
+def _std_error(vals):
+    """Reference: the standard error of the mean of one step's replicate values."""
+    return float(vals.std(ddof=1)) / np.sqrt(vals.size) if vals.size > 1 else 0.0
+
+
 def reference_lemma1(suite, n_steps, replicates, seed, w0):
     """Reference: lemma 1's own lockstep pass, as verify_lemma1 ran it alone."""
     consts = suite_constants(suite)
@@ -415,6 +448,92 @@ def test_verify_lemmas_equal_the_two_lemma_passes(make_suite, replicates, n_step
     assert lemma2 == reference_lemma2(suite, n_steps, replicates, seed, w0)
     assert verify_lemma1(suite, n_steps, replicates, seed, w0) == lemma1
     assert verify_lemma2(suite, n_steps, replicates, seed, w0) == lemma2
+
+
+PRESETS = {"five_task": five_task_suite(), "two_task": two_task_suite()}
+
+
+def _json_bytes(obj, tmp_path):
+    path = tmp_path / "report.json"
+    write_json(obj, path)
+    return path.read_bytes()
+
+
+# lemma replicates below, at and above the theorem's, lemma steps below, at
+# and above its max(T), and one or two lemma replicates
+@example("five_task", 30, 3, 10, 2, 0)
+@example("five_task", 30, 3, 10, 3, 1)
+@example("five_task", 30, 3, 10, 5, 2)
+@example("two_task", 30, 2, 30, 4, 3)
+@example("two_task", 30, 2, 33, 1, 0)
+@example("five_task", 12, 2, 12, 1, 1)
+@example("five_task", 12, 2, 5, 2, 2)
+@given(
+    st.sampled_from(sorted(PRESETS)),
+    st.integers(1, 40),
+    st.integers(2, 4),
+    st.integers(1, 44),
+    st.integers(1, 6),
+    st.integers(0, 3),
+)
+@settings(max_examples=40, deadline=None)
+def test_lemma_reports_read_off_the_theorem_pass_equal_the_stand_alone_ones(
+    preset, t_max, replicates, lemma_steps, lemma_replicates, seed
+):
+    suite = PRESETS[preset]
+    w0 = np.full(suite.dim, 0.5)
+    prefix = LockstepPrefix(lemma_steps)
+    verify_theorem(suite, [t_max], replicates, seed, w0, record=prefix)
+    shared = verify_lemmas(suite, lemma_steps, lemma_replicates, seed, w0, prefix=prefix)
+    alone = verify_lemmas(suite, lemma_steps, lemma_replicates, seed, w0)
+    assert shared == alone
+    with tempfile.TemporaryDirectory() as tmp:
+        for a, b in zip(shared, alone):
+            assert _json_bytes(a, Path(tmp)) == _json_bytes(b, Path(tmp))
+
+
+def reference_lemmas(suite, n_steps, replicates, seed, w0):
+    """Reference: both lemma reports from one pass, step by step, with every
+    reduction and check in the order of a per-step loop."""
+    consts = suite_constants(suite)
+    schedule = theorem_schedule(consts.smoothness, consts.strong_convexity)
+    w0 = np.asarray(w0, dtype=np.float64)
+    n = suite.n_tasks
+    mu = consts.strong_convexity
+    noise_term = float(np.sum(np.square(consts.sigmas))) / n**2
+    rows1, steps, observed_max = [], [], 0.0
+    for t, eta, W, G, sel in _lockstep(suite, schedule, w0, n_steps, replicates, seed):
+        vbar = W - eta * G.mean(axis=1)
+        check_finite(vbar, "averaged candidate update")
+        observed_max = max(observed_max, _max_grad_norm(G))
+        vbar_sq = _norms(vbar - consts.w_star) ** 2
+        here_sq = _norms(W - consts.w_star) ** 2
+        excess = vbar_sq - (1.0 - mu * eta) * here_sq
+        rhs = 2.0 * consts.smoothness * eta**2 * consts.gamma_het + eta**2 * noise_term
+        est = float(excess.mean())
+        se = _std_error(excess)
+        rows1.append({"t": t, "eta": eta, "lhs_mean": float(vbar_sq.mean()), "excess_mean": est,
+                      "rhs": rhs, "std_error": se, "pass": _passes(est, rhs, se)})
+        candidates = W[:, None, :] - eta * G
+        dists = _norms(candidates - vbar[:, None, :]) ** 2
+        steps.append((t, eta, dists.mean(axis=1), dists[np.arange(replicates), sel]))
+    constants = {"smoothness": consts.smoothness, "strong_convexity": mu,
+                 "gamma_het": consts.gamma_het, "sigmas": list(consts.sigmas)}
+    lemma1 = {"kind": "contraction_inequality", "replicates": replicates, "seed": seed,
+              "constants": constants, "rows": rows1, "all_pass": all(r["pass"] for r in rows1)}
+    grad_bound = observed_max * GRAD_BOUND_SAFETY
+    rows2 = []
+    for t, eta, enum_vals, mc_vals in steps:
+        bound = (eta * grad_bound) ** 2
+        est, se = float(enum_vals.mean()), _std_error(enum_vals)
+        rows2.append({"t": t, "eta": eta, "lhs_mean": est, "lhs_max": float(enum_vals.max()),
+                      "mc_mean": float(mc_vals.mean()), "mc_std_error": _std_error(mc_vals),
+                      "bound": bound, "std_error": se, "pass": _passes(est, bound, se)})
+    lemma2 = {"kind": "selection_variance_inequality", "replicates": replicates, "seed": seed,
+              "grad_bound": float(grad_bound), "grad_bound_supplied": False,
+              "observed_max_grad_norm": observed_max, "grad_bound_violated": False,
+              "rows": rows2, "all_pass": all(r["pass"] for r in rows2)}
+    return lemma1, lemma2
 
 
 EXTREME = [10.0**k for k in range(-300, 301, 50)] + [1.0 + 2.0**-52, 3.0, 0.1]
@@ -613,3 +732,40 @@ def test_runs_on_a_derived_schedule_exit_cleanly(payload):
         for path in out.glob("*.csv"):
             with open(path, encoding="utf-8") as f:
                 load_strict_json(f.readline().removeprefix("# config: "))
+
+
+def _outcome(call):
+    """What a call gives: its result, as JSON text that keeps NaN, or the
+    type and message of the error or warning it raises."""
+    try:
+        return json.dumps(call(), sort_keys=True)
+    except (ArithmeticError, RuntimeWarning) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# a noise of 5e153 on two 1-D tasks: at step 1 a squared distance overflows
+# after its norm, and at step 2 a norm's own sum of squares does
+@example([{"matrix": [[1.0]], "center": [0.0], "noise_sigma": 5.011872336270296e153}] * 2, [0.0, 0.0], 3, 3, 0)
+@given(quadratic_tasks(), st.lists(_W0, min_size=2, max_size=2), st.integers(1, 3), st.integers(1, 4), st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_verify_lemmas_fail_where_a_per_step_pass_fails(tasks, w0, replicates, n_steps, seed):
+    # at magnitudes where some step overflows, the stacked checks give way to
+    # per-step ones: the same error, or the same reports, as the reference,
+    # under the verify command's error settings and under the defaults (whose
+    # warnings the test settings raise)
+    suite = QuadraticSuite([QuadraticTask(k, t["matrix"], t["center"], t["noise_sigma"])
+                            for k, t in enumerate(tasks)])
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            suite_constants(suite)
+    except (ArithmeticError, ValueError):
+        return  # verify rejects the suite before any check
+    w0 = np.array(w0[:suite.dim])
+    for errors in ({"over": "raise", "invalid": "raise"}, {}):
+        with np.errstate(**errors):
+            want = _outcome(lambda: reference_lemmas(suite, n_steps, replicates, seed, w0))
+            assert _outcome(lambda: verify_lemmas(suite, n_steps, replicates, seed, w0)) == want
+            prefix = LockstepPrefix(n_steps)
+            if isinstance(_outcome(lambda: verify_theorem(suite, [n_steps], 2, seed, w0, record=prefix)), str):
+                # the verify command reads the lemma checks off a theorem pass that ended
+                assert _outcome(lambda: verify_lemmas(suite, n_steps, replicates, seed, w0, prefix=prefix)) == want
