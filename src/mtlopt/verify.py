@@ -147,6 +147,11 @@ def _max_grad_norm(G) -> float:
     return _max_norm(G)
 
 
+def _block_steps(suite, replicates) -> int:
+    """Steps whose gradients, (R, n, d) each, fit in run's block of floats."""
+    return max(1, _BLOCK_FLOATS // (replicates * suite.n_tasks * suite.dim))
+
+
 def _lockstep(suite, schedule, w0, n_steps, replicates, seed, first=0):
     """Yield (t, eta, W, G, sel) for t = 1..n_steps of the replicates first,
     ..., first + replicates - 1: the iterates W (R, d) before the update,
@@ -204,7 +209,7 @@ def verify_theorem(suite: QuadraticSuite, T_list, replicates: int, seed: int, w0
     # once instead: below it no squared norm can overflow, so a blocked norm
     # raises and warns nowhere a per-step one would not.
     limit = math.sqrt(np.finfo(np.float64).max / suite.dim) / 2.0
-    block = max(1, _BLOCK_FLOATS // (replicates * suite.n_tasks * suite.dim))
+    block = _block_steps(suite, replicates)
     pending, worst, gaps = [], 0.0, {}
     for t, eta, W, G, sel in _lockstep(suite, schedule, w0, n_steps, replicates, seed):
         if record is not None:
@@ -333,7 +338,7 @@ def verify_lemmas(suite: QuadraticSuite, n_steps: int, replicates: int, seed: in
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"), warnings.catch_warnings():
             warnings.simplefilter("error")
-            return _lemma_reports(*args, max(1, _BLOCK_FLOATS // (replicates * suite.n_tasks * suite.dim)))
+            return _lemma_reports(*args, _block_steps(suite, replicates))
     except (ArithmeticError, Warning):
         pass
     return _lemma_reports(*args, 1)
