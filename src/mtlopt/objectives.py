@@ -113,9 +113,10 @@ class TaskSuite:
 
 
 # Stacked matmuls over the task axis (and any leading axes). Each runs every
-# product through the same kernel as one task's `matrix @ r` or `r @ r`, so it
-# reproduces the numbers of a per-task loop bit for bit; einsum sums in
-# another order.
+# product through the same kernel as one task's `matrix @ r` or `r @ r` on
+# OpenBLAS's SkylakeX kernels, and there reproduces the numbers of a per-task
+# loop bit for bit; under OPENBLAS_CORETYPE=Prescott a stacked product was
+# seen 1 ulp off. einsum sums in another order.
 def _matvec(mats, vecs):
     return (mats @ vecs[..., None])[..., 0]
 

@@ -166,9 +166,10 @@ def _finite_or_null(obj):
 def write_json(obj, path) -> None:
     """Strict JSON (non-finite floats become null), sorted keys, two-space
     indent and a final newline: the one format of every JSON output."""
+    # one write of the whole text: json.dump makes an f.write call per chunk
+    text = json.dumps(_finite_or_null(obj), sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(_finite_or_null(obj), f, sort_keys=True, indent=2, allow_nan=False)
-        f.write("\n")
+        f.write(text + "\n")
 
 
 def config_comment(meta) -> str:

@@ -7,14 +7,11 @@ is selected uniformly at random, and the iterate follows that task's update.
 The initial iterate is indexed 1, so the expected optimality gap "at T" is
 measured after T-1 update steps.
 
-A pass steps all its R replicates in lockstep, with array ops over an (R, d)
-array of iterates. Replicate r draws from its own streams, data[r] and
-task-order[r], so every number equals that of the replicate stepped alone,
-whichever pass steps it. The per-step checks (verify_lemmas) can therefore
-read their trajectories off the bound's pass (verify_theorem): recorded with
-a LockstepPrefix, its first steps of its first replicates serve them. Only
-the lemma replicates it lacks, or every one if it is too short, are
-simulated anew.
+The bound's check (verify_theorem) and the per-step checks (verify_lemmas)
+each simulate their own replicates. A pass steps all its R replicates in
+lockstep, with array ops over an (R, d) array of iterates. Replicate r draws
+from its own streams, data[r] and task-order[r], so every number equals that
+of the replicate stepped alone.
 
 Statistical policy: the bound is an upper bound in expectation, so a check
 passes when the Monte-Carlo estimate does not exceed it by more than three
@@ -43,7 +40,6 @@ __all__ = [
     "theorem_bound_max_form",
     "estimate_grad_bound",
     "verify_theorem",
-    "LockstepPrefix",
     "verify_lemmas",
     "verify_lemma1",
     "verify_lemma2",
@@ -152,14 +148,19 @@ def _block_steps(suite, replicates) -> int:
     return max(1, _BLOCK_FLOATS // (replicates * suite.n_tasks * suite.dim))
 
 
-def _lockstep(suite, schedule, w0, n_steps, replicates, seed, first=0):
-    """Yield (t, eta, W, G, sel) for t = 1..n_steps of the replicates first,
-    ..., first + replicates - 1: the iterates W (R, d) before the update,
-    every task's stochastic gradient there G (R, n, d) and the selected tasks
-    sel (R,). Replicate r's noise is one sample_minibatch call per step on its
-    stream data[r]."""
+def _lockstep(suite, schedule, w0, n_steps, replicates, seed, block=None):
+    """Yield (t, eta, W, G, sel) for t = 1..n_steps of `replicates`
+    replicates: the iterates W (R, d) before the update, every task's
+    stochastic gradient there G (R, n, d) and the selected tasks sel (R,).
+    Replicate r draws its noise on its stream data[r], one sample_minibatches
+    call per `block` steps, or one sample_minibatch call per step without a
+    block; the draws are the same either way.
+
+    The per-step mode stays for verify_theorem and estimate_grad_bound only
+    because perfbench/tracer.py counts their replicate-steps as
+    sample_minibatch calls; ROADMAP.md item 2 removes it."""
     n = suite.n_tasks
-    labels = range(first, first + replicates)
+    labels = range(replicates)
     data = [RngStream(seed, f"data[{r}]").gen for r in labels]
     # one bulk draw yields the same values as n_steps draws of integers(n)
     order = np.array([RngStream(seed, f"task-order[{r}]").gen.integers(n, size=n_steps) for r in labels])
@@ -168,8 +169,14 @@ def _lockstep(suite, schedule, w0, n_steps, replicates, seed, first=0):
     W = np.tile(np.asarray(w0, dtype=np.float64), (replicates, 1))
     for t in range(1, n_steps + 1):
         eta = schedule.at(t)
-        # np.concatenate copies the draws as np.array would, with less dispatch
-        xi = np.concatenate([suite.sample_minibatch(gen) for gen in data]).reshape(draws_shape)
+        if block is None:
+            # np.concatenate copies the draws as np.array would, with less dispatch
+            xi = np.concatenate([suite.sample_minibatch(gen) for gen in data]).reshape(draws_shape)
+        else:
+            if (t - 1) % block == 0:  # the next block's draws, (k, R, n, d)
+                k = min(block, n_steps - t + 1)
+                draws = np.stack([suite.sample_minibatches(gen, k) for gen in data], axis=1)
+            xi = draws[(t - 1) % block]
         G = suite.task_gradients(W, xi)
         sel = order[:, t - 1]
         yield t, eta, W, G, sel
@@ -187,13 +194,9 @@ def estimate_grad_bound(suite, schedule, n_steps, replicates, seed, w0) -> float
     return worst * GRAD_BOUND_SAFETY
 
 
-def verify_theorem(suite: QuadraticSuite, T_list, replicates: int, seed: int, w0, record=None) -> dict:
+def verify_theorem(suite: QuadraticSuite, T_list, replicates: int, seed: int, w0) -> dict:
     """Estimate the expected average-objective gap at each T and compare it
-    with the closed-form bound.
-
-    `record`, if given, is called with (t, eta, W, G, sel) at every step of
-    the pass, as _lockstep yields them; a LockstepPrefix keeps the steps that
-    verify_lemmas reads."""
+    with the closed-form bound."""
     T_list = sorted(int(t) for t in T_list)
     if min(T_list) < 1:
         raise ValueError("every T must be >= 1")
@@ -212,8 +215,6 @@ def verify_theorem(suite: QuadraticSuite, T_list, replicates: int, seed: int, w0
     block = _block_steps(suite, replicates)
     pending, worst, gaps = [], 0.0, {}
     for t, eta, W, G, sel in _lockstep(suite, schedule, w0, n_steps, replicates, seed):
-        if record is not None:
-            record(t, eta, W, G, sel)
         if _count_nonzero(np.abs(G) < limit) == G.size:
             pending.append(G)
             if len(pending) == block:
@@ -271,39 +272,7 @@ def verify_theorem(suite: QuadraticSuite, T_list, replicates: int, seed: int, w0
     }
 
 
-class LockstepPrefix:
-    """A `record` for verify_theorem that keeps its pass's first `n_steps`
-    steps, every replicate's, for verify_lemmas to read on the same suite,
-    seed and w0."""
-
-    def __init__(self, n_steps: int):
-        self.n_steps = n_steps
-        self.steps = []  # (eta, W, G, sel) of steps 1, 2, ...
-
-    def __call__(self, t, eta, W, G, sel):
-        if t <= self.n_steps:
-            self.steps.append((eta, W, G, sel))
-
-
-def _lemma_trajectories(suite, schedule, w0, n_steps, replicates, seed, prefix):
-    """Yield (eta, W, G, sel) for the n_steps steps of `replicates`
-    replicates: read off `prefix` for the replicates it holds, if it holds
-    every step, and simulated for the others."""
-    recorded = prefix.steps[:n_steps] if prefix is not None and len(prefix.steps) >= n_steps else []
-    shared = min(replicates, len(recorded[0][1])) if recorded else 0
-    if shared == replicates:
-        for eta, W, G, sel in recorded:
-            yield eta, W[:shared], G[:shared], sel[:shared]
-        return
-    fresh = (step[1:] for step in _lockstep(suite, schedule, w0, n_steps, replicates - shared, seed, first=shared))
-    if not shared:
-        yield from fresh
-        return
-    for recorded_step, fresh_step in zip(recorded, fresh):
-        yield recorded_step[0], *(np.concatenate(pair) for pair in zip(recorded_step[1:], fresh_step[1:]))
-
-
-def verify_lemmas(suite: QuadraticSuite, n_steps: int, replicates: int, seed: int, w0, prefix=None):
+def verify_lemmas(suite: QuadraticSuite, n_steps: int, replicates: int, seed: int, w0):
     """Both per-step checks, read off one lockstep pass: returns the reports
     (lemma1, lemma2).
 
@@ -319,22 +288,17 @@ def verify_lemmas(suite: QuadraticSuite, n_steps: int, replicates: int, seed: in
     theorem_schedule meets both premises: eta_t <= 1/L (lemma 1), and a
     non-increasing schedule with eta_t <= 2*eta_(t+1) (lemma 2).
 
-    `prefix`, a LockstepPrefix that verify_theorem filled on the same suite,
-    seed and w0, serves the replicates it holds when it holds all n_steps
-    steps: a replicate's trajectory does not depend on the pass that steps it.
-    Only the other replicates, or without such a prefix every one, are
-    simulated here.
-
-    Each statistic of a report is one reduction over an (S, R) array of
-    per-replicate values for S steps. A step that overflows or turns
-    non-finite ends that stacked pass, and the checks run again one step at a
-    time under the caller's error settings, in the order of a per-step pass,
-    so that they raise or warn where it does.
+    The pass draws each replicate's noise for a block of S steps at once, and
+    each statistic of a report is one reduction over an (S, R) array of
+    per-replicate values. A draw or step that overflows or turns non-finite
+    ends that blocked pass, and the checks run again one step at a time under
+    the caller's error settings, in the order of a per-step pass, so that they
+    raise or warn where it does.
     """
     consts = suite_constants(suite)
     schedule = theorem_schedule(consts.smoothness, consts.strong_convexity)
     w0 = np.asarray(w0, dtype=np.float64)
-    args = (suite, consts, schedule, w0, n_steps, replicates, seed, prefix)
+    args = (suite, consts, schedule, w0, n_steps, replicates, seed)
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"), warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -344,13 +308,13 @@ def verify_lemmas(suite: QuadraticSuite, n_steps: int, replicates: int, seed: in
     return _lemma_reports(*args, 1)
 
 
-def _lemma_reports(suite, consts, schedule, w0, n_steps, replicates, seed, prefix, block):
-    """verify_lemmas' reports, with every statistic reduced over `block`
-    steps at a time."""
+def _lemma_reports(suite, consts, schedule, w0, n_steps, replicates, seed, block):
+    """verify_lemmas' reports, with the noise drawn and every statistic
+    reduced over `block` steps at a time."""
     n = suite.n_tasks
     mu = consts.strong_convexity
     noise_term = float(np.sum(np.square(consts.sigmas))) / n**2
-    steps = _lemma_trajectories(suite, schedule, w0, n_steps, replicates, seed, prefix)
+    steps = (step[1:] for step in _lockstep(suite, schedule, w0, n_steps, replicates, seed, block))
 
     etas, rows1, observed_max = [], [], 0.0
     # per replicate: exact expectation over the selection; the run's own

@@ -23,11 +23,9 @@ from mtlopt.objectives import (
 from mtlopt.optimizers import OptimizerRule
 from mtlopt.params import NonFiniteError, RngStream, check_finite
 from mtlopt.schemes import SchemeConfig, theorem_schedule
-from mtlopt.tracing import write_json
 from mtlopt.verify import (
     GRAD_BOUND_SAFETY,
     BoundInputs,
-    LockstepPrefix,
     _lockstep,
     _max_grad_norm,
     _norms,
@@ -222,13 +220,18 @@ def test_lockstep_replicates_are_runs_of_the_engine_users_run(monkeypatch, make_
 
 
 class CountingSuite(QuadraticSuite):
-    """A QuadraticSuite that counts its minibatch draws, one per replicate-step."""
+    """A QuadraticSuite that counts its minibatch draws, one per
+    replicate-step, whether drawn one at a time or in blocks."""
 
     draws = 0
 
     def sample_minibatch(self, gen):
         self.draws += 1
         return super().sample_minibatch(gen)
+
+    def sample_minibatches(self, gen, count):
+        self.draws += count
+        return super().sample_minibatches(gen, count)
 
 
 @pytest.mark.parametrize("make_suite", [five_task_suite, two_task_suite])
@@ -277,24 +280,23 @@ def test_verify_lemmas_steps_each_replicate_once(make_suite):
 
 
 @pytest.mark.parametrize(
-    "lemma_steps, lemma_replicates, draws_expected",
-    [
-        (7, 5, 3 * 300 + (5 - 3) * 7),  # lemma replicates 3 and 4 are simulated anew
-        (7, 3, 3 * 300),  # every lemma trajectory is a prefix of a theorem one
-        (7, 2, 3 * 300),
-        (301, 2, 3 * 300 + 2 * 301),  # the theorem pass is too short: all anew
-    ],
+    "lemma_steps, lemma_replicates",
+    # lemma replicates above, at and below the theorem's; lemma steps above
+    # max(T_list), the last over 13 draw blocks
+    [(7, 5), (7, 3), (7, 2), (301, 2), (700, 40)],
 )
-def test_cmd_verify_simulates_only_what_the_theorem_pass_lacks(tmp_path, monkeypatch, lemma_steps,
-                                                               lemma_replicates, draws_expected):
+def test_cmd_verify_simulates_each_replicate_of_each_check_once(tmp_path, monkeypatch, lemma_steps,
+                                                                lemma_replicates):
     draws = []
-    real = QuadraticSuite.sample_minibatch
-    monkeypatch.setattr(QuadraticSuite, "sample_minibatch", lambda self, gen: draws.append(gen) or real(self, gen))
+    real, real_blocks = QuadraticSuite.sample_minibatch, QuadraticSuite.sample_minibatches
+    monkeypatch.setattr(QuadraticSuite, "sample_minibatch", lambda self, gen: draws.append(1) or real(self, gen))
+    monkeypatch.setattr(QuadraticSuite, "sample_minibatches",
+                        lambda self, gen, k: draws.append(k) or real_blocks(self, gen, k))
     v = {"T_list": [2, 300, 30], "replicates": 3, "lemma_steps": lemma_steps, "lemma_replicates": lemma_replicates}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"objective": {"family": "quadratic", "preset": "five_task"}, "seeds": [0], "verify": v}))
     assert main(["verify", str(cfg), "--out", str(tmp_path / "v")]) in (0, 3)
-    assert len(draws) == draws_expected
+    assert sum(draws) == 3 * 300 + lemma_replicates * lemma_steps
 
 
 # ------------------------------------------------------------ theorem check
@@ -438,7 +440,11 @@ def reference_lemma2(suite, n_steps, replicates, seed, w0):
             "rows": rows, "all_pass": all(r["pass"] for r in rows)}
 
 
-@pytest.mark.parametrize("replicates, n_steps, seed", [(1, 3, 0), (2, 1, 5), (7, 12, 2), (40, 30, 11)])
+# the last two cross draw blocks: of 7 steps (five-task, R 300), and of 8
+# (two-task, R 2000) and 1 (five-task, R 2000)
+@pytest.mark.parametrize(
+    "replicates, n_steps, seed", [(1, 3, 0), (2, 1, 5), (7, 12, 2), (40, 30, 11), (300, 9, 1), (2000, 40, 6)]
+)
 @pytest.mark.parametrize("make_suite", [five_task_suite, two_task_suite])
 def test_verify_lemmas_equal_the_two_lemma_passes(make_suite, replicates, n_steps, seed):
     suite = make_suite()
@@ -448,48 +454,6 @@ def test_verify_lemmas_equal_the_two_lemma_passes(make_suite, replicates, n_step
     assert lemma2 == reference_lemma2(suite, n_steps, replicates, seed, w0)
     assert verify_lemma1(suite, n_steps, replicates, seed, w0) == lemma1
     assert verify_lemma2(suite, n_steps, replicates, seed, w0) == lemma2
-
-
-PRESETS = {"five_task": five_task_suite(), "two_task": two_task_suite()}
-
-
-def _json_bytes(obj, tmp_path):
-    path = tmp_path / "report.json"
-    write_json(obj, path)
-    return path.read_bytes()
-
-
-# lemma replicates below, at and above the theorem's, lemma steps below, at
-# and above its max(T), and one or two lemma replicates
-@example("five_task", 30, 3, 10, 2, 0)
-@example("five_task", 30, 3, 10, 3, 1)
-@example("five_task", 30, 3, 10, 5, 2)
-@example("two_task", 30, 2, 30, 4, 3)
-@example("two_task", 30, 2, 33, 1, 0)
-@example("five_task", 12, 2, 12, 1, 1)
-@example("five_task", 12, 2, 5, 2, 2)
-@given(
-    st.sampled_from(sorted(PRESETS)),
-    st.integers(1, 40),
-    st.integers(2, 4),
-    st.integers(1, 44),
-    st.integers(1, 6),
-    st.integers(0, 3),
-)
-@settings(max_examples=40, deadline=None)
-def test_lemma_reports_read_off_the_theorem_pass_equal_the_stand_alone_ones(
-    preset, t_max, replicates, lemma_steps, lemma_replicates, seed
-):
-    suite = PRESETS[preset]
-    w0 = np.full(suite.dim, 0.5)
-    prefix = LockstepPrefix(lemma_steps)
-    verify_theorem(suite, [t_max], replicates, seed, w0, record=prefix)
-    shared = verify_lemmas(suite, lemma_steps, lemma_replicates, seed, w0, prefix=prefix)
-    alone = verify_lemmas(suite, lemma_steps, lemma_replicates, seed, w0)
-    assert shared == alone
-    with tempfile.TemporaryDirectory() as tmp:
-        for a, b in zip(shared, alone):
-            assert _json_bytes(a, Path(tmp)) == _json_bytes(b, Path(tmp))
 
 
 def reference_lemmas(suite, n_steps, replicates, seed, w0):
@@ -765,7 +729,3 @@ def test_verify_lemmas_fail_where_a_per_step_pass_fails(tasks, w0, replicates, n
         with np.errstate(**errors):
             want = _outcome(lambda: reference_lemmas(suite, n_steps, replicates, seed, w0))
             assert _outcome(lambda: verify_lemmas(suite, n_steps, replicates, seed, w0)) == want
-            prefix = LockstepPrefix(n_steps)
-            if isinstance(_outcome(lambda: verify_theorem(suite, [n_steps], 2, seed, w0, record=prefix)), str):
-                # the verify command reads the lemma checks off a theorem pass that ended
-                assert _outcome(lambda: verify_lemmas(suite, n_steps, replicates, seed, w0, prefix=prefix)) == want
