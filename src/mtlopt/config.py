@@ -214,12 +214,13 @@ def _build_scheme(fields: dict, path: str, suite) -> SchemeConfig:
     n_groups = fields.get("n_groups")
     if n_groups is not None and n_groups > suite.n_tasks:
         raise ConfigError(f"{path}.n_groups: expected at most {suite.n_tasks} (the task count), got {n_groups}")
-    if fields["kind"] == "sus" and n_groups not in (None, 1):
-        raise ConfigError(f"{path}.n_groups: scheme 'sus' updates all tasks at once; must be 1 or omitted")
     fields["scheme"] = fields.pop("kind")
     fields["optimizer"] = OptimizerRule(**fields["optimizer"])
     fields["lr"] = _build_lr(fields["lr"], f"{path}.lr", suite)
-    return SchemeConfig(**fields)
+    try:  # the schema admits only known schemes and orders, so n_groups is what remains
+        return SchemeConfig(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"{path}.n_groups: {exc}") from exc
 
 
 _VERIFY_DEFAULTS = {"T_list": [10, 100, 1000], "replicates": 200, "lemma_steps": 50, "lemma_replicates": 500}

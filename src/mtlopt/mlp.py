@@ -206,6 +206,9 @@ class MLPSuite(TaskSuite):
         return x, [f(x) for f in self.targets]
 
     def validation_task_losses(self, w: np.ndarray) -> np.ndarray:
+        if w.ndim > 1:  # each w along the leading axes in turn
+            rows = [self.validation_task_losses(x) for x in w.reshape(-1, w.shape[-1])]
+            return np.array(rows).reshape(*w.shape[:-1], self.n_tasks)
         # one trunk forward shared by every head
         trunk, heads = self.topology.unpack(w)
         h = self.topology.forward_trunk(trunk, self.val_inputs)[-1]

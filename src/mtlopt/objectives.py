@@ -104,12 +104,9 @@ class TaskSuite:
         return [self.sample_minibatch(gen) for _ in range(count)]
 
     def validation_task_losses(self, w: np.ndarray) -> np.ndarray | None:
+        """Every task's noise-free loss at each w along the leading axes of a
+        (..., d) array, as a (..., n) array; their mean is the validation loss."""
         return None
-
-    def stacked_validation_task_losses(self, ws: np.ndarray) -> np.ndarray | None:
-        """validation_task_losses of each row of ws (k, d), as a (k, n) array."""
-        losses = [self.validation_task_losses(w) for w in ws]
-        return None if losses[0] is None else np.array(losses)
 
 
 # Stacked matmuls over the task axis (and any leading axes). Each runs every
@@ -175,19 +172,14 @@ class QuadraticSuite(TaskSuite):
         return u
 
     def validation_task_losses(self, w: np.ndarray) -> np.ndarray:
-        # every task's noise-free value (0.5*r) @ (A @ r) in one stacked pass,
-        # (..., n) values for a w of shape (..., 1, d); their mean is the
-        # validation loss
-        r = w - self.centers
+        # every task's noise-free value (0.5*r) @ (A @ r) in one stacked pass
+        r = w[..., None, :] - self.centers
         return _dot(0.5 * r, _matvec(self.matrices, r))
 
     def task_gradients(self, W: np.ndarray, xi: np.ndarray) -> np.ndarray:
         # every task's stochastic gradient at each row of W (R, d) under that
         # row's draw xi (R, n, d), as an (R, n, d) array
         return _matvec(self.matrices, W[:, None, :] - self.centers) + xi
-
-    def stacked_validation_task_losses(self, ws: np.ndarray) -> np.ndarray:
-        return self.validation_task_losses(ws[:, None, :])
 
     def unit_value_and_gradient(self, w: np.ndarray, unit, xi) -> tuple:
         # The bits of the per-task loop, every zero's sign included: `0 +` and

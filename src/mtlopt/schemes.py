@@ -204,7 +204,7 @@ def _validate(trace, suite, kept):
     """Record the validation of each kept (t, w, n_rows, states) in turn,
     from one stacked call; return the entry of the first non-finite one."""
     # np.array stacks the same rows as np.stack, with less dispatch
-    task_losses = suite.stacked_validation_task_losses(np.array([w for _, w, _, _ in kept])) if kept else None
+    task_losses = suite.validation_task_losses(np.array([w for _, w, _, _ in kept])) if kept else None
     if task_losses is None:
         return None
     vals = (task_losses.sum(axis=-1) / task_losses.shape[-1]).tolist()  # each the bits of np.mean

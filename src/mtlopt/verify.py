@@ -11,7 +11,8 @@ The bound's check (verify_theorem) and the per-step checks (verify_lemmas)
 each simulate their own replicates. A pass steps all its R replicates in
 lockstep, with array ops over an (R, d) array of iterates. Replicate r draws
 from its own streams, data[r] and task-order[r], so every number equals that
-of the replicate stepped alone.
+of the replicate stepped alone. Both passes reduce over blocks of steps, and
+replay a failed block step by step (_in_blocks) to fail as a per-step pass does.
 
 Statistical policy: the bound is an upper bound in expectation, so a check
 passes when the Monte-Carlo estimate does not exceed it by more than three
@@ -31,7 +32,7 @@ from dataclasses import asdict, astuple, dataclass
 import numpy as np
 
 from .objectives import QuadraticSuite, _dot, suite_constants
-from .params import RngStream, _count_nonzero, check_finite, l2_norm
+from .params import RngStream, check_finite, l2_norm
 from .schemes import _BLOCK_FLOATS, theorem_schedule
 
 __all__ = [
@@ -134,18 +135,24 @@ def _norms(x):  # np.linalg.norm of every vector along the last axis
     return np.sqrt(_dot(x, x))
 
 
-def _max_norm(x) -> float:
-    return float(_norms(x).max())
-
-
 def _max_grad_norm(G) -> float:
     check_finite(G, "stochastic gradients")
-    return _max_norm(G)
+    return float(_norms(G).max())
 
 
-def _block_steps(suite, replicates) -> int:
-    """Steps whose gradients, (R, n, d) each, fit in run's block of floats."""
-    return max(1, _BLOCK_FLOATS // (replicates * suite.n_tasks * suite.dim))
+def _in_blocks(steps_pass, suite, replicates, *args):
+    """steps_pass(suite, replicates, *args, block) over blocks of the steps
+    whose gradients, (R, n, d) each, fit in run's block of floats, with every
+    floating-point error and warning raised; if that fails, again with block 1
+    under the caller's error settings, to raise or warn where a per-step pass does."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = max(1, _BLOCK_FLOATS // (replicates * suite.n_tasks * suite.dim))
+            return steps_pass(suite, replicates, *args, block)
+    except (ArithmeticError, Warning):
+        pass
+    return steps_pass(suite, replicates, *args, 1)
 
 
 def _lockstep(suite, schedule, w0, n_steps, replicates, seed, block=None):
@@ -156,9 +163,9 @@ def _lockstep(suite, schedule, w0, n_steps, replicates, seed, block=None):
     call per `block` steps, or one sample_minibatch call per step without a
     block; the draws are the same either way.
 
-    The per-step mode stays for verify_theorem and estimate_grad_bound only
-    because perfbench/tracer.py counts their replicate-steps as
-    sample_minibatch calls; ROADMAP.md item 2 removes it."""
+    verify_theorem and estimate_grad_bound draw per step only because the
+    benchmark's tracer (perfbench/tracer.py) counts their replicate-steps as
+    sample_minibatch calls; verify_theorem still takes its norms in blocks."""
     n = suite.n_tasks
     labels = range(replicates)
     data = [RngStream(seed, f"data[{r}]").gen for r in labels]
@@ -205,26 +212,7 @@ def verify_theorem(suite: QuadraticSuite, T_list, replicates: int, seed: int, w0
     consts = suite_constants(suite)
     schedule = theorem_schedule(consts.smoothness, consts.strong_convexity)
     w0 = np.asarray(w0, dtype=np.float64)
-    n_steps = max(T_list)
-
-    # The gradient norms are taken for a block of steps at once. A step with
-    # an entry at or above `limit`, or a non-finite one, takes its own at
-    # once instead: below it no squared norm can overflow, so a blocked norm
-    # raises and warns nowhere a per-step one would not.
-    limit = math.sqrt(np.finfo(np.float64).max / suite.dim) / 2.0
-    block = _block_steps(suite, replicates)
-    pending, worst, gaps = [], 0.0, {}
-    for t, eta, W, G, sel in _lockstep(suite, schedule, w0, n_steps, replicates, seed):
-        if _count_nonzero(np.abs(G) < limit) == G.size:
-            pending.append(G)
-            if len(pending) == block:
-                worst, pending = max(worst, _max_norm(np.array(pending))), []
-        else:
-            worst = max(worst, _max_grad_norm(G))
-        if t in T_list:  # every replicate's exact average objective, less f_star
-            gaps[t] = suite.validation_task_losses(W[:, None, :]).mean(axis=1) - consts.f_star
-    if pending:
-        worst = max(worst, _max_norm(np.array(pending)))
+    worst, gaps = _in_blocks(_theorem_pass, suite, replicates, consts, schedule, w0, T_list, seed)
     grad_bound = worst * GRAD_BOUND_SAFETY  # as estimate_grad_bound on the same pass
     inputs = BoundInputs(
         smoothness=consts.smoothness,
@@ -272,6 +260,19 @@ def verify_theorem(suite: QuadraticSuite, T_list, replicates: int, seed: int, w0
     }
 
 
+def _theorem_pass(suite, replicates, consts, schedule, w0, T_list, seed, block):
+    """verify_theorem's largest stochastic gradient norm, taken over `block`
+    steps at a time, and each replicate's average-objective gap at every T."""
+    pending, worst, gaps = [], 0.0, {}
+    for t, _, W, G, _ in _lockstep(suite, schedule, w0, T_list[-1], replicates, seed):
+        pending.append(G)
+        if len(pending) == block or t == T_list[-1]:
+            worst, pending = max(worst, _max_grad_norm(np.array(pending))), []
+        if t in T_list:  # every replicate's exact average objective, less f_star
+            gaps[t] = suite.validation_task_losses(W).mean(axis=1) - consts.f_star
+    return worst, gaps
+
+
 def verify_lemmas(suite: QuadraticSuite, n_steps: int, replicates: int, seed: int, w0):
     """Both per-step checks, read off one lockstep pass: returns the reports
     (lemma1, lemma2).
@@ -287,30 +288,20 @@ def verify_lemmas(suite: QuadraticSuite, n_steps: int, replicates: int, seed: in
 
     theorem_schedule meets both premises: eta_t <= 1/L (lemma 1), and a
     non-increasing schedule with eta_t <= 2*eta_(t+1) (lemma 2).
-
-    The pass draws each replicate's noise for a block of S steps at once, and
-    each statistic of a report is one reduction over an (S, R) array of
-    per-replicate values. A draw or step that overflows or turns non-finite
-    ends that blocked pass, and the checks run again one step at a time under
-    the caller's error settings, in the order of a per-step pass, so that they
-    raise or warn where it does.
     """
+    for name, value in (("n_steps", n_steps), ("replicates", replicates)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     consts = suite_constants(suite)
     schedule = theorem_schedule(consts.smoothness, consts.strong_convexity)
     w0 = np.asarray(w0, dtype=np.float64)
-    args = (suite, consts, schedule, w0, n_steps, replicates, seed)
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"), warnings.catch_warnings():
-            warnings.simplefilter("error")
-            return _lemma_reports(*args, _block_steps(suite, replicates))
-    except (ArithmeticError, Warning):
-        pass
-    return _lemma_reports(*args, 1)
+    return _in_blocks(_lemma_reports, suite, replicates, consts, schedule, w0, n_steps, seed)
 
 
-def _lemma_reports(suite, consts, schedule, w0, n_steps, replicates, seed, block):
-    """verify_lemmas' reports, with the noise drawn and every statistic
-    reduced over `block` steps at a time."""
+def _lemma_reports(suite, replicates, consts, schedule, w0, n_steps, seed, block):
+    """verify_lemmas' reports, with each replicate's noise drawn, and every
+    statistic reduced over an (S, R) array of per-replicate values, for a
+    block of S steps at a time."""
     n = suite.n_tasks
     mu = consts.strong_convexity
     noise_term = float(np.sum(np.square(consts.sigmas))) / n**2

@@ -145,7 +145,7 @@ def test_quadratic_bulk_minibatches_keep_the_bits_of_per_step_draws(k):
                          ids=["quadratic", "mlp"])
 def test_stacked_validation_keeps_the_bits_of_per_iterate_calls(suite):
     ws = RngStream(2, "init").gen.normal(scale=2.0, size=(9, suite.dim))
-    got = suite.stacked_validation_task_losses(ws)
+    got = suite.validation_task_losses(ws)
     assert got.shape == (9, suite.n_tasks)
     assert _same_bits(got, [suite.validation_task_losses(w) for w in ws])
 

@@ -84,6 +84,18 @@ def test_group_count_validation_names_field(tmp_path, capsys):
     assert "scheme.n_groups" in err
 
 
+def test_sus_with_groups_is_rejected_at_its_field(tmp_path, capsys):
+    payload = two_task_config()
+    payload["scheme"]["kind"] = "sus"
+    cfg = write_config(tmp_path, payload)
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config.scheme.n_groups: ") and "'sus'" in err
+    payload["schemes"] = [payload["scheme"] | {"kind": "ius"}, payload.pop("scheme")]
+    with pytest.raises(ConfigError, match=r"^config\.schemes\[1\]\.n_groups: .*'sus'"):
+        RunConfig(payload)
+
+
 def test_unknown_keys_rejected():
     payload = minimal_run_config()
     payload["sceme"] = payload.pop("scheme")

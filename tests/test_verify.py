@@ -3,6 +3,7 @@ import io
 import json
 import tempfile
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +22,10 @@ from mtlopt.objectives import (
     two_task_suite,
 )
 from mtlopt.optimizers import OptimizerRule
-from mtlopt.params import NonFiniteError, RngStream, check_finite
+from mtlopt.params import NonFiniteError, RngStream, check_finite, l2_norm
 from mtlopt.schemes import SchemeConfig, theorem_schedule
 from mtlopt.verify import (
+    B_FORM_NOTE,
     GRAD_BOUND_SAFETY,
     BoundInputs,
     _lockstep,
@@ -456,6 +458,12 @@ def test_verify_lemmas_equal_the_two_lemma_passes(make_suite, replicates, n_step
     assert verify_lemma2(suite, n_steps, replicates, seed, w0) == lemma2
 
 
+@pytest.mark.parametrize("n_steps, replicates, name", [(0, 3, "n_steps"), (-3, 3, "n_steps"), (3, 0, "replicates")])
+def test_verify_lemmas_rejects_a_vacuous_call(n_steps, replicates, name):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+        verify_lemmas(two_task_suite(), n_steps, replicates, 0, [0.0])
+
+
 def reference_lemmas(suite, n_steps, replicates, seed, w0):
     """Reference: both lemma reports from one pass, step by step, with every
     reduction and check in the order of a per-step loop."""
@@ -729,3 +737,58 @@ def test_verify_lemmas_fail_where_a_per_step_pass_fails(tasks, w0, replicates, n
         with np.errstate(**errors):
             want = _outcome(lambda: reference_lemmas(suite, n_steps, replicates, seed, w0))
             assert _outcome(lambda: verify_lemmas(suite, n_steps, replicates, seed, w0)) == want
+
+
+def reference_theorem(suite, T_list, replicates, seed, w0):
+    """Reference: verify_theorem's report from a per-step pass, which takes
+    every step's gradient norm at that step."""
+    consts = suite_constants(suite)
+    schedule = theorem_schedule(consts.smoothness, consts.strong_convexity)
+    w0 = np.asarray(w0, dtype=np.float64)
+    T_list = sorted(T_list)
+    worst, gaps = 0.0, {}
+    for t, _, W, G, _ in _lockstep(suite, schedule, w0, T_list[-1], replicates, seed):
+        worst = max(worst, _max_grad_norm(G))
+        if t in T_list:
+            gaps[t] = suite.validation_task_losses(W).mean(axis=1) - consts.f_star
+    inputs = BoundInputs(smoothness=consts.smoothness, strong_convexity=consts.strong_convexity,
+                         sigmas=consts.sigmas, grad_bound=worst * GRAD_BOUND_SAFETY, gamma_het=consts.gamma_het,
+                         offset=schedule.offset, w1_dist_sq=l2_norm(w0 - consts.w_star) ** 2,
+                         n_tasks=suite.n_tasks)
+    rows = []
+    for t in T_list:
+        est, std = float(gaps[t].mean()), float(gaps[t].std(ddof=1))
+        se, bound = std / np.sqrt(replicates), theorem_bound(inputs, t)
+        rows.append({"T": t, "estimate": est, "std": std, "std_error": se, "bound": bound,
+                     "bound_max_form": theorem_bound_max_form(inputs, t), "margin": bound - est,
+                     "pass": _passes(est, bound, se)})
+    constants = asdict(inputs)
+    del constants["n_tasks"]
+    constants.update(noise_total=inputs.noise_total, f_star=consts.f_star, w_star=consts.w_star.tolist())
+    return {"kind": "convergence_bound", "b_form_note": B_FORM_NOTE, "constants": constants,
+            "replicates": replicates, "seed": seed, "eta_scale": 1.0, "schedule_ok": True, "rows": rows,
+            "all_pass": all(r["pass"] for r in rows)}
+
+
+# a noise of 1e308 on two 1-D tasks: the step-1 gradients are finite, but
+# their squared norms overflow, and the step-2 gradients do
+@example([{"matrix": [[1.0]], "center": [float(k)], "noise_sigma": 1e308} for k in range(2)], [0.0, 0.0],
+         [1, 5, 20], 2, 0)
+@given(quadratic_tasks(), st.lists(_W0, min_size=2, max_size=2), st.lists(st.integers(1, 20), min_size=1, max_size=3),
+       st.integers(2, 3), st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_verify_theorem_fails_where_a_per_step_pass_fails(tasks, w0, T_list, replicates, seed):
+    # as test_verify_lemmas_fail_where_a_per_step_pass_fails, for the bound's
+    # pass, whose gradient norms are taken over a block of steps
+    suite = QuadraticSuite([QuadraticTask(k, t["matrix"], t["center"], t["noise_sigma"])
+                            for k, t in enumerate(tasks)])
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            suite_constants(suite)
+    except (ArithmeticError, ValueError):
+        return  # verify rejects the suite before any check
+    w0 = np.array(w0[:suite.dim])
+    for errors in ({"over": "raise", "invalid": "raise"}, {}):
+        with np.errstate(**errors):
+            want = _outcome(lambda: reference_theorem(suite, T_list, replicates, seed, w0))
+            assert _outcome(lambda: verify_theorem(suite, T_list, replicates, seed, w0)) == want
