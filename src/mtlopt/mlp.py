@@ -83,35 +83,54 @@ class MLPTopology:
     def task_value_and_gradient(self, w, k, x, y):
         """Task k's loss and gradient from one trunk forward: the loss has the
         bits of task_value, and the head residual is computed once."""
-        trunk, (w_head, b_head) = self.task_views(w, k)
+        (loss,), grad = self.heads_value_and_gradient(w, x, [(k, y)])
+        return loss, grad
+
+    def heads_value_and_gradient(self, w, x, heads):
+        """The loss of each (k, y) in `heads`, in turn, and the sum of their
+        gradients, from one trunk forward shared by the heads' distinct tasks.
+
+        Each head backpropagates on its own, layer by layer, with the bits of
+        a backward of its own: the first head writes each trunk block of the
+        gradient through out=, and each later head adds its term in turn.
+        """
+        n_trunk = len(self.hidden)
+        trunk = [_view(w, entry) for entry in self.layout[:n_trunk]]
         activations = self.forward_trunk(trunk, x)
         h_last = activations[-1]
 
         grad = np.zeros(w.shape)
-        g_trunk, (g_w_head, g_b_head) = self.task_views(grad, k)
-
-        d_pred = h_last @ w_head  # the residual h_last @ w_head + b_head - y
-        d_pred += b_head
-        d_pred -= y
-        loss = float((d_pred * d_pred).sum() / d_pred.size)  # the ops of _head_loss
-        d_pred *= 2.0  # the bits of 2.0 * residual / n
-        d_pred /= y.shape[0]
-        np.matmul(h_last.T, d_pred, out=g_w_head)
-        d_pred.sum(axis=0, out=g_b_head)
-        d_h = d_pred @ w_head.T
-        for i in reversed(range(len(trunk))):
-            # d_z = d_h * (1.0 - a ** 2), in place: neither d_h nor the
-            # activation a = activations[i + 1] is read again
+        losses, d_hs = [], []
+        for k, y in heads:
+            w_head, b_head = _view(w, self.layout[n_trunk + k])
+            g_w_head, g_b_head = _view(grad, self.layout[n_trunk + k])
+            d_pred = h_last @ w_head  # the residual h_last @ w_head + b_head - y
+            d_pred += b_head
+            d_pred -= y
+            losses.append(float((d_pred * d_pred).sum() / d_pred.size))  # the ops of _head_loss
+            d_pred *= 2.0  # the bits of 2.0 * residual / n
+            d_pred /= y.shape[0]
+            np.matmul(h_last.T, d_pred, out=g_w_head)
+            d_pred.sum(axis=0, out=g_b_head)
+            d_hs.append(d_pred @ w_head.T)
+        for i in reversed(range(n_trunk)):
+            # the tanh slope 1.0 - a ** 2, once per layer and in place: the
+            # activation a = activations[i + 1] is not read again
             a = activations[i + 1]
             a *= a
             np.subtract(1.0, a, out=a)
-            d_z = d_h
-            d_z *= a
-            np.matmul(activations[i].T, d_z, out=g_trunk[i][0])
-            d_z.sum(axis=0, out=g_trunk[i][1])
-            if i:  # the gradient with respect to the input x is not needed
-                d_h = d_z @ trunk[i][0].T
-        return loss, grad
+            g_w, g_b = _view(grad, self.layout[i])
+            for j, d_z in enumerate(d_hs):
+                d_z *= a  # d_z = d_h * slope, in place: d_h is not read again
+                if j:
+                    g_w += activations[i].T @ d_z
+                    g_b += d_z.sum(axis=0)
+                else:
+                    np.matmul(activations[i].T, d_z, out=g_w)
+                    d_z.sum(axis=0, out=g_b)
+                if i:  # the gradient with respect to the input x is not needed
+                    d_hs[j] = d_z @ trunk[i][0].T
+        return losses, grad
 
 
 def _view(w, entry):
@@ -143,7 +162,7 @@ class _SinusoidTarget:
         self.amps = amps / np.sqrt(n_terms)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return (np.sin(x @ self.freqs.T + self.phases) @ self.amps)[:, None]
+        return (np.sin(x @ self.freqs.T + self.phases) @ self.amps)[..., None]
 
 
 class MLPTask:
@@ -189,21 +208,28 @@ class MLPSuite(TaskSuite):
         return self._unit_masks[key]
 
     def unit_value_and_gradient(self, w: np.ndarray, unit, xi) -> tuple:
-        """The per-task loop's sums from one trunk forward and backward per task:
-        the same start values (0 and zeros) and unit order, so the same bits."""
+        """The per-task loop's sums from one trunk forward per unit: each task's
+        value added to 0 in unit order, and its gradient's terms added in unit
+        order, then to zeros."""
         x, targets = xi
-        loss, g = 0, np.zeros(w.shape)
-        for k in unit:
-            value, g_k = self.topology.task_value_and_gradient(w, k, x, targets[k])
+        values, g = self.topology.heads_value_and_gradient(w, x, [(k, targets[k]) for k in unit])
+        loss = 0
+        for value in values:  # not sum(), which compensates since Python 3.12
             loss += value
-            g += g_k
-            del g_k  # one task's gradient buffer alive at a time, as in the per-task loop
+        g += 0.0  # the signed zeros of zeros plus each task's gradient
         return loss, g
 
     def sample_minibatch(self, gen: np.random.Generator) -> tuple:
         """(x, targets): the inputs and a list of each task's targets for them."""
-        x = gen.uniform(-1.0, 1.0, size=(self.batch_size, self.topology.input_dim))
-        return x, [f(x) for f in self.targets]
+        return self.sample_minibatches(gen, 1)[0]
+
+    def sample_minibatches(self, gen: np.random.Generator, count: int) -> list:
+        # the Generator fills values in order, so one (count, batch, input_dim)
+        # draw holds count draws of one minibatch's inputs; each target's
+        # stacked matmuls make the BLAS call of one minibatch per minibatch
+        x = gen.uniform(-1.0, 1.0, size=(count, self.batch_size, self.topology.input_dim))
+        ys = [f(x) for f in self.targets]
+        return [(x[i], [y[i] for y in ys]) for i in range(count)]
 
     def validation_task_losses(self, w: np.ndarray) -> np.ndarray:
         if w.ndim > 1:  # each w along the leading axes in turn

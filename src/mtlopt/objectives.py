@@ -99,8 +99,9 @@ class TaskSuite:
         raise NotImplementedError
 
     def sample_minibatches(self, gen: np.random.Generator, count: int):
-        """`count` minibatches with the bits of `count` sample_minibatch calls.
-        A subclass that overrides sample_minibatch overrides this too."""
+        """`count` minibatches with the bits of `count` sample_minibatch calls,
+        here one call each. A subclass whose draws stack overrides this to draw
+        them in one call; QuadraticSuite and MLPSuite do."""
         return [self.sample_minibatch(gen) for _ in range(count)]
 
     def validation_task_losses(self, w: np.ndarray) -> np.ndarray | None:

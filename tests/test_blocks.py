@@ -141,6 +141,25 @@ def test_quadratic_bulk_minibatches_keep_the_bits_of_per_step_draws(k):
     assert bulk_gen.random() == step_gen.random()
 
 
+@pytest.mark.parametrize("k", [1, 7, 128])
+@pytest.mark.parametrize("batch_size, input_dim", [(1, 1), (1, 3), (5, 1), (32, 2)])
+def test_mlp_bulk_minibatches_keep_the_bits_of_per_step_draws(k, batch_size, input_dim):
+    # a stacked target evaluation must make each minibatch's products as a
+    # lone 2-D one does, at one row and one input coordinate too
+    suite = synthetic_mlp_suite(n_tasks=3, input_dim=input_dim, hidden=(4,), batch_size=batch_size, val_size=4)
+    bulk_gen, step_gen = RngStream(5, "data").gen, RngStream(5, "data").gen
+    for _ in range(2):
+        got = suite.sample_minibatches(bulk_gen, k)
+        want = [suite.sample_minibatch(step_gen) for _ in range(k)]
+        assert len(got) == k
+        for (x, targets), (x_ref, targets_ref) in zip(got, want):
+            assert x.shape == (batch_size, input_dim) and _same_bits(x, x_ref)
+            assert len(targets) == len(targets_ref) == suite.n_tasks
+            for f, y, y_ref in zip(suite.targets, targets, targets_ref):
+                assert y.shape == (batch_size, 1) and _same_bits(y, y_ref) and _same_bits(y_ref, f(x_ref))
+    assert bulk_gen.random() == step_gen.random()
+
+
 @pytest.mark.parametrize("suite", [five_task_suite(), synthetic_mlp_suite(n_tasks=3, hidden=(8,), val_size=16)],
                          ids=["quadratic", "mlp"])
 def test_stacked_validation_keeps_the_bits_of_per_iterate_calls(suite):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import loop_unit_value_and_gradient
-from mtlopt.mlp import init_mlp_params, synthetic_mlp_suite
+from mtlopt import schemes
+from mtlopt.mlp import MLPTopology, init_mlp_params, synthetic_mlp_suite
 from mtlopt.objectives import finite_difference_check, two_task_suite
 from mtlopt.optimizers import OptimizerRule
 from mtlopt.params import RngStream
@@ -245,6 +246,48 @@ def test_unit_oracle_keeps_the_bits_of_the_per_task_loop(shape, weights):
             ref_loss, ref_g = loop_unit_value_and_gradient(suite, w, unit, xi)
             assert loss == ref_loss and type(loss) is float
             assert _same_bits(g, ref_g)
+
+
+def test_unit_oracle_keeps_the_zero_signs_of_the_loop_whatever_the_kernel_gives(monkeypatch):
+    # a BLAS kernel may give -0.0 where this host's gives 0.0; the unit's sum
+    # must still be zeros plus each task's gradient, whose zeros are all 0.0
+    kernel = MLPTopology.heads_value_and_gradient
+
+    def negative_zeros(self, w, x, heads):
+        losses, grad = kernel(self, w, x, heads)
+        grad[grad == 0.0] = -0.0
+        return losses, grad
+
+    monkeypatch.setattr(MLPTopology, "heads_value_and_gradient", negative_zeros)
+    suite = synthetic_mlp_suite(**SHIPPED_MLP, batch_size=7, val_size=7)
+    w = init_mlp_params(suite, RngStream(5, "init").gen)
+    xi = suite.sample_minibatch(RngStream(0, "data").gen)
+    for unit in [(0,), (2, 1), (0, 1, 2, 3)]:
+        loss, g = suite.unit_value_and_gradient(w, unit, xi)
+        ref_loss, ref_g = loop_unit_value_and_gradient(suite, w, unit, xi)
+        assert loss == ref_loss and _same_bits(g, ref_g) and not np.signbit(g[g == 0.0]).any()
+
+
+@pytest.mark.parametrize("scheme, n_groups, forwards", [("sus", None, 1), ("ius", 2, 2), ("ius", None, 4),
+                                                       ("io", None, 4)])
+def test_one_trunk_forward_per_unit(monkeypatch, scheme, n_groups, forwards):
+    # a step of the shipped four-task suite makes one trunk forward per
+    # update, however many tasks its unit holds
+    suite = synthetic_mlp_suite(**SHIPPED_MLP)
+    config = SchemeConfig(scheme, OptimizerRule("adam"), ConstantLR(0.01), n_groups=n_groups)
+    units, states = schemes._materialize_units(config, suite, 0)
+    w = init_mlp_params(suite, RngStream(0, "init").gen)
+    xi = suite.sample_minibatch(RngStream(0, "data").gen)
+    calls = []
+    forward = MLPTopology.forward_trunk
+
+    def counted(self, trunk, x):
+        calls.append(x)
+        return forward(self, trunk, x)
+
+    monkeypatch.setattr(MLPTopology, "forward_trunk", counted)
+    rows = schemes.step(w, suite, units, config.optimizer, states, 0.01, xi, range(len(units)))
+    assert len(rows) == len(units) and len(calls) == forwards
 
 
 def test_forward_trunk_writes_neither_input_nor_parameters():

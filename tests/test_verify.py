@@ -574,28 +574,43 @@ def _signed(magnitudes):
 
 
 # mostly moderate values, and some at the edges of overflow and underflow
-_CURVATURE = st.one_of(_magnitudes(-3, 3), _magnitudes(-300, 300))
-_NOISE_SIGMA = st.one_of(st.just(0.0), _magnitudes(-3, 3), _magnitudes(-300, 308))
+_MODERATE = _magnitudes(-3, 3)
+_MODERATE_NOISE = st.one_of(st.just(0.0), _MODERATE)
+_CURVATURE = st.one_of(_MODERATE, _magnitudes(-300, 300))
+_NOISE_SIGMA = st.one_of(st.just(0.0), _MODERATE, _magnitudes(-300, 308))
 _CENTER = st.one_of(st.floats(-10, 10), _signed(_magnitudes(-300, 300)))
 _W0 = st.one_of(st.floats(-10, 10), _signed(_magnitudes(150, 155)), st.floats(allow_nan=False, allow_infinity=False))
 
 
 @st.composite
-def quadratic_tasks(draw):
-    """One to three schema-valid quadratic tasks, all 1-D or all diagonal 2-D."""
+def quadratic_tasks(draw, huge_noise=False):
+    """One to three schema-valid quadratic tasks, all 1-D or all diagonal 2-D.
+
+    With huge_noise, two or three tasks of moderate curvature, center and
+    noise, one of which then takes a noise near the largest float: its
+    gradients themselves overflow a few steps in, not only their squared
+    norms, so where a pass takes its norms decides which error it raises."""
+    curvature, center, noise_sigma = (_MODERATE, st.floats(-10, 10), _MODERATE_NOISE) if huge_noise else (
+        _CURVATURE, _CENTER, _NOISE_SIGMA)
     d = draw(st.integers(1, 2))
     tasks = []
-    for _ in range(draw(st.integers(1, 3))):
-        c = draw(_CURVATURE)
+    for _ in range(draw(st.integers(1 + huge_noise, 3))):
+        c = draw(curvature)
         diag = [c, c * draw(st.floats(1.0, 1e6))][:d]  # positive definite to working precision
         tasks.append(
             {
                 "matrix": [[diag[i] if i == j else 0.0 for j in range(d)] for i in range(d)],
-                "center": [draw(_CENTER) for _ in range(d)],
-                "noise_sigma": draw(_NOISE_SIGMA),
+                "center": [draw(center) for _ in range(d)],
+                "noise_sigma": draw(noise_sigma),
             }
         )
+    if huge_noise:
+        tasks[draw(st.integers(0, len(tasks) - 1))]["noise_sigma"] = draw(_magnitudes(307.7, 308))
     return tasks
+
+
+# the tasks of the checks that must fail where a per-step pass fails
+_FAILING_TASKS = st.one_of(quadratic_tasks(), quadratic_tasks(huge_noise=True))
 
 
 @st.composite
@@ -718,7 +733,7 @@ def _outcome(call):
 # a noise of 5e153 on two 1-D tasks: at step 1 a squared distance overflows
 # after its norm, and at step 2 a norm's own sum of squares does
 @example([{"matrix": [[1.0]], "center": [0.0], "noise_sigma": 5.011872336270296e153}] * 2, [0.0, 0.0], 3, 3, 0)
-@given(quadratic_tasks(), st.lists(_W0, min_size=2, max_size=2), st.integers(1, 3), st.integers(1, 4), st.integers(0, 3))
+@given(_FAILING_TASKS, st.lists(_W0, min_size=2, max_size=2), st.integers(1, 3), st.integers(1, 4), st.integers(0, 3))
 @settings(max_examples=150, deadline=None)
 def test_verify_lemmas_fail_where_a_per_step_pass_fails(tasks, w0, replicates, n_steps, seed):
     # at magnitudes where some step overflows, the stacked checks give way to
@@ -774,7 +789,7 @@ def reference_theorem(suite, T_list, replicates, seed, w0):
 # their squared norms overflow, and the step-2 gradients do
 @example([{"matrix": [[1.0]], "center": [float(k)], "noise_sigma": 1e308} for k in range(2)], [0.0, 0.0],
          [1, 5, 20], 2, 0)
-@given(quadratic_tasks(), st.lists(_W0, min_size=2, max_size=2), st.lists(st.integers(1, 20), min_size=1, max_size=3),
+@given(_FAILING_TASKS, st.lists(_W0, min_size=2, max_size=2), st.lists(st.integers(1, 20), min_size=1, max_size=3),
        st.integers(2, 3), st.integers(0, 3))
 @settings(max_examples=150, deadline=None)
 def test_verify_theorem_fails_where_a_per_step_pass_fails(tasks, w0, T_list, replicates, seed):
