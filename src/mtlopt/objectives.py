@@ -51,7 +51,7 @@ class QuadraticTask:
             )
         if not np.allclose(self.matrix, self.matrix.T):
             raise ValueError(f"task {index}: curvature matrix must be symmetric")
-        if noise_sigma < 0:
+        if not noise_sigma >= 0:  # NaN fails every comparison
             raise ValueError("noise_sigma must be >= 0")
         self.noise_sigma = float(noise_sigma)
         # per-coordinate half-width so E||zeta||^2 == sigma^2; overflows quietly to inf
@@ -146,6 +146,9 @@ class QuadraticSuite(TaskSuite):
         # same-shape grid skips a broadcast and multiplies the same pairs
         self._noise_shape = (self.n_tasks, self._dim)
         self._halfwidths = np.repeat([[t.noise_halfwidth] for t in self.tasks], self._dim, axis=1)
+        # and doubled, exactly, where every 2h is finite (h <= DBL_MAX/2)
+        fits = (self._halfwidths <= np.finfo(np.float64).max / 2).all()
+        self._doubled_halfwidths = self._halfwidths * 2.0 if fits else None
         self.matrices = np.stack([t.matrix for t in self.tasks])
         self.centers = np.stack([t.center for t in self.tasks])
         self.matrices.flags.writeable = False
@@ -159,18 +162,32 @@ class QuadraticSuite(TaskSuite):
     def dim(self) -> int:
         return self._dim
 
-    def sample_minibatch(self, gen: np.random.Generator) -> np.ndarray:
-        # one draw per step regardless of how many tasks get evaluated
-        u = gen.uniform(-1.0, 1.0, size=self._noise_shape)
-        u *= self._halfwidths  # u is a fresh array
+    def _noise(self, gen: np.random.Generator, shape) -> np.ndarray:
+        """Noise of `shape` (..., n, d) with the bits of
+        gen.uniform(-1.0, 1.0, shape) times each task's half-width h, and the
+        same advance of gen. random() gives r = k*2**-53 where uniform gives
+        -1 + 2r, so r - 0.5 and its double are exact and equal that uniform
+        value; times h, both round the same real number once. A grid of 2h
+        saves the doubling's ufunc call, a tenth of a per-step verify pass;
+        where some 2h overflows (h > DBL_MAX/2), u is doubled instead."""
+        u = gen.random(shape)
+        u -= 0.5
+        if self._doubled_halfwidths is None:
+            u += u
+            u *= self._halfwidths
+        else:
+            u *= self._doubled_halfwidths
         return u
+
+    def sample_minibatch(self, gen: np.random.Generator) -> np.ndarray:
+        """One (n, d) draw per step, however many tasks get evaluated: task
+        k's row uniform on [-h, h] for its half-width h (see _noise)."""
+        return self._noise(gen, self._noise_shape)
 
     def sample_minibatches(self, gen: np.random.Generator, count: int) -> np.ndarray:
         # the Generator fills values in order, so one (count, n, d) draw holds
         # count draws of sample_minibatch, and the scaling multiplies the same pairs
-        u = gen.uniform(-1.0, 1.0, size=(count, *self._noise_shape))
-        u *= self._halfwidths
-        return u
+        return self._noise(gen, (count, *self._noise_shape))
 
     def validation_task_losses(self, w: np.ndarray) -> np.ndarray:
         # every task's noise-free value (0.5*r) @ (A @ r) in one stacked pass

@@ -165,7 +165,8 @@ def _lockstep(suite, schedule, w0, n_steps, replicates, seed, block=None):
 
     verify_theorem and estimate_grad_bound draw per step only because the
     benchmark's tracer (perfbench/tracer.py) counts their replicate-steps as
-    sample_minibatch calls; verify_theorem still takes its norms in blocks."""
+    sample_minibatch calls, so the per-step mode makes exactly one call per
+    replicate-step; verify_theorem still takes its norms in blocks."""
     n = suite.n_tasks
     labels = range(replicates)
     data = [RngStream(seed, f"data[{r}]").gen for r in labels]

@@ -11,6 +11,13 @@ def read_csv_body(path) -> str:
         return "".join(line for line in f if not line.startswith("#"))
 
 
+def same_bits(a, b, equal_nan=False) -> bool:
+    """Equal values and signbits, so a changed zero sign differs too; a NaN
+    differs from everything unless equal_nan, which matches NaN positions."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.array_equal(a, b, equal_nan=equal_nan) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
 def _reject_constant(name):
     raise ValueError(f"non-strict JSON constant {name}")
 

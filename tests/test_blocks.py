@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import same_bits
 from mtlopt import schemes
 from mtlopt.mlp import init_mlp_params, synthetic_mlp_suite
 from mtlopt.objectives import QuadraticSuite, QuadraticTask, five_task_suite
@@ -90,25 +91,21 @@ def _reference_run(config, suite, w0, n_steps, seed, validation_every=1):
     return trace
 
 
-def _same_bits(a, b) -> bool:
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
-
-
 def _assert_same_run(got, ref):
     assert (got.aborted, got.abort_reason) == (ref.aborted, ref.abort_reason)
     assert got.steps == ref.steps and got.labels == ref.labels and got.val_steps == ref.val_steps
     for column in ("train_losses", "displacements", "cumulative", "val_losses"):
-        assert _same_bits(getattr(got, column), getattr(ref, column)), column
+        assert same_bits(getattr(got, column), getattr(ref, column), equal_nan=True), column
     assert len(got.val_task_losses) == len(ref.val_task_losses)
-    assert all(_same_bits(a, b) for a, b in zip(got.val_task_losses, ref.val_task_losses))
+    assert all(same_bits(a, b, equal_nan=True) for a, b in zip(got.val_task_losses, ref.val_task_losses))
     assert (got.best_val_step, got.best_val_loss) == (ref.best_val_step, ref.best_val_loss)
     for attr in ("w0", "w_best", "w_final"):
-        assert _same_bits(getattr(got, attr), getattr(ref, attr)), attr
+        assert same_bits(getattr(got, attr), getattr(ref, attr), equal_nan=True), attr
     assert len(got.final_states) == len(ref.final_states)
     for a, b in zip(got.final_states, ref.final_states):
-        assert a["step"] == b["step"] and _same_bits(a["m"], b["m"])
-        assert (a["v"] is None) == (b["v"] is None) and (a["v"] is None or _same_bits(a["v"], b["v"]))
+        assert a["step"] == b["step"] and same_bits(a["m"], b["m"], equal_nan=True)
+        assert (a["v"] is None) == (b["v"] is None)
+        assert a["v"] is None or same_bits(a["v"], b["v"], equal_nan=True)
 
 
 # --------------------------------------------------------------- bulk draws
@@ -122,7 +119,7 @@ def test_bulk_orders_keep_the_bits_of_per_step_draws(policy, n_units, k):
     for _ in range(2):  # a second block goes on where the first left the stream
         got = np.array(schemes._sample_orders(policy, n_units, k, bulk_gen))
         want = np.array([_reference_order(policy, n_units, step_gen) for _ in range(k)])
-        assert got.shape == want.shape and _same_bits(got, want)
+        assert got.shape == want.shape and same_bits(got, want)
     assert bulk_gen.random() == step_gen.random()
 
 
@@ -136,7 +133,7 @@ def test_quadratic_bulk_minibatches_keep_the_bits_of_per_step_draws(k):
     for _ in range(2):
         got = suite.sample_minibatches(bulk_gen, k)
         want = np.array([suite.sample_minibatch(step_gen) for _ in range(k)])
-        assert got.shape == (k, 3, 3) and _same_bits(got, want)
+        assert got.shape == (k, 3, 3) and same_bits(got, want)
         assert np.signbit(got[:, 1]).any() and not got[:, 1].any()
     assert bulk_gen.random() == step_gen.random()
 
@@ -153,10 +150,10 @@ def test_mlp_bulk_minibatches_keep_the_bits_of_per_step_draws(k, batch_size, inp
         want = [suite.sample_minibatch(step_gen) for _ in range(k)]
         assert len(got) == k
         for (x, targets), (x_ref, targets_ref) in zip(got, want):
-            assert x.shape == (batch_size, input_dim) and _same_bits(x, x_ref)
+            assert x.shape == (batch_size, input_dim) and same_bits(x, x_ref)
             assert len(targets) == len(targets_ref) == suite.n_tasks
             for f, y, y_ref in zip(suite.targets, targets, targets_ref):
-                assert y.shape == (batch_size, 1) and _same_bits(y, y_ref) and _same_bits(y_ref, f(x_ref))
+                assert y.shape == (batch_size, 1) and same_bits(y, y_ref) and same_bits(y_ref, f(x_ref))
     assert bulk_gen.random() == step_gen.random()
 
 
@@ -166,7 +163,7 @@ def test_stacked_validation_keeps_the_bits_of_per_iterate_calls(suite):
     ws = RngStream(2, "init").gen.normal(scale=2.0, size=(9, suite.dim))
     got = suite.validation_task_losses(ws)
     assert got.shape == (9, suite.n_tasks)
-    assert _same_bits(got, [suite.validation_task_losses(w) for w in ws])
+    assert same_bits(got, [suite.validation_task_losses(w) for w in ws])
 
 
 # ------------------------------------------------- whole runs, aborts included

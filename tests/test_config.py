@@ -1,4 +1,5 @@
-"""Bad configs generated from the schema table.
+"""Bad configs generated from the schema table, and the table's bounds
+against the README's.
 
 Every node of `SCHEMA` is reached in one of the valid BASES. Each node is
 given a wrong type and a boolean; a number also NaN, Infinity, -Infinity, the
@@ -11,6 +12,7 @@ bad field, print no traceback and make no output directory.
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,3 +159,55 @@ def test_every_closed_bound_is_accepted():
             bounds = [spec.lo]
         for bound in bounds:
             RunConfig(replaced(base, keys, bound))
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+# the names that the Ranges bullet's "the mlp sizes" stands for
+MLP_SIZES = ("n_tasks", "input_dim", "hidden", "batch_size", "target_terms", "val_size")
+
+
+def _bound(text):
+    """A README bound: a decimal, or an integer power less an integer such as 2**64 - 1."""
+    power = re.fullmatch(r"(\d+)\*\*(\d+) - (\d+)", text)
+    return int(power[1]) ** int(power[2]) - int(power[3]) if power else float(text)
+
+
+def readme_ranges() -> dict:
+    """name -> (lo, open_lo, hi, open_hi) from the README's "Ranges" bullet,
+    whose clauses read "<names> at least X", "<names> above X" or "<names> in `[a, b)`"."""
+    text = README.read_text(encoding="utf-8")
+    bullet = re.search(r"^- Ranges: (.*?)\.\n(?=- )", text, re.M | re.S)[1]
+    ranges = {}
+    for clause in " ".join(bullet.split()).split("; "):
+        names, kind, value = re.fullmatch(r"(.*) (at least|above|in) (.*)", clause).groups()
+        if kind == "in":
+            left, lo, hi, right = re.fullmatch(r"`([\[(])(.*), (.*)([\])])`", value).groups()
+            interval = (_bound(lo), left == "(", _bound(hi), right == ")")
+        else:
+            interval = (_bound(value), kind == "above", math.inf, True)
+        keys = re.findall(r"`(\w+)`", names) + list(MLP_SIZES if "the mlp sizes" in names else ())
+        assert keys, clause
+        for key in keys:
+            assert key not in ranges, key
+            ranges[key] = interval
+    return ranges
+
+
+def schema_ranges() -> dict:
+    """name -> (lo, open_lo, hi, open_hi) of every bounded number or count in
+    SCHEMA, a list's entries named by the list's key."""
+    ranges = {}
+    for path, (_, _, _, spec, _) in NODES.items():
+        name = path.rsplit(".", 1)[-1].replace("[]", "")
+        if isinstance(spec, Int):
+            interval = (spec.lo, False, spec.hi, spec.hi == math.inf)
+        elif isinstance(spec, Num) and (spec.lo > -math.inf or spec.hi < math.inf):
+            interval = (spec.lo, spec.open_lo, spec.hi, True)
+        else:
+            continue
+        assert ranges.setdefault(name, interval) == interval, name
+    return ranges
+
+
+def test_every_bound_of_the_table_is_the_readme_range():
+    assert schema_ranges() == readme_ranges()

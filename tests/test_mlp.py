@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import loop_unit_value_and_gradient
+from helpers import loop_unit_value_and_gradient, same_bits
 from mtlopt import schemes
 from mtlopt.mlp import MLPTopology, init_mlp_params, synthetic_mlp_suite
 from mtlopt.objectives import finite_difference_check, two_task_suite
@@ -197,10 +197,6 @@ def _reference_gradient(topology, w, k, x, y):
     return grad
 
 
-def _same_bits(a, b):
-    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
-
-
 SHIPPED_MLP = {"n_tasks": 4, "input_dim": 2, "hidden": (32, 32)}  # configs/mlp_four_task.json
 SHAPES = [SHIPPED_MLP, {"n_tasks": 3, "input_dim": 2, "hidden": (5,)}, {"n_tasks": 2, "input_dim": 3, "hidden": (8, 8, 8)}]
 
@@ -221,10 +217,10 @@ def test_kernels_keep_the_bits_of_the_reference(shape, batch, weights):
             assert topology.task_value(w, k, x, targets[k]) == expected
             loss, got = topology.task_value_and_gradient(w, k, x, targets[k])
             assert loss == expected and type(loss) is float
-            assert _same_bits(got, _reference_gradient(topology, w, k, x, targets[k]))
+            assert same_bits(got, _reference_gradient(topology, w, k, x, targets[k]))
     h, heads = _reference_forward(topology, w, suite.val_inputs)
     expected = np.array([_reference_head_loss(h, head, y) for head, y in zip(heads, suite.val_targets)])
-    assert _same_bits(suite.validation_task_losses(w), expected)
+    assert same_bits(suite.validation_task_losses(w), expected)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -245,7 +241,7 @@ def test_unit_oracle_keeps_the_bits_of_the_per_task_loop(shape, weights):
             loss, g = suite.unit_value_and_gradient(w, unit, xi)
             ref_loss, ref_g = loop_unit_value_and_gradient(suite, w, unit, xi)
             assert loss == ref_loss and type(loss) is float
-            assert _same_bits(g, ref_g)
+            assert same_bits(g, ref_g)
 
 
 def test_unit_oracle_keeps_the_zero_signs_of_the_loop_whatever_the_kernel_gives(monkeypatch):
@@ -265,7 +261,7 @@ def test_unit_oracle_keeps_the_zero_signs_of_the_loop_whatever_the_kernel_gives(
     for unit in [(0,), (2, 1), (0, 1, 2, 3)]:
         loss, g = suite.unit_value_and_gradient(w, unit, xi)
         ref_loss, ref_g = loop_unit_value_and_gradient(suite, w, unit, xi)
-        assert loss == ref_loss and _same_bits(g, ref_g) and not np.signbit(g[g == 0.0]).any()
+        assert loss == ref_loss and same_bits(g, ref_g) and not np.signbit(g[g == 0.0]).any()
 
 
 @pytest.mark.parametrize("scheme, n_groups, forwards", [("sus", None, 1), ("ius", 2, 2), ("ius", None, 4),
@@ -302,8 +298,8 @@ def test_forward_trunk_writes_neither_input_nor_parameters():
     assert not any(np.shares_memory(a, b) for a in activations[1:] for b in (x, w))
     for a, b in zip(activations[1:], activations[2:]):
         assert not np.shares_memory(a, b)
-    assert _same_bits(w, w_before) and _same_bits(x, x_before)
+    assert same_bits(w, w_before) and same_bits(x, x_before)
     for k in range(suite.n_tasks):  # the oracles that write into their activations
         topology.task_value_and_gradient(w, k, x, x[:, :1])
         topology.task_value(w, k, x, x[:, :1])
-    assert _same_bits(w, w_before) and _same_bits(x, x_before)
+    assert same_bits(w, w_before) and same_bits(x, x_before)

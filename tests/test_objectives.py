@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import loop_unit_value_and_gradient
+from helpers import loop_unit_value_and_gradient, same_bits
 from mtlopt.objectives import (
     QuadraticSuite,
     QuadraticTask,
@@ -205,6 +205,13 @@ def test_quadratic_requires_symmetric_matrix():
         QuadraticTask(0, [[1.0, 0.5], [0.0, 1.0]], [0.0, 0.0])
 
 
+@pytest.mark.parametrize("sigma", [-1.0, -5e-324, float("nan")])
+def test_quadratic_rejects_a_negative_or_nan_noise_sigma(sigma):
+    # a NaN sigma would draw NaN noise, found only when verify reads it
+    with pytest.raises(ValueError, match="^noise_sigma must be >= 0$"):
+        QuadraticTask(0, [[1.0]], [0.0], sigma)
+
+
 @pytest.mark.parametrize("suite", [two_task_suite(), five_task_suite()], ids=["two_task", "five_task"])
 def test_stacked_validation_equals_per_task_exact_values(suite):
     def exact_value(task, w):  # one task's noise-free value, on its own
@@ -277,25 +284,51 @@ def _zero_sigma_suite():
     )
 
 
+_HALF_MAX = float(np.finfo(np.float64).max / 2)  # 2h overflows exactly above this
+
+
+def _edge_suite(halfwidths):
+    # in 3-D a task's half-width is its noise_sigma, since sqrt(3 / 3) == 1
+    suite = QuadraticSuite([QuadraticTask(i, np.eye(3), np.zeros(3), h) for i, h in enumerate(halfwidths)])
+    assert [t.noise_halfwidth for t in suite.tasks] == halfwidths
+    return suite
+
+
+# zero, the smallest subnormal, a tiny normal, DBL_MAX/2 and its neighbours:
+# each 2h finite, so the suite scales by 2h; with 2h overflowing for some task
+# (above DBL_MAX/2, 1.7e308 and inf), it doubles the draw and scales by h
+_SMALL = [0.0, 5e-324, 1e-300, 1.0]
+_EDGE_SUITES = {
+    "edge_doubled_halfwidths": _edge_suite(_SMALL + [float(np.nextafter(_HALF_MAX, 0)), _HALF_MAX]),
+    "edge_overflowing_halfwidths": _edge_suite(
+        _SMALL + [_HALF_MAX, float(np.nextafter(_HALF_MAX, np.inf)), 1.7e308, float("inf")]
+    ),
+}
+
+
 @pytest.mark.parametrize(
-    "suite", [two_task_suite(), five_task_suite(), _zero_sigma_suite()], ids=["two_task", "five_task", "zero_sigma"]
+    "suite",
+    [two_task_suite(), five_task_suite(), _zero_sigma_suite(), *_EDGE_SUITES.values()],
+    ids=["two_task", "five_task", "zero_sigma", *_EDGE_SUITES],
 )
 def test_sample_minibatch_equals_the_broadcast_draw(suite):
-    # the draw scaled in place by the (n, d) half-width grid has the bits of
-    # the draw times an (n, 1) half-width column, and consumes the same draws
+    # per step and in blocks, a draw has the bits of the uniform draw times an
+    # (n, 1) half-width column, and consumes the same draws
     column = np.array([t.noise_halfwidth for t in suite.tasks])[:, None]
+    shape = (suite.n_tasks, suite.dim)
     gen, ref = RngStream(4, "data").gen, RngStream(4, "data").gen
     draws = []
     for _ in range(50):
         got = suite.sample_minibatch(gen)
-        want = ref.uniform(-1.0, 1.0, size=(suite.n_tasks, suite.dim)) * column
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert same_bits(got, ref.uniform(-1.0, 1.0, size=shape) * column)
         draws.append(got)
+    for k in (1, 7):
+        got = suite.sample_minibatches(gen, k)
+        assert got.shape == (k, *shape) and same_bits(got, ref.uniform(-1.0, 1.0, size=(k, *shape)) * column)
     zeros = np.array(draws)[:, column[:, 0] == 0.0]
     if zeros.size:  # both signs of zero occur
         assert not zeros.any() and 0 < np.signbit(zeros).sum() < zeros.size
-    assert np.array_equal(gen.uniform(-1.0, 1.0, size=4), ref.uniform(-1.0, 1.0, size=4))
+    assert gen.bit_generator.state == ref.bit_generator.state
 
 
 def _random_suite(gen, n, d):
