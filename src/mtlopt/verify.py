@@ -11,7 +11,7 @@ The bound's check (verify_theorem) and the per-step checks (verify_lemmas)
 each simulate their own replicates. A pass steps all its R replicates in
 lockstep, with array ops over an (R, d) array of iterates. Replicate r draws
 from its own streams, data[r] and task-order[r], so every number equals that
-of the replicate stepped alone. Both passes reduce over blocks of steps, and
+of the replicate stepped alone. Both passes run in blocks of steps, and
 replay a failed block step by step (_in_blocks) to fail as a per-step pass does.
 
 Statistical policy: the bound is an upper bound in expectation, so a check
@@ -140,33 +140,35 @@ def _max_grad_norm(G) -> float:
     return float(_norms(G).max())
 
 
+def _block(suite, replicates) -> int:
+    """The steps whose gradients, (R, n, d) each, fit in run's block of floats."""
+    return max(1, _BLOCK_FLOATS // (replicates * suite.n_tasks * suite.dim))
+
+
 def _in_blocks(steps_pass, suite, replicates, *args):
-    """steps_pass(suite, replicates, *args, block) over blocks of the steps
-    whose gradients, (R, n, d) each, fit in run's block of floats, with every
-    floating-point error and warning raised; if that fails, again with block 1
-    under the caller's error settings, to raise or warn where a per-step pass does."""
+    """steps_pass(suite, replicates, *args, block) over blocks of _block steps,
+    with every floating-point error and warning raised; if that fails, again
+    with block 1 under the caller's error settings, to raise or warn where a
+    per-step pass does."""
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"), warnings.catch_warnings():
             warnings.simplefilter("error")
-            block = max(1, _BLOCK_FLOATS // (replicates * suite.n_tasks * suite.dim))
-            return steps_pass(suite, replicates, *args, block)
+            return steps_pass(suite, replicates, *args, _block(suite, replicates))
     except (ArithmeticError, Warning):
         pass
     return steps_pass(suite, replicates, *args, 1)
 
 
-def _lockstep(suite, schedule, w0, n_steps, replicates, seed, block=None):
+def _lockstep(suite, schedule, w0, n_steps, replicates, seed, block=1, per_call=False):
     """Yield (t, eta, W, G, sel) for t = 1..n_steps of `replicates`
     replicates: the iterates W (R, d) before the update, every task's
     stochastic gradient there G (R, n, d) and the selected tasks sel (R,).
-    Replicate r draws its noise on its stream data[r], one sample_minibatches
-    call per `block` steps, or one sample_minibatch call per step without a
-    block; the draws are the same either way.
-
-    verify_theorem and estimate_grad_bound draw per step only because the
-    benchmark's tracer (perfbench/tracer.py) counts their replicate-steps as
-    sample_minibatch calls, so the per-step mode makes exactly one call per
-    replicate-step; verify_theorem still takes its norms in blocks."""
+    Replicate r draws its noise on its stream data[r], `block` steps at a
+    time, with the same values either way: in one sample_minibatches call,
+    or, `per_call`, in one sample_minibatch call per step, made step-major so
+    that each stream is still read in step order. verify_theorem and
+    estimate_grad_bound draw per call, as the benchmark's tracer
+    (perfbench/tracer.py) counts their replicate-steps as sample_minibatch calls."""
     n = suite.n_tasks
     labels = range(replicates)
     data = [RngStream(seed, f"data[{r}]").gen for r in labels]
@@ -177,15 +179,14 @@ def _lockstep(suite, schedule, w0, n_steps, replicates, seed, block=None):
     W = np.tile(np.asarray(w0, dtype=np.float64), (replicates, 1))
     for t in range(1, n_steps + 1):
         eta = schedule.at(t)
-        if block is None:
-            # np.concatenate copies the draws as np.array would, with less dispatch
-            xi = np.concatenate([suite.sample_minibatch(gen) for gen in data]).reshape(draws_shape)
-        else:
-            if (t - 1) % block == 0:  # the next block's draws, (k, R, n, d)
-                k = min(block, n_steps - t + 1)
+        if (t - 1) % block == 0:  # the next block's draws, (k, R, n, d)
+            k = min(block, n_steps - t + 1)
+            if per_call:  # np.concatenate copies the draws as np.array would, with less dispatch
+                draws = np.concatenate([suite.sample_minibatch(gen) for _ in range(k) for gen in data])
+                draws = draws.reshape(k, *draws_shape)
+            else:
                 draws = np.stack([suite.sample_minibatches(gen, k) for gen in data], axis=1)
-            xi = draws[(t - 1) % block]
-        G = suite.task_gradients(W, xi)
+        G = suite.task_gradients(W, draws[(t - 1) % block])
         sel = order[:, t - 1]
         yield t, eta, W, G, sel
         W = W - eta * G[rows, sel]
@@ -196,10 +197,8 @@ GRAD_BOUND_SAFETY = 1.05
 
 def estimate_grad_bound(suite, schedule, n_steps, replicates, seed, w0) -> float:
     """Empirical uniform gradient-norm bound from a stand-alone pass on the same seeds."""
-    worst = 0.0
-    for _, _, _, G, _ in _lockstep(suite, schedule, w0, n_steps, replicates, seed):
-        worst = max(worst, _max_grad_norm(G))
-    return worst * GRAD_BOUND_SAFETY
+    steps = _lockstep(suite, schedule, w0, n_steps, replicates, seed, _block(suite, replicates), per_call=True)
+    return max((_max_grad_norm(G) for _, _, _, G, _ in steps), default=0.0) * GRAD_BOUND_SAFETY
 
 
 def verify_theorem(suite: QuadraticSuite, T_list, replicates: int, seed: int, w0) -> dict:
@@ -265,7 +264,7 @@ def _theorem_pass(suite, replicates, consts, schedule, w0, T_list, seed, block):
     """verify_theorem's largest stochastic gradient norm, taken over `block`
     steps at a time, and each replicate's average-objective gap at every T."""
     pending, worst, gaps = [], 0.0, {}
-    for t, _, W, G, _ in _lockstep(suite, schedule, w0, T_list[-1], replicates, seed):
+    for t, _, W, G, _ in _lockstep(suite, schedule, w0, T_list[-1], replicates, seed, block, per_call=True):
         pending.append(G)
         if len(pending) == block or t == T_list[-1]:
             worst, pending = max(worst, _max_grad_norm(np.array(pending))), []

@@ -28,6 +28,7 @@ from mtlopt.verify import (
     B_FORM_NOTE,
     GRAD_BOUND_SAFETY,
     BoundInputs,
+    _block,
     _lockstep,
     _max_grad_norm,
     _norms,
@@ -190,6 +191,18 @@ def test_lockstep_trajectory_does_not_depend_on_replicate_count():
         assert np.array_equal(sel2, sel5[:2])
 
 
+@pytest.mark.parametrize("block", [1, 7, 30, 31])
+def test_lockstep_draws_the_same_noise_per_call_and_in_blocks(block):
+    # 30 steps: blocks of 7 end on a partial one, 30 and 31 draw them all at once
+    suite, schedule, w0 = shipped_five_task_setup()
+    want = list(_lockstep(suite, schedule, w0, 30, 4, 3))
+    for per_call in (False, True):
+        got = list(_lockstep(suite, schedule, w0, 30, 4, 3, block, per_call))
+        assert len(got) == len(want)
+        for step, ref in zip(got, want):
+            assert all(np.array_equal(a, b) for a, b in zip(step, ref))
+
+
 @pytest.mark.parametrize("make_suite", [five_task_suite, two_task_suite])
 def test_lockstep_replicates_are_runs_of_the_engine_users_run(monkeypatch, make_suite):
     # replicate r is schemes.run under ius, sgd, uniform_random and the theorem
@@ -223,24 +236,41 @@ def test_lockstep_replicates_are_runs_of_the_engine_users_run(monkeypatch, make_
 
 class CountingSuite(QuadraticSuite):
     """A QuadraticSuite that counts its minibatch draws, one per
-    replicate-step, whether drawn one at a time or in blocks."""
+    replicate-step: `calls` drawn one at a time, `block_draws` in blocks."""
 
-    draws = 0
+    calls = block_draws = 0
+
+    @property
+    def draws(self):
+        return self.calls + self.block_draws
 
     def sample_minibatch(self, gen):
-        self.draws += 1
+        self.calls += 1
         return super().sample_minibatch(gen)
 
     def sample_minibatches(self, gen, count):
-        self.draws += count
+        self.block_draws += count
         return super().sample_minibatches(gen, count)
 
 
+def _set_block(monkeypatch, suite, replicates, block):
+    """Shrink run's block of floats so that the verify passes step `block`
+    steps at a time; None keeps the default block."""
+    if block is not None:
+        monkeypatch.setattr("mtlopt.verify._BLOCK_FLOATS", block * replicates * suite.n_tasks * suite.dim)
+        assert _block(suite, replicates) == block
+
+
 @pytest.mark.parametrize("make_suite", [five_task_suite, two_task_suite])
-def test_verify_theorem_steps_each_replicate_once(make_suite):
-    suite = CountingSuite(make_suite().tasks)
-    verify_theorem(suite, [3, 30, 12], replicates=5, seed=2, w0=np.zeros(suite.dim))
-    assert suite.draws == 5 * 30
+def test_verify_theorem_steps_each_replicate_once(monkeypatch, make_suite):
+    # one sample_minibatch call per replicate-step, the count that the
+    # benchmark's tracer reads as verify.steps, at the default block and at
+    # blocks of 7 and 1 step
+    for block in (None, 7, 1):
+        suite = CountingSuite(make_suite().tasks)
+        _set_block(monkeypatch, suite, 5, block)
+        verify_theorem(suite, [3, 30, 12], replicates=5, seed=2, w0=np.zeros(suite.dim))
+        assert (suite.calls, suite.block_draws) == (5 * 30, 0)
 
 
 @pytest.mark.parametrize("make_suite", [five_task_suite, two_task_suite])
@@ -251,14 +281,20 @@ def test_verify_lemma2_without_a_bound_steps_each_replicate_once(make_suite):
 
 
 @pytest.mark.parametrize("make_suite", [five_task_suite, two_task_suite])
-def test_verify_theorem_grad_bound_is_that_of_the_stand_alone_pre_run(make_suite):
+def test_verify_theorem_grad_bound_is_that_of_the_stand_alone_pre_run(monkeypatch, make_suite):
+    # and neither depends on the block: over 40 steps the default block holds
+    # them all, and blocks of 7 end on a partial one
     suite = make_suite()
     consts = suite_constants(suite)
     schedule = theorem_schedule(consts.smoothness, consts.strong_convexity)
     w0 = np.full(suite.dim, 0.5)
-    report = verify_theorem(suite, [2, 40, 9], replicates=6, seed=4, w0=w0)
-    expected = estimate_grad_bound(suite, schedule, 40, 6, 4, w0)
-    assert report["constants"]["grad_bound"] == expected
+    results = []
+    for block in (None, 7, 1):
+        _set_block(monkeypatch, suite, 6, block)
+        report = verify_theorem(suite, [2, 40, 9], replicates=6, seed=4, w0=w0)
+        results.append((report, estimate_grad_bound(suite, schedule, 40, 6, 4, w0)))
+    assert results[0][0]["constants"]["grad_bound"] == results[0][1]
+    assert results[1] == results[0] and results[2] == results[0]
 
 
 @pytest.mark.parametrize("make_suite", [five_task_suite, two_task_suite])
