@@ -59,11 +59,6 @@ class MLPTopology:
         n_trunk = len(self.hidden)
         return parts[:n_trunk], parts[n_trunk:]
 
-    def task_views(self, w: np.ndarray, k: int):
-        """Views into w of what task k uses: list of trunk (W, b), head k's (W, b)."""
-        n_trunk = len(self.hidden)
-        return [_view(w, entry) for entry in self.layout[:n_trunk]], _view(w, self.layout[n_trunk + k])
-
     def forward_trunk(self, trunk, x: np.ndarray):
         """Activations of every trunk layer, input first, given trunk views.
         Each layer's activation is a new array; x is never written."""
@@ -76,15 +71,12 @@ class MLPTopology:
             activations.append(h)
         return activations
 
-    def task_value(self, w, k, x, y):
-        trunk, head = self.task_views(w, k)
-        return _head_loss(self.forward_trunk(trunk, x)[-1], head, y)
-
-    def task_value_and_gradient(self, w, k, x, y):
-        """Task k's loss and gradient from one trunk forward: the loss has the
-        bits of task_value, and the head residual is computed once."""
-        (loss,), grad = self.heads_value_and_gradient(w, x, [(k, y)])
-        return loss, grad
+    def heads_value(self, w, x, heads):
+        """The loss of each (k, y) in `heads`, in turn, from one trunk forward:
+        the forward half of heads_value_and_gradient, with the same bits."""
+        n_trunk = len(self.hidden)
+        h = self.forward_trunk([_view(w, entry) for entry in self.layout[:n_trunk]], x)[-1]
+        return [_head_loss(h, _view(w, self.layout[n_trunk + k]), y) for k, y in heads]
 
     def heads_value_and_gradient(self, w, x, heads):
         """The loss of each (k, y) in `heads`, in turn, and the sum of their
@@ -174,11 +166,11 @@ class MLPTask:
 
     def value(self, w, xi) -> float:
         x, targets = xi
-        return self.topology.task_value(w, self.index, x, targets[self.index])
+        return self.topology.heads_value(w, x, [(self.index, targets[self.index])])[0]
 
     def gradient(self, w, xi) -> np.ndarray:
         x, targets = xi
-        return self.topology.task_value_and_gradient(w, self.index, x, targets[self.index])[1]
+        return self.topology.heads_value_and_gradient(w, x, [(self.index, targets[self.index])])[1]
 
 
 class MLPSuite(TaskSuite):
@@ -235,10 +227,7 @@ class MLPSuite(TaskSuite):
         if w.ndim > 1:  # each w along the leading axes in turn
             rows = [self.validation_task_losses(x) for x in w.reshape(-1, w.shape[-1])]
             return np.array(rows).reshape(*w.shape[:-1], self.n_tasks)
-        # one trunk forward shared by every head
-        trunk, heads = self.topology.unpack(w)
-        h = self.topology.forward_trunk(trunk, self.val_inputs)[-1]
-        return np.array([_head_loss(h, head, y) for head, y in zip(heads, self.val_targets)])
+        return np.array(self.topology.heads_value(w, self.val_inputs, enumerate(self.val_targets)))
 
 
 def synthetic_mlp_suite(

@@ -34,7 +34,9 @@ class QuadraticTask:
     Gaussian noise. The stochastic value adds zeta.(w-a) so that the value and
     gradient oracles stay consistent under finite differencing at fixed noise.
     zeta is row `index` of the suite's (n_tasks, d) noise draw xi, and a
-    suite holds task k at position k.
+    suite holds task k at position k. A task whose half-width b is not finite
+    (noise_sigma = inf, or a finite sigma where sqrt(3/d) > 1 overflows it)
+    is rejected with a ValueError.
 
     The suite stacks these records; value() and gradient() are the one-task
     oracle that finite_difference_check probes.
@@ -54,8 +56,10 @@ class QuadraticTask:
         if not noise_sigma >= 0:  # NaN fails every comparison
             raise ValueError("noise_sigma must be >= 0")
         self.noise_sigma = float(noise_sigma)
-        # per-coordinate half-width so E||zeta||^2 == sigma^2; overflows quietly to inf
+        # per-coordinate half-width so E||zeta||^2 == sigma^2
         self.noise_halfwidth = self.noise_sigma * math.sqrt(3.0 / d)
+        if not math.isfinite(self.noise_halfwidth):
+            raise ValueError(f"task {index}: noise half-width noise_sigma * sqrt(3 / d) is not finite")
 
     def value(self, w: np.ndarray, xi) -> float:
         r = w - self.center

@@ -621,6 +621,9 @@ def _dataset_seed(cfg, seed):
 
 
 NAN, INF = float("nan"), float("inf")  # json.dumps writes NaN and Infinity
+_HALFWIDTH_ERROR = (
+    "config error: config.objective.tasks[0]: task 0: noise half-width noise_sigma * sqrt(3 / d) is not finite\n"
+)
 
 # (command, edit of the command's small config, field the error names, extra
 # arguments); "<1e400>" is written as the bare literal 1e400, which JSON reads
@@ -634,6 +637,9 @@ BAD_CONFIGS = {
     "matrix Infinity": ("run", lambda c: _task(c).update(matrix=[[INF]]), "matrix"),
     "noise_sigma NaN": ("run", lambda c: _task(c).update(noise_sigma=NAN), "noise_sigma"),
     "noise_sigma Infinity": ("run", lambda c: _task(c).update(noise_sigma=INF), "noise_sigma"),
+    # finite, but the 1-D half-width sigma * sqrt(3) is inf
+    "run noise half-width inf": ("run", lambda c: _task(c).update(noise_sigma=1.5e308), _HALFWIDTH_ERROR),
+    "verify noise half-width inf": ("verify", lambda c: _task(c).update(noise_sigma=1.5e308), _HALFWIDTH_ERROR),
     "task not an object": ("run", lambda c: c["objective"].update(tasks=[1.0]), "objective.tasks[0]"),
     "offset -1": ("run", lambda c: _inverse_time(c, 1.0, -1.0), "scheme.lr.offset"),
     "mu 0": ("run", lambda c: _inverse_time(c, 0, 1.0), "scheme.lr.mu"),

@@ -105,7 +105,7 @@ def test_validation_losses_equal_per_task_values_exactly():
         losses = suite.validation_task_losses(w)
         assert losses.shape == (suite.n_tasks,)
         for k in range(suite.n_tasks):
-            expected = suite.topology.task_value(w, k, suite.val_inputs, suite.val_targets[k])
+            (expected,) = suite.topology.heads_value(w, suite.val_inputs, [(k, suite.val_targets[k])])
             assert losses[k] == expected
 
 
@@ -214,13 +214,33 @@ def test_kernels_keep_the_bits_of_the_reference(shape, batch, weights):
         x, targets = suite.sample_minibatch(RngStream(draw, "data").gen)
         for k in range(suite.n_tasks):
             expected = _reference_value(topology, w, k, x, targets[k])
-            assert topology.task_value(w, k, x, targets[k]) == expected
-            loss, got = topology.task_value_and_gradient(w, k, x, targets[k])
+            assert topology.heads_value(w, x, [(k, targets[k])]) == [expected]
+            (loss,), got = topology.heads_value_and_gradient(w, x, [(k, targets[k])])
             assert loss == expected and type(loss) is float
             assert same_bits(got, _reference_gradient(topology, w, k, x, targets[k]))
     h, heads = _reference_forward(topology, w, suite.val_inputs)
     expected = np.array([_reference_head_loss(h, head, y) for head, y in zip(heads, suite.val_targets)])
     assert same_bits(suite.validation_task_losses(w), expected)
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+def test_every_evaluation_goes_through_the_two_kernels(batch):
+    # heads in any order read their own head's view, with the bits of a
+    # one-head call; the per-task oracles are the one-head kernels
+    suite = synthetic_mlp_suite(**SHIPPED_MLP, batch_size=batch, val_size=batch)
+    topology = suite.topology
+    w = init_mlp_params(suite, RngStream(batch, "init").gen)
+    w += 0.1 * RngStream(batch, "perturb").gen.normal(size=suite.dim)
+    x, targets = xi = suite.sample_minibatch(RngStream(batch, "data").gen)
+    order = list(reversed(range(suite.n_tasks)))
+    losses = topology.heads_value(w, x, [(k, targets[k]) for k in order])
+    assert len(losses) == suite.n_tasks
+    for k, loss in zip(order, losses):
+        assert topology.heads_value(w, x, [(k, targets[k])]) == [loss]
+        assert loss == _reference_value(topology, w, k, x, targets[k]) and type(loss) is float
+        assert same_bits(suite.tasks[k].value(w, xi), loss)
+        _, grad = topology.heads_value_and_gradient(w, x, [(k, targets[k])])
+        assert same_bits(suite.tasks[k].gradient(w, xi), grad)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -292,7 +312,7 @@ def test_forward_trunk_writes_neither_input_nor_parameters():
     w = init_mlp_params(suite, RngStream(3, "init").gen)
     x, _ = suite.sample_minibatch(RngStream(3, "data").gen)
     w_before, x_before = w.copy(), x.copy()
-    trunk, _ = topology.task_views(w, 0)
+    trunk, _ = topology.unpack(w)
     activations = topology.forward_trunk(trunk, x)
     assert activations[0] is x and len(activations) == len(SHIPPED_MLP["hidden"]) + 1
     assert not any(np.shares_memory(a, b) for a in activations[1:] for b in (x, w))
@@ -300,6 +320,6 @@ def test_forward_trunk_writes_neither_input_nor_parameters():
         assert not np.shares_memory(a, b)
     assert same_bits(w, w_before) and same_bits(x, x_before)
     for k in range(suite.n_tasks):  # the oracles that write into their activations
-        topology.task_value_and_gradient(w, k, x, x[:, :1])
-        topology.task_value(w, k, x, x[:, :1])
+        topology.heads_value_and_gradient(w, x, [(k, x[:, :1])])
+        topology.heads_value(w, x, [(k, x[:, :1])])
     assert same_bits(w, w_before) and same_bits(x, x_before)

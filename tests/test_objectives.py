@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -212,6 +213,20 @@ def test_quadratic_rejects_a_negative_or_nan_noise_sigma(sigma):
         QuadraticTask(0, [[1.0]], [0.0], sigma)
 
 
+@pytest.mark.parametrize("sigma, d", [(float("inf"), 1), (float("inf"), 3), (1.5e308, 1)])
+def test_quadratic_rejects_a_noise_halfwidth_that_is_not_finite(sigma, d):
+    # sigma * sqrt(3 / d) overflows in 1-D for any sigma above DBL_MAX / sqrt(3)
+    with pytest.raises(ValueError, match=r"^task 2: noise half-width noise_sigma \* sqrt\(3 / d\) is not finite$"):
+        QuadraticTask(2, np.eye(d), np.zeros(d), sigma)
+
+
+def test_quadratic_accepts_every_finite_noise_halfwidth():
+    # in 3-D the half-width is sigma itself; 1e308 in 1-D gives h = 1.73e308,
+    # above DBL_MAX/2, which the noise draw reaches by doubling
+    assert QuadraticTask(0, np.eye(3), np.zeros(3), 1.5e308).noise_halfwidth == 1.5e308
+    assert QuadraticTask(0, [[1.0]], [0.0], 1e308).noise_halfwidth == 1e308 * math.sqrt(3.0)
+
+
 @pytest.mark.parametrize("suite", [two_task_suite(), five_task_suite()], ids=["two_task", "five_task"])
 def test_stacked_validation_equals_per_task_exact_values(suite):
     def exact_value(task, w):  # one task's noise-free value, on its own
@@ -296,13 +311,12 @@ def _edge_suite(halfwidths):
 
 # zero, the smallest subnormal, a tiny normal, DBL_MAX/2 and its neighbours:
 # each 2h finite, so the suite scales by 2h; with 2h overflowing for some task
-# (above DBL_MAX/2, 1.7e308 and inf), it doubles the draw and scales by h
+# (above DBL_MAX/2 and 1.7e308), it doubles the draw and scales by h. A task
+# rejects a half-width of inf, so no draw reads one
 _SMALL = [0.0, 5e-324, 1e-300, 1.0]
 _EDGE_SUITES = {
     "edge_doubled_halfwidths": _edge_suite(_SMALL + [float(np.nextafter(_HALF_MAX, 0)), _HALF_MAX]),
-    "edge_overflowing_halfwidths": _edge_suite(
-        _SMALL + [_HALF_MAX, float(np.nextafter(_HALF_MAX, np.inf)), 1.7e308, float("inf")]
-    ),
+    "edge_overflowing_halfwidths": _edge_suite(_SMALL + [_HALF_MAX, float(np.nextafter(_HALF_MAX, np.inf)), 1.7e308]),
 }
 
 

@@ -113,7 +113,9 @@ def test_snapshot_recompute_matches_accumulated_total(monkeypatch):
     cfg = SchemeConfig(scheme="ius", optimizer=OptimizerRule("momentum", beta=0.9), lr=ConstantLR(0.05))
     trace = run(cfg, suite, ws[0], 20, seed=8)
     assert len(ws) == 1 + len(trace.cumulative) == 41
-    recomputed = sum(l2_norm(b - a) for a, b in zip(ws, ws[1:]))
+    recomputed = 0.0
+    for a, b in zip(ws, ws[1:]):  # not sum(), which compensates since Python 3.12
+        recomputed += l2_norm(b - a)
     assert recomputed == trace.cumulative[-1]  # the same sum, in the same order
 
 

@@ -687,10 +687,11 @@ def _one_d_tasks(*curvature_and_sigma):
     return {"tasks": [{"matrix": [[c]], "center": [0.0], "noise_sigma": s} for c, s in curvature_and_sigma]}
 
 
-# only the max-form bound overflows at 7e153; a noise half-width that
-# overflows; 2L/mu that overflows; mu**2 that underflows to 0
+# only the max-form bound overflows at 7e153; a noise half-width above
+# DBL_MAX/2 (a half-width that overflows is a config error); 2L/mu that
+# overflows; mu**2 that underflows to 0
 @example(_one_d_config({"preset": "two_task"}, 7e153, T_list=(10, 100, 1000)))
-@example(_one_d_config(_one_d_tasks((1.0, 1.7e308)), 1.0))
+@example(_one_d_config(_one_d_tasks((1.0, 1e308)), 1.0))
 @example(_one_d_config(_one_d_tasks((1e10, 0.0), (1e-300, 0.0)), 1.0))
 @example(_one_d_config(_one_d_tasks((1e-200, 0.5)), 1.0))
 @given(verify_configs())
