@@ -11,8 +11,13 @@ The bound's check (verify_theorem) and the per-step checks (verify_lemmas)
 each simulate their own replicates. A pass steps all its R replicates in
 lockstep, with array ops over an (R, d) array of iterates. Replicate r draws
 from its own streams, data[r] and task-order[r], so every number equals that
-of the replicate stepped alone. Both passes run in blocks of steps, and
-replay a failed block step by step (_in_blocks) to fail as a per-step pass does.
+of the replicate stepped alone. The engine (_lockstep) yields a block of k
+steps at a time: its step sizes (k,), iterates (k, R, d), every task's
+gradients there (k, R, n, d) and selected tasks (k, R). Both passes replay a
+failed block step by step (_in_blocks) to fail as a per-step pass does, so
+lemma 1's statistics are reduced as each block is read, before a later step
+can fail first; lemma 2's bound needs the gradient norms of the whole pass,
+so its statistics are reduced once, over the (n_steps, R) arrays, after it.
 
 Statistical policy: the bound is an upper bound in expectation, so a check
 passes when the Monte-Carlo estimate does not exceed it by more than three
@@ -24,7 +29,6 @@ Trajectories do not depend on it, so the bounds are evaluated once the check
 has read them all.
 """
 
-import itertools
 import math
 import warnings
 from dataclasses import asdict, astuple, dataclass
@@ -160,15 +164,15 @@ def _in_blocks(steps_pass, suite, replicates, *args):
 
 
 def _lockstep(suite, schedule, w0, n_steps, replicates, seed, block=1, per_call=False):
-    """Yield (t, eta, W, G, sel) for t = 1..n_steps of `replicates`
-    replicates: the iterates W (R, d) before the update, every task's
-    stochastic gradient there G (R, n, d) and the selected tasks sel (R,).
-    Replicate r draws its noise on its stream data[r], `block` steps at a
-    time, with the same values either way: in one sample_minibatches call,
-    or, `per_call`, in one sample_minibatch call per step, made step-major so
-    that each stream is still read in step order. verify_theorem and
-    estimate_grad_bound draw per call, as the benchmark's tracer
-    (perfbench/tracer.py) counts their replicate-steps as sample_minibatch calls."""
+    """Yield (start, eta, W, G, sel) for each block of k <= `block` steps
+    t = start+1..start+k: eta (k,), the iterates W (k, R, d) before each
+    update, G (k, R, n, d), written over the block's draws, and sel (k, R).
+    The block's last update is made after it is read. Replicate r draws a
+    block's noise on its stream data[r] in one sample_minibatches call or,
+    `per_call`, with the same values, in one sample_minibatch call per step,
+    step-major so that each stream is read in step order: the benchmark's
+    tracer (perfbench/tracer.py) counts verify_theorem's replicate-steps as
+    sample_minibatch calls."""
     n = suite.n_tasks
     labels = range(replicates)
     data = [RngStream(seed, f"data[{r}]").gen for r in labels]
@@ -176,20 +180,22 @@ def _lockstep(suite, schedule, w0, n_steps, replicates, seed, block=1, per_call=
     order = np.array([RngStream(seed, f"task-order[{r}]").gen.integers(n, size=n_steps) for r in labels])
     rows = np.arange(replicates)
     draws_shape = (replicates, n, suite.dim)
-    W = np.tile(np.asarray(w0, dtype=np.float64), (replicates, 1))
-    for t in range(1, n_steps + 1):
-        eta = schedule.at(t)
-        if (t - 1) % block == 0:  # the next block's draws, (k, R, n, d)
-            k = min(block, n_steps - t + 1)
-            if per_call:  # np.concatenate copies the draws as np.array would, with less dispatch
-                draws = np.concatenate([suite.sample_minibatch(gen) for _ in range(k) for gen in data])
-                draws = draws.reshape(k, *draws_shape)
-            else:
-                draws = np.stack([suite.sample_minibatches(gen, k) for gen in data], axis=1)
-        G = suite.task_gradients(W, draws[(t - 1) % block])
-        sel = order[:, t - 1]
-        yield t, eta, W, G, sel
-        W = W - eta * G[rows, sel]
+    w = np.tile(np.asarray(w0, dtype=np.float64), (replicates, 1))
+    for start in range(0, n_steps, block):
+        k = min(block, n_steps - start)
+        if per_call:  # np.concatenate copies the draws as np.array would, with less dispatch
+            G = np.concatenate([suite.sample_minibatch(gen) for _ in range(k) for gen in data])
+            G = G.reshape(k, *draws_shape)
+        else:
+            G = np.stack([suite.sample_minibatches(gen, k) for gen in data], axis=1)
+        eta = np.array([schedule.at(t) for t in range(start + 1, start + k + 1)])
+        W, sel = np.empty((k, *w.shape)), order[:, start:start + k].T
+        for i in range(k):
+            if i:
+                w = w - eta[i - 1] * G[i - 1, rows, sel[i - 1]]
+            W[i], G[i] = w, suite.task_gradients(w, G[i])
+        yield start, eta, W, G, sel
+        w = w - eta[-1] * G[-1, rows, sel[-1]]
 
 
 GRAD_BOUND_SAFETY = 1.05
@@ -197,8 +203,8 @@ GRAD_BOUND_SAFETY = 1.05
 
 def estimate_grad_bound(suite, schedule, n_steps, replicates, seed, w0) -> float:
     """Empirical uniform gradient-norm bound from a stand-alone pass on the same seeds."""
-    steps = _lockstep(suite, schedule, w0, n_steps, replicates, seed, _block(suite, replicates), per_call=True)
-    return max((_max_grad_norm(G) for _, _, _, G, _ in steps), default=0.0) * GRAD_BOUND_SAFETY
+    blocks = _lockstep(suite, schedule, w0, n_steps, replicates, seed, per_call=True)
+    return max((_max_grad_norm(G) for _, _, _, G, _ in blocks), default=0.0) * GRAD_BOUND_SAFETY
 
 
 def verify_theorem(suite: QuadraticSuite, T_list, replicates: int, seed: int, w0) -> dict:
@@ -263,13 +269,12 @@ def verify_theorem(suite: QuadraticSuite, T_list, replicates: int, seed: int, w0
 def _theorem_pass(suite, replicates, consts, schedule, w0, T_list, seed, block):
     """verify_theorem's largest stochastic gradient norm, taken over `block`
     steps at a time, and each replicate's average-objective gap at every T."""
-    pending, worst, gaps = [], 0.0, {}
-    for t, _, W, G, _ in _lockstep(suite, schedule, w0, T_list[-1], replicates, seed, block, per_call=True):
-        pending.append(G)
-        if len(pending) == block or t == T_list[-1]:
-            worst, pending = max(worst, _max_grad_norm(np.array(pending))), []
-        if t in T_list:  # every replicate's exact average objective, less f_star
-            gaps[t] = suite.validation_task_losses(W).mean(axis=1) - consts.f_star
+    worst, gaps = 0.0, {}
+    for start, _, W, G, _ in _lockstep(suite, schedule, w0, T_list[-1], replicates, seed, block, per_call=True):
+        worst = max(worst, _max_grad_norm(G))
+        for t in T_list:
+            if start < t <= start + len(W):  # every replicate's exact average objective, less f_star
+                gaps[t] = suite.validation_task_losses(W[t - start - 1]).mean(axis=1) - consts.f_star
     return worst, gaps
 
 
@@ -299,20 +304,19 @@ def verify_lemmas(suite: QuadraticSuite, n_steps: int, replicates: int, seed: in
 
 
 def _lemma_reports(suite, replicates, consts, schedule, w0, n_steps, seed, block):
-    """verify_lemmas' reports, with each replicate's noise drawn, and every
-    statistic reduced over an (S, R) array of per-replicate values, for a
-    block of S steps at a time."""
+    """verify_lemmas' reports, with each replicate's noise drawn, and lemma
+    1's statistics reduced over an (S, R) array of per-replicate values, for
+    a block of S steps at a time; lemma 2's, which need the gradient bound of
+    the whole pass, over the (n_steps, R) arrays once the pass is done."""
     n = suite.n_tasks
     mu = consts.strong_convexity
     noise_term = float(np.sum(np.square(consts.sigmas))) / n**2
-    steps = (step[1:] for step in _lockstep(suite, schedule, w0, n_steps, replicates, seed, block))
 
-    etas, rows1, observed_max = [], [], 0.0
+    rows1, observed_max = [], 0.0
     # per replicate: exact expectation over the selection; the run's own
     # selection (MC check)
     enum_vals, mc_vals = np.empty((n_steps, replicates)), np.empty((n_steps, replicates))
-    for start in range(0, n_steps, block):
-        eta, W, G, sel = map(np.array, zip(*itertools.islice(steps, block)))
+    for start, eta, W, G, sel in _lockstep(suite, schedule, w0, n_steps, replicates, seed, block):
         rows = slice(start, start + len(eta))
         e = eta[:, None, None]
         vbar = W - e * G.mean(axis=2)  # the average of the candidate updates
@@ -339,7 +343,6 @@ def _lemma_reports(suite, replicates, consts, schedule, w0, n_steps, seed, block
         dists = _norms(W[:, :, None, :] - e[..., None] * G - vbar[:, :, None, :]) ** 2
         enum_vals[rows] = dists.mean(axis=2)
         mc_vals[rows] = np.take_along_axis(dists, sel[..., None], axis=2)[..., 0]
-        etas += eta.tolist()
     lemma1 = {
         "kind": "contraction_inequality",
         "replicates": replicates,
@@ -355,27 +358,23 @@ def _lemma_reports(suite, replicates, consts, schedule, w0, n_steps, seed, block
     }
 
     grad_bound = observed_max * GRAD_BOUND_SAFETY
-    rows2 = []
-    for start in range(0, n_steps, block):
-        rows = slice(start, start + block)
-        bounds = [(x * grad_bound) ** 2 for x in etas[rows]]
-        enum, mc = enum_vals[rows], mc_vals[rows]
-        stats = (enum.mean(axis=1), _std_errors(enum), enum.max(axis=1), mc.mean(axis=1), _std_errors(mc))
-        for t, x, bound, est, se, lhs_max, mc_mean, mc_se in zip(range(start + 1, n_steps + 1), etas[rows],
-                                                                 bounds, *(v.tolist() for v in stats)):
-            rows2.append(
-                {
-                    "t": t,
-                    "eta": x,
-                    "lhs_mean": est,
-                    "lhs_max": lhs_max,
-                    "mc_mean": mc_mean,
-                    "mc_std_error": mc_se,
-                    "bound": bound,
-                    "std_error": se,
-                    "pass": _passes(est, bound, se),
-                }
-            )
+    bounds = [(r["eta"] * grad_bound) ** 2 for r in rows1]
+    stats = (enum_vals.mean(axis=1), _std_errors(enum_vals), enum_vals.max(axis=1), mc_vals.mean(axis=1),
+             _std_errors(mc_vals))
+    rows2 = [
+        {
+            "t": r["t"],
+            "eta": r["eta"],
+            "lhs_mean": est,
+            "lhs_max": lhs_max,
+            "mc_mean": mc_mean,
+            "mc_std_error": mc_se,
+            "bound": bound,
+            "std_error": se,
+            "pass": _passes(est, bound, se),
+        }
+        for r, bound, est, se, lhs_max, mc_mean, mc_se in zip(rows1, bounds, *(v.tolist() for v in stats))
+    ]
     lemma2 = {
         "kind": "selection_variance_inequality",
         "replicates": replicates,

@@ -7,6 +7,7 @@ import sys
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from helpers import load_strict_json, read_csv_body
@@ -258,6 +259,42 @@ def test_verify_bound_overflow_is_a_numerical_abort(tmp_path, capsys, w0, bound)
     err = capsys.readouterr().err
     assert err == f"numerical abort in the convergence bound check: the {bound} at T=10 is not finite\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("verdict", ["theorem", "lemma1", "lemma2", "rate"])
+def test_verify_exits_3_when_exactly_one_verdict_fails(tmp_path, monkeypatch, verdict):
+    # small_verify_config passes all four verdicts; each one failing alone
+    # must fail the whole check
+    real_theorem, real_lemmas = cli.verify_mod.verify_theorem, cli.verify_mod.verify_lemmas
+
+    def failing_lemmas(*args):
+        reports = dict(zip(("lemma1", "lemma2"), real_lemmas(*args)))
+        reports[verdict] = {**reports[verdict], "all_pass": False}
+        return reports["lemma1"], reports["lemma2"]
+
+    if verdict == "theorem":
+        monkeypatch.setattr(cli.verify_mod, "verify_theorem", lambda *args: {**real_theorem(*args), "all_pass": False})
+    elif verdict == "rate":
+        monkeypatch.setattr(cli.verify_mod, "fit_rate", lambda report: cli.RATE_SLOPE_RANGE[1] + 0.1)
+    else:
+        monkeypatch.setattr(cli.verify_mod, "verify_lemmas", failing_lemmas)
+    out = tmp_path / "v"
+    assert main(["verify", write_config(tmp_path, small_verify_config()), "--out", str(out)]) == 3
+    report = json.loads((out / "verification.json").read_text())
+    verdicts = {"rate": report["rate_pass"], **{k: report[k]["all_pass"] for k in ("theorem", "lemma1", "lemma2")}}
+    assert verdicts == {k: k != verdict for k in verdicts} and not report["all_pass"]
+
+
+@pytest.mark.parametrize("end", [0, 1])
+def test_the_rate_gate_holds_both_ends_of_its_range(tmp_path, monkeypatch, end):
+    # a slope exactly at lo or hi passes; one ulp outside fails
+    edge = cli.RATE_SLOPE_RANGE[end]
+    for slope, code in ((edge, 0), (np.nextafter(edge, (-np.inf, np.inf)[end]), 3)):
+        monkeypatch.setattr(cli.verify_mod, "fit_rate", lambda report: float(slope))
+        out = tmp_path / f"v{code}"
+        assert main(["verify", write_config(tmp_path, small_verify_config()), "--out", str(out)]) == code
+        report = json.loads((out / "verification.json").read_text())
+        assert report["rate_slope"] == slope and report["rate_pass"] == (code == 0)
 
 
 def test_verify_rejects_mlp_objective(tmp_path, capsys):
@@ -629,7 +666,10 @@ _HALFWIDTH_ERROR = (
 # arguments); "<1e400>" is written as the bare literal 1e400, which JSON reads
 # as an infinity
 BAD_CONFIGS = {
-    "w0 string": ("run", lambda c: c.update(w0=["a"]), "config.w0"),
+    "w0 string": (
+        "run", lambda c: c.update(w0=["a"]),
+        "config error: config.w0[0]: expected a finite number in (-inf, inf), got 'a'\n",
+    ),
     "w0 NaN": ("run", lambda c: c.update(w0=[NAN]), "config.w0"),
     "w0 1e400": ("run", lambda c: c.update(w0=["<1e400>"]), "config.w0"),
     "w0 boolean": ("run", lambda c: c.update(w0=[True]), "config.w0"),
@@ -689,6 +729,11 @@ BAD_CONFIGS = {
     "inverse_time first step divides by 0": (
         "run", lambda c: _inverse_time(c, 1e-320, -0.9999999999999999), "config error: config.scheme.lr"
     ),
+    # mu * (offset + 1) underflows to 0 at step 1 only: at(1) is inf, at(2) 1e308
+    "inverse_time only the first step overflows": (
+        "run", lambda c: _inverse_time(c, 2e-308, -0.9999999999999999), "config error: config.scheme.lr"
+    ),
+    "sweep etas 0": ("sweep", lambda c: None, "config error: --etas: ", "--etas=0"),
 }
 
 

@@ -120,6 +120,15 @@ def test_max_form_never_exceeds_sum_form():
             assert theorem_bound_max_form(b, t) <= theorem_bound(b, t) + 1e-15
 
 
+def test_max_form_takes_the_initial_distance_term_where_it_is_larger():
+    # 4B/mu^2 = 40.5 here, below (offset + 1) * w1_dist_sq = 200
+    b = inputs(w1_dist_sq=100.0)
+    assert 4.0 * b.noise_total / b.strong_convexity**2 < (b.offset + 1.0) * b.w1_dist_sq
+    for t in (1, 10, 100):
+        expected = 0.5 * 1.0 * (1.0 + 1.0) * 100.0 / (1.0 + t)  # L = offset = 1
+        assert theorem_bound_max_form(b, t) == pytest.approx(expected, rel=1e-12)
+
+
 def test_bound_inputs_validation():
     with pytest.raises(ValueError):
         inputs(strong_convexity=0.0)
@@ -139,6 +148,14 @@ def test_bound_inputs_validation():
 
 
 # ------------------------------------------------------------ lockstep engine
+
+
+def lockstep_steps(*args, **kwargs):
+    """_lockstep's blocks flattened into steps: (t, eta, W, G, sel) of each
+    step t, as a per-step pass reads them."""
+    for start, etas, Ws, Gs, sels in _lockstep(*args, **kwargs):
+        for i, eta in enumerate(etas.tolist()):
+            yield start + i + 1, eta, Ws[i], Gs[i], sels[i]
 
 
 def per_replicate_steps(suite, schedule, w0, n_steps, seed, replicate):
@@ -170,7 +187,7 @@ def test_lockstep_engine_matches_per_replicate_reference():
     R, T, seed = 4, 30, 3
     refs = [list(per_replicate_steps(suite, schedule, w0, T, seed, r)) for r in range(R)]
     steps = 0
-    for t, eta, W, G, sel in _lockstep(suite, schedule, w0, T, R, seed):
+    for t, eta, W, G, sel in lockstep_steps(suite, schedule, w0, T, R, seed):
         assert W.shape == (R, suite.dim) and G.shape == (R, suite.n_tasks, suite.dim)
         for r in range(R):
             t_ref, eta_ref, w_ref, g_ref, sel_ref = refs[r][t - 1]
@@ -183,8 +200,8 @@ def test_lockstep_engine_matches_per_replicate_reference():
 
 def test_lockstep_trajectory_does_not_depend_on_replicate_count():
     suite, schedule, w0 = shipped_five_task_setup()
-    few = _lockstep(suite, schedule, w0, 30, 2, seed=3)
-    many = _lockstep(suite, schedule, w0, 30, 5, seed=3)
+    few = lockstep_steps(suite, schedule, w0, 30, 2, seed=3)
+    many = lockstep_steps(suite, schedule, w0, 30, 5, seed=3)
     for (_, _, W2, G2, sel2), (_, _, W5, G5, sel5) in zip(few, many):
         assert np.array_equal(W2, W5[:2])
         assert np.array_equal(G2, G5[:2])
@@ -195,12 +212,24 @@ def test_lockstep_trajectory_does_not_depend_on_replicate_count():
 def test_lockstep_draws_the_same_noise_per_call_and_in_blocks(block):
     # 30 steps: blocks of 7 end on a partial one, 30 and 31 draw them all at once
     suite, schedule, w0 = shipped_five_task_setup()
-    want = list(_lockstep(suite, schedule, w0, 30, 4, 3))
+    want = list(lockstep_steps(suite, schedule, w0, 30, 4, 3))
     for per_call in (False, True):
-        got = list(_lockstep(suite, schedule, w0, 30, 4, 3, block, per_call))
+        got = list(lockstep_steps(suite, schedule, w0, 30, 4, 3, block, per_call))
         assert len(got) == len(want)
         for step, ref in zip(got, want):
             assert all(np.array_equal(a, b) for a, b in zip(step, ref))
+
+
+def test_lockstep_yields_each_block_of_steps_whole():
+    # 30 steps in blocks of 7: four whole blocks, then one of 2 steps
+    suite, schedule, w0 = shipped_five_task_setup()
+    R, n, d = 4, suite.n_tasks, suite.dim
+    blocks = list(_lockstep(suite, schedule, w0, 30, R, 3, 7))
+    assert [start for start, *_ in blocks] == [0, 7, 14, 21, 28]
+    for start, eta, W, G, sel in blocks:
+        k = min(7, 30 - start)
+        assert (eta.shape, W.shape, G.shape, sel.shape) == ((k,), (k, R, d), (k, R, n, d), (k, R))
+        assert eta.tolist() == [schedule.at(t) for t in range(start + 1, start + k + 1)]
 
 
 @pytest.mark.parametrize("make_suite", [five_task_suite, two_task_suite])
@@ -211,7 +240,7 @@ def test_lockstep_replicates_are_runs_of_the_engine_users_run(monkeypatch, make_
     consts = suite_constants(suite)
     schedule = theorem_schedule(consts.smoothness, consts.strong_convexity)
     R, T, seed, w0 = 4, 300, 3, np.zeros(suite.dim)
-    lockstep = [(W.copy(), sel.copy()) for _, _, W, _, sel in _lockstep(suite, schedule, w0, T + 1, R, seed)]
+    lockstep = [(W.copy(), sel.copy()) for _, _, W, _, sel in lockstep_steps(suite, schedule, w0, T + 1, R, seed)]
     config = SchemeConfig("ius", OptimizerRule("sgd"), schedule, task_order="uniform_random")
     real_updates = schemes._updates
     for r in range(R):
@@ -357,6 +386,17 @@ def test_verify_theorem_fails_at_the_step_whose_gradient_norm_overflows(errors, 
         verify_theorem(suite, [1, 5, 20], replicates=2, seed=0, w0=[0.0])
 
 
+def test_verify_theorem_reads_a_step_before_its_update_overflows():
+    # from w0 = 1e308 at eta_1 = 1, the update of a replicate that selects
+    # task 1 overflows where its noise draw is below about -8.1e307, as one of
+    # seed 1's does; a per-step pass fails first on that step's gradient
+    # norm, whose square overflows, so the engine makes a block's last update
+    # only after the block is read
+    suite = QuadraticSuite([QuadraticTask(0, [[1.0]], [0.0], 0.0), QuadraticTask(1, [[0.01]], [0.0], 1e308)])
+    with np.errstate(over="raise", invalid="raise"), pytest.raises(FloatingPointError, match="in matmul$"):
+        verify_theorem(suite, [1, 2, 3], replicates=2, seed=1, w0=[1e308])
+
+
 def test_verify_theorem_noiseless_single_task():
     # anisotropic curvature so the first step is not an exact Newton step
     suite = QuadraticSuite([QuadraticTask(0, [[2.0, 0.3], [0.3, 1.0]], [1.0, -1.0], 0.0)])
@@ -436,7 +476,7 @@ def reference_lemma1(suite, n_steps, replicates, seed, w0):
     mu = consts.strong_convexity
     noise_term = float(np.sum(np.square(consts.sigmas))) / n**2
     rows = []
-    for t, eta, W, G, _ in _lockstep(suite, schedule, w0, n_steps, replicates, seed):
+    for t, eta, W, G, _ in lockstep_steps(suite, schedule, w0, n_steps, replicates, seed):
         vbar = W - eta * G.mean(axis=1)
         vbar_sq = _norms(vbar - consts.w_star) ** 2
         here_sq = _norms(W - consts.w_star) ** 2
@@ -458,7 +498,7 @@ def reference_lemma2(suite, n_steps, replicates, seed, w0):
     schedule = theorem_schedule(consts.smoothness, consts.strong_convexity)
     w0 = np.asarray(w0, dtype=np.float64)
     steps, observed_max = [], 0.0
-    for t, eta, W, G, sel in _lockstep(suite, schedule, w0, n_steps, replicates, seed):
+    for t, eta, W, G, sel in lockstep_steps(suite, schedule, w0, n_steps, replicates, seed):
         observed_max = max(observed_max, _max_grad_norm(G))
         candidates = W[:, None, :] - eta * G
         vbar = W - eta * G.mean(axis=1)
@@ -510,7 +550,7 @@ def reference_lemmas(suite, n_steps, replicates, seed, w0):
     mu = consts.strong_convexity
     noise_term = float(np.sum(np.square(consts.sigmas))) / n**2
     rows1, steps, observed_max = [], [], 0.0
-    for t, eta, W, G, sel in _lockstep(suite, schedule, w0, n_steps, replicates, seed):
+    for t, eta, W, G, sel in lockstep_steps(suite, schedule, w0, n_steps, replicates, seed):
         vbar = W - eta * G.mean(axis=1)
         check_finite(vbar, "averaged candidate update")
         observed_max = max(observed_max, _max_grad_norm(G))
@@ -799,7 +839,7 @@ def reference_theorem(suite, T_list, replicates, seed, w0):
     w0 = np.asarray(w0, dtype=np.float64)
     T_list = sorted(T_list)
     worst, gaps = 0.0, {}
-    for t, _, W, G, _ in _lockstep(suite, schedule, w0, T_list[-1], replicates, seed):
+    for t, _, W, G, _ in lockstep_steps(suite, schedule, w0, T_list[-1], replicates, seed):
         worst = max(worst, _max_grad_norm(G))
         if t in T_list:
             gaps[t] = suite.validation_task_losses(W).mean(axis=1) - consts.f_star
