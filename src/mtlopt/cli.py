@@ -88,12 +88,9 @@ def cmd_run(cfg: RunConfig, out_dir: Path, seed_offset: int = 0) -> int:
     return 2 if aborted else 0
 
 
-def _sweep_cell(cfg: RunConfig | dict, scheme_index: int, eta: float, seed: int) -> dict:
-    """One sweep cell on `cfg`: the loaded RunConfig, or in a worker process its
-    raw dict, rebuilt there because only plain data crosses the process
-    boundary. Results depend only on (config, eta, seed)."""
-    if isinstance(cfg, dict):
-        cfg = RunConfig(cfg)
+def _sweep_cell(cfg: RunConfig, scheme_index: int, eta: float, seed: int) -> dict:
+    """One sweep cell on the loaded `cfg`, which a worker process gets pickled.
+    Results depend only on (config, eta, seed)."""
     scheme = cfg.schemes[scheme_index]
     trace, metrics = _execute(cfg, replace(scheme, lr=schemes.ConstantLR(eta)), seed)
     return dict(metrics, scheme_index=scheme_index, eta=eta, scheme=scheme.scheme, groups=trace.meta["n_units"],
@@ -106,12 +103,12 @@ def _cell_name(cfg: RunConfig, cell) -> str:
 
 
 def _cell_rows(cfg: RunConfig, cells, results):
-    """Yield each cell's row, in cell order, from its get_row callable in
-    `results`. At the first cell that raises, report the failure on stderr with
-    its traceback and stop."""
-    for n, (cell, get_row) in enumerate(zip(cells, results)):
+    """Yield each cell's row, in cell order, from the iterator `results`. At
+    the first cell that raises, report the failure on stderr with its
+    traceback and stop."""
+    for n, cell in enumerate(cells):
         try:
-            row = get_row()
+            row = next(results)
         except Exception as exc:
             traceback.print_exc()
             # A dead worker's BrokenProcessPool fails every pending cell, whichever
@@ -135,7 +132,7 @@ def _write_sweep_csv(path: Path, header_meta: dict, rows) -> list:
         writer = csv.writer(f)
         writer.writerow(SWEEP_COLUMNS)
         for row in rows:
-            writer.writerow([repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in SWEEP_COLUMNS])
+            writer.writerow([row[c] for c in SWEEP_COLUMNS])
             f.flush()
             written.append(row)
     return written
@@ -151,23 +148,15 @@ def _ordinal_ranks(values):
 def _sweep_summary(cfg: RunConfig, rows) -> dict:
     entries = []
     for i, scheme_cfg in enumerate(cfg.schemes):
-        mine = [r for r in rows if r["scheme_index"] == i]
-        etas = sorted({r["eta"] for r in mine})
-        by_eta = {
-            eta: _mean_std([r["best_val_loss"] for r in mine if r["eta"] == eta])["mean"]
-            for eta in etas
-        }
-        best_eta = min(etas, key=lambda e: by_eta[e])
-        best = [r for r in mine if r["eta"] == best_eta]
-        entry = {
-            "scheme": scheme_cfg.scheme,
-            "groups": best[0]["groups"],
-            "best_eta": best_eta,
-            "best_val_loss": _mean_std([r["best_val_loss"] for r in best]),
-            "total_dist": _mean_std([r["total_dist"] for r in best]),
-            "shortest_dist": _mean_std([r["shortest_dist"] for r in best]),
-            "ratio": _mean_std([r["ratio"] for r in best]),
-        }
+        by_eta = {}
+        for r in rows:
+            if r["scheme_index"] == i:
+                by_eta.setdefault(r["eta"], []).append(r)
+        best_eta = min(sorted(by_eta), key=lambda e: _mean_std([r["best_val_loss"] for r in by_eta[e]])["mean"])
+        best = by_eta[best_eta]
+        entry = {"scheme": scheme_cfg.scheme, "groups": best[0]["groups"], "best_eta": best_eta}
+        for key in ("best_val_loss", "total_dist", "shortest_dist", "ratio"):
+            entry[key] = _mean_std([r[key] for r in best])
         if best[0].get("per_task_best_val") is not None:
             entry["per_task_best_val"] = np.mean(
                 [r["per_task_best_val"] for r in best], axis=0
@@ -206,10 +195,7 @@ def cmd_sweep(cfg: RunConfig, etas, out_dir: Path, seed_offset: int = 0, workers
     workers = min(workers, len(cells), os.cpu_count() or 1)
     pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        if pool is None:
-            results = [functools.partial(_sweep_cell, cfg, *cell) for cell in cells]
-        else:
-            results = [pool.submit(_sweep_cell, cfg.raw, *cell).result for cell in cells]
+        results = (map if pool is None else pool.map)(functools.partial(_sweep_cell, cfg), *zip(*cells))
         rows = _write_sweep_csv(csv_path, header_meta, _cell_rows(cfg, cells, results))
     finally:
         if pool is not None:

@@ -224,10 +224,10 @@ class MLPSuite(TaskSuite):
         return [(x[i], [y[i] for y in ys]) for i in range(count)]
 
     def validation_task_losses(self, w: np.ndarray) -> np.ndarray:
-        if w.ndim > 1:  # each w along the leading axes in turn
-            rows = [self.validation_task_losses(x) for x in w.reshape(-1, w.shape[-1])]
-            return np.array(rows).reshape(*w.shape[:-1], self.n_tasks)
-        return np.array(self.topology.heads_value(w, self.val_inputs, enumerate(self.val_targets)))
+        # each w along the leading axes in turn; a single w is a stack of one
+        rows = [self.topology.heads_value(x, self.val_inputs, enumerate(self.val_targets))
+                for x in w.reshape(-1, w.shape[-1])]
+        return np.array(rows).reshape(*w.shape[:-1], self.n_tasks)
 
 
 def synthetic_mlp_suite(

@@ -1,4 +1,5 @@
-"""Update schemes over a task suite, all driven by one engine, `step`.
+"""Update schemes over a task suite, all driven by one engine, `_updates`:
+`step` drives it for one batch of updates, and `run` for a whole run.
 
 Each update descends the summed gradient of one unit of tasks through an
 optimizer state. The shared scheme (`sus`) has one unit of every task; the

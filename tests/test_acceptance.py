@@ -72,7 +72,7 @@ def theorem_reports():
 def mlp_sweep():
     cfg = RunConfig(MLP_SWEEP_RAW)
     rows = [
-        _sweep_cell(MLP_SWEEP_RAW, i, eta, seed)
+        _sweep_cell(cfg, i, eta, seed)
         for i in range(len(cfg.schemes))
         for eta in MLP_ETAS
         for seed in cfg.seeds

@@ -143,18 +143,42 @@ def test_sweep_row_counts_and_single_eta(tmp_path):
     assert all("avg_rank" in e for e in summary["schemes"])
 
 
+def five_task_sweep_config():
+    """sus, ius in two groups and io on the five-task quadratic suite: a real
+    pool unpickles its read-only stacks and their per-task views."""
+    payload = two_task_config(steps=6, seeds=[0, 1])
+    payload["objective"] = {"family": "quadratic", "preset": "five_task"}
+    ius = payload.pop("scheme")  # in two groups
+    ungrouped = {k: v for k, v in ius.items() if k != "n_groups"}
+    payload["schemes"] = [ungrouped | {"kind": "sus"}, ius, ungrouped | {"kind": "io"}]
+    return payload
+
+
 def test_sweep_deterministic_and_worker_independent(tmp_path):
     ascending = write_config(tmp_path, two_task_config(steps=6, seeds=[0, 1, 1]), "ascending.json")
-    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-    assert main(["sweep", ascending, "--etas", "0.02,0.08", "--out", str(serial)]) == 0
-    assert main(["sweep", ascending, "--etas", "0.02,0.08", "--out", str(parallel), "--workers", "2"]) == 0
-    assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
+    five_task = write_config(tmp_path, five_task_sweep_config(), "five_task.json")
+    for cfg in [ascending, five_task]:
+        serial, parallel = Path(cfg).with_suffix(".serial"), Path(cfg).with_suffix(".parallel")
+        assert main(["sweep", cfg, "--etas", "0.02,0.08", "--out", str(serial)]) == 0
+        assert main(["sweep", cfg, "--etas", "0.02,0.08", "--out", str(parallel), "--workers", "2"]) == 0
+        for name in ["sweep.csv", "sweep_summary.json"]:
+            assert (serial / name).read_bytes() == (parallel / name).read_bytes()
     # rows come in scheme, eta, seed order, whatever order the rates and seeds are given in
     shuffled = write_config(tmp_path, two_task_config(steps=6, seeds=[1, 0, 1]), "shuffled.json")
     for workers in ["1", "2"]:
         out = tmp_path / f"shuffled{workers}"
         assert main(["sweep", shuffled, "--etas", "0.08,0.02", "--out", str(out), "--workers", workers]) == 0
-        assert read_csv_body(out / "sweep.csv") == read_csv_body(serial / "sweep.csv")
+        assert read_csv_body(out / "sweep.csv") == read_csv_body(tmp_path / "ascending.serial" / "sweep.csv")
+
+
+def test_sweep_writes_no_finite_validation_as_an_empty_field(tmp_path):
+    # every cell aborts at its step-0 validation, so no best_val_loss exists
+    payload = minimal_run_config(w0=[1e200])
+    payload["objective"] = {"family": "quadratic", "preset": "two_task"}
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "sweep"
+    assert main(["sweep", cfg, "--etas", "0.1", "--out", str(out)]) == 2
+    assert read_csv_body(out / "sweep.csv").splitlines()[1] == "0.1,sus,1,0,,0.0,0.0,nan"
 
 
 def test_seed_offset_shifts_outputs(tmp_path):
@@ -378,8 +402,9 @@ def _finish(fut, fn, *args):
     return fut
 
 
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+class _InlinePool(concurrent.futures.Executor):
+    """Stands in for ProcessPoolExecutor: records max_workers, runs inline; the
+    base class's map submits every cell, then yields their results in order."""
 
     requested = []
 
@@ -421,10 +446,9 @@ def test_sweep_workers_clamped_to_cells_and_cpus(tmp_path, monkeypatch, cpus, ex
     assert len(read_csv_body(out / "sweep.csv").strip().split("\n")) - 1 == 3
 
 
-@pytest.mark.parametrize("workers, built", [(1, 1), (2, 1 + 3)])
-def test_only_pool_workers_rebuild_the_config(tmp_path, monkeypatch, workers, built):
-    # the sequential path runs every cell on the config main loaded; a pool
-    # worker is sent the raw config and builds its own
+@pytest.mark.parametrize("workers", [1, 2])
+def test_no_sweep_cell_builds_a_config(tmp_path, monkeypatch, workers):
+    # main loads the config once; every cell, in a pool worker too, runs on it
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     calls = []
@@ -438,7 +462,7 @@ def test_only_pool_workers_rebuild_the_config(tmp_path, monkeypatch, workers, bu
     cfg = write_config(tmp_path, two_task_config(steps=3))
     out = tmp_path / "sweep"
     assert main(["sweep", cfg, "--etas", "0.05", "--out", str(out), "--workers", str(workers)]) == 0
-    assert len(calls) == built
+    assert len(calls) == 1
     assert len(read_csv_body(out / "sweep.csv").strip().split("\n")) - 1 == 3
 
 

@@ -467,57 +467,6 @@ def _std_error(vals):
     return float(vals.std(ddof=1)) / np.sqrt(vals.size) if vals.size > 1 else 0.0
 
 
-def reference_lemma1(suite, n_steps, replicates, seed, w0):
-    """Reference: lemma 1's own lockstep pass, as verify_lemma1 ran it alone."""
-    consts = suite_constants(suite)
-    schedule = theorem_schedule(consts.smoothness, consts.strong_convexity)
-    w0 = np.asarray(w0, dtype=np.float64)
-    n = suite.n_tasks
-    mu = consts.strong_convexity
-    noise_term = float(np.sum(np.square(consts.sigmas))) / n**2
-    rows = []
-    for t, eta, W, G, _ in lockstep_steps(suite, schedule, w0, n_steps, replicates, seed):
-        vbar = W - eta * G.mean(axis=1)
-        vbar_sq = _norms(vbar - consts.w_star) ** 2
-        here_sq = _norms(W - consts.w_star) ** 2
-        excess = vbar_sq - (1.0 - mu * eta) * here_sq
-        rhs = 2.0 * consts.smoothness * eta**2 * consts.gamma_het + eta**2 * noise_term
-        est = float(excess.mean())
-        se = _std_error(excess)
-        rows.append({"t": t, "eta": eta, "lhs_mean": float(vbar_sq.mean()), "excess_mean": est,
-                     "rhs": rhs, "std_error": se, "pass": bool(est <= rhs + 3.0 * se)})
-    constants = {"smoothness": consts.smoothness, "strong_convexity": mu,
-                 "gamma_het": consts.gamma_het, "sigmas": list(consts.sigmas)}
-    return {"kind": "contraction_inequality", "replicates": replicates, "seed": seed,
-            "constants": constants, "rows": rows, "all_pass": all(r["pass"] for r in rows)}
-
-
-def reference_lemma2(suite, n_steps, replicates, seed, w0):
-    """Reference: lemma 2's own lockstep pass, as verify_lemma2 ran it alone."""
-    consts = suite_constants(suite)
-    schedule = theorem_schedule(consts.smoothness, consts.strong_convexity)
-    w0 = np.asarray(w0, dtype=np.float64)
-    steps, observed_max = [], 0.0
-    for t, eta, W, G, sel in lockstep_steps(suite, schedule, w0, n_steps, replicates, seed):
-        observed_max = max(observed_max, _max_grad_norm(G))
-        candidates = W[:, None, :] - eta * G
-        vbar = W - eta * G.mean(axis=1)
-        dists = _norms(candidates - vbar[:, None, :]) ** 2
-        steps.append((t, eta, dists.mean(axis=1), dists[np.arange(replicates), sel]))
-    grad_bound = observed_max * GRAD_BOUND_SAFETY
-    rows = []
-    for t, eta, enum_vals, mc_vals in steps:
-        bound = (eta * grad_bound) ** 2
-        est, se = float(enum_vals.mean()), _std_error(enum_vals)
-        rows.append({"t": t, "eta": eta, "lhs_mean": est, "lhs_max": float(enum_vals.max()),
-                     "mc_mean": float(mc_vals.mean()), "mc_std_error": _std_error(mc_vals),
-                     "bound": bound, "std_error": se, "pass": bool(est <= bound + 3.0 * se)})
-    return {"kind": "selection_variance_inequality", "replicates": replicates, "seed": seed,
-            "grad_bound": float(grad_bound), "grad_bound_supplied": False,
-            "observed_max_grad_norm": observed_max, "grad_bound_violated": bool(observed_max > grad_bound),
-            "rows": rows, "all_pass": all(r["pass"] for r in rows)}
-
-
 # the last two cross draw blocks: of 7 steps (five-task, R 300), and of 8
 # (two-task, R 2000) and 1 (five-task, R 2000)
 @pytest.mark.parametrize(
@@ -528,8 +477,7 @@ def test_verify_lemmas_equal_the_two_lemma_passes(make_suite, replicates, n_step
     suite = make_suite()
     w0 = np.full(suite.dim, 0.5)
     lemma1, lemma2 = verify_lemmas(suite, n_steps, replicates, seed, w0)
-    assert lemma1 == reference_lemma1(suite, n_steps, replicates, seed, w0)
-    assert lemma2 == reference_lemma2(suite, n_steps, replicates, seed, w0)
+    assert (lemma1, lemma2) == reference_lemmas(suite, n_steps, replicates, seed, w0)
     assert verify_lemma1(suite, n_steps, replicates, seed, w0) == lemma1
     assert verify_lemma2(suite, n_steps, replicates, seed, w0) == lemma2
 
