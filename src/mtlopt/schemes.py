@@ -18,7 +18,9 @@ parameters and every optimizer state as they were, and an aborted run
 reports the state of its last update that landed.
 """
 
+import functools
 import math
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -202,21 +204,32 @@ def _materialize_units(config: SchemeConfig, suite, seed: int):
 
 
 def _validate(trace, suite, kept):
-    """Record the validation of each kept (t, w, n_rows, states) in turn,
-    from one stacked call; return the entry of the first non-finite one."""
+    """Record the validation of each kept (t, w) in turn, from one stacked
+    call; raise NonFiniteError at the first non-finite one."""
     # np.array stacks the same rows as np.stack, with less dispatch
-    task_losses = suite.validation_task_losses(np.array([w for _, w, _, _ in kept])) if kept else None
+    task_losses = suite.validation_task_losses(np.array([w for _, w in kept])) if kept else None
     if task_losses is None:
-        return None
+        return
     vals = (task_losses.sum(axis=-1) / task_losses.shape[-1]).tolist()  # each the bits of np.mean
-    for entry, losses, val in zip(kept, task_losses, vals):
+    for (t, w), losses, val in zip(kept, task_losses, vals):
         if not math.isfinite(val):
-            return entry
-        t, w = entry[:2]
+            raise NonFiniteError("validation loss is non-finite")
         trace.add_validation(t, val, losses)
         if trace.best_val_loss is None or val < trace.best_val_loss:
             trace.best_val_loss, trace.best_val_step, trace.w_best = val, t, w.copy()
-    return None
+
+
+def _in_blocks(attempt, block):
+    """attempt(block) with every floating-point error and warning raised; if
+    that fails, attempt(1) under the caller's error settings, to fail, warn
+    or abort where a step-by-step pass does."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return attempt(block)
+    except (ArithmeticError, Warning):
+        pass
+    return attempt(1)
 
 
 def run(
@@ -239,15 +252,24 @@ def run(
     Steps run in blocks of up to 128 steps and 2**15 iterate floats. A block
     draws its unit orders and its minibatches in one call each and validates
     its iterates in one stacked call, with the bits of step-by-step draws and
-    validations. A validation that turns non-finite at step t cuts the trace,
-    the iterate and the optimizer states back to step t, and discards what the
-    block did after it, a later training abort included.
+    validations. The blocks run with every floating-point error and warning
+    raised; a run that fails in them, an abort included, runs again from step
+    1 one step at a time under the caller's error settings (_in_blocks), so
+    it aborts, warns or raises where a step-by-step run does.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    w = as_params(w0).copy()
-    if w.size != suite.dim:
-        raise ValueError(f"w0 dimension {w.size} != suite dimension {suite.dim}")
+    w0 = as_params(w0)
+    if w0.size != suite.dim:
+        raise ValueError(f"w0 dimension {w0.size} != suite dimension {suite.dim}")
+    block = max(1, min(_BLOCK_STEPS, _BLOCK_FLOATS // suite.dim))
+    return _in_blocks(functools.partial(_run, config, suite, w0, n_steps, seed, validation_every, extra_meta), block)
+
+
+def _run(config, suite, w0, n_steps, seed, validation_every, extra_meta, block):
+    """run in blocks of `block` steps. A non-finite step size, loss or update
+    raises NonFiniteError when block > 1, and at block 1 aborts the run."""
+    w = w0.copy()
     units, states = _materialize_units(config, suite, seed)
     labels = ["+".join(str(k) for k in unit) for unit in units]
     # what `step` derives on each call, derived once for the whole run
@@ -258,7 +280,6 @@ def run(
     data_gen = RngStream(seed, "data").gen
     order_gen = RngStream(seed, "task-order").gen
     fresh = config.fresh_minibatch_per_task
-    block = max(1, min(_BLOCK_STEPS, _BLOCK_FLOATS // suite.dim))
 
     meta = {
         "seed": seed,
@@ -276,52 +297,43 @@ def run(
     trace.w0 = w.copy()
 
     t = 0
-    kept = [(0, w, 0, tuple(states))]  # step 0 validates with the first block
     try:
         # one np.errstate scope for the whole run, the one `step` enters per
         # call: updates, validation and the displacement norm ignore overflow
         # and invalid operations, and the finiteness checks raise
         # NonFiniteError instead
         with np.errstate(over="ignore", invalid="ignore"):
+            _validate(trace, suite, [(0, w)])
             for start in range(1, n_steps + 1, block):
                 k = min(block, n_steps + 1 - start)
                 orders = _sample_orders(config.task_order, len(units), k, order_gen)
                 batches = iter(suite.sample_minibatches(data_gen, k * len(orders[0]) if fresh else k))
-                failure = None
-                try:
-                    for t, order in enumerate(orders, start):
-                        eta = config.lr.at(t)
-                        if not math.isfinite(eta):
-                            raise NonFiniteError(f"step size {eta} is non-finite")
-                        xi = batches.__next__ if fresh else next(batches)
-                        landed = []
-                        try:
-                            _updates(w, oracle, units, masks, config.optimizer, states, slots, eta, xi, order, landed)
-                        finally:  # an aborted step keeps the rows of the updates before the failure
-                            for u, loss, w_new in landed:
-                                step_vec = w_new - w
-                                if shared_mask is not None:
-                                    step_vec = step_vec[shared_mask]
-                                # l2_norm's first try, inline
-                                norm = math.sqrt(float(step_vec.dot(step_vec)))
-                                if not math.isfinite(norm):
-                                    norm = l2_norm(step_vec)
-                                trace.add_row(t, labels[u], float(loss), norm)
-                                w = w_new
-                        if validation_every and t % validation_every == 0:
-                            kept.append((t, w, len(trace.steps), tuple(states)))
-                except NonFiniteError as exc:
-                    failure = exc
-                cut = _validate(trace, suite, kept)
-                if cut is not None:  # back to the step whose validation failed
-                    t, w, n_rows, saved = cut
-                    trace.truncate(n_rows)
-                    states[:] = saved
-                    raise NonFiniteError("validation loss is non-finite")
                 kept = []
-                if failure is not None:
-                    raise failure
+                for t, order in enumerate(orders, start):
+                    eta = config.lr.at(t)
+                    if not math.isfinite(eta):
+                        raise NonFiniteError(f"step size {eta} is non-finite")
+                    xi = batches.__next__ if fresh else next(batches)
+                    landed = []
+                    try:
+                        _updates(w, oracle, units, masks, config.optimizer, states, slots, eta, xi, order, landed)
+                    finally:  # an aborted step keeps the rows of the updates before the failure
+                        for u, loss, w_new in landed:
+                            step_vec = w_new - w
+                            if shared_mask is not None:
+                                step_vec = step_vec[shared_mask]
+                            # l2_norm's first try, inline
+                            norm = math.sqrt(float(step_vec.dot(step_vec)))
+                            if not math.isfinite(norm):
+                                norm = l2_norm(step_vec)
+                            trace.add_row(t, labels[u], float(loss), norm)
+                            w = w_new
+                    if validation_every and t % validation_every == 0:
+                        kept.append((t, w))
+                _validate(trace, suite, kept)
     except NonFiniteError as exc:
+        if block > 1:
+            raise
         trace.aborted = True
         trace.abort_reason = f"step {t}: {exc}"
 

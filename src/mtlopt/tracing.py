@@ -65,11 +65,6 @@ class RunTrace:
         self.displacements.append(displacement)
         self.cumulative.append(cum)
 
-    def truncate(self, n_rows):
-        """Drop every row after the first n_rows."""
-        for column in (self.steps, self.labels, self.train_losses, self.displacements, self.cumulative):
-            del column[n_rows:]
-
     def add_validation(self, step, loss, task_losses=None):
         self.__dict__.pop("best_val_task_losses", None)  # the cached_property's value
         self.val_steps.append(step)

@@ -13,9 +13,10 @@ lockstep, with array ops over an (R, d) array of iterates. Replicate r draws
 from its own streams, data[r] and task-order[r], so every number equals that
 of the replicate stepped alone. The engine (_lockstep) yields a block of k
 steps at a time: its step sizes (k,), iterates (k, R, d), every task's
-gradients there (k, R, n, d) and selected tasks (k, R). Both passes replay a
-failed block step by step (_in_blocks) to fail as a per-step pass does, so
-lemma 1's statistics are reduced as each block is read, before a later step
+gradients there (k, R, n, d) and selected tasks (k, R). Both passes run
+through run's failure rule (schemes._in_blocks): a pass whose blocks fail
+anywhere runs again step by step, to fail as a per-step pass does, so lemma
+1's statistics are reduced as each block is read, before a later step
 can fail first; lemma 2's bound needs the gradient norms of the whole pass,
 so its statistics are reduced once, over the (n_steps, R) arrays, after it.
 
@@ -29,6 +30,7 @@ Trajectories do not depend on it, so the bounds are evaluated once the check
 has read them all.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import asdict, astuple, dataclass
@@ -37,7 +39,7 @@ import numpy as np
 
 from .objectives import QuadraticSuite, _dot, suite_constants
 from .params import RngStream, check_finite, l2_norm
-from .schemes import _BLOCK_FLOATS, theorem_schedule
+from .schemes import _BLOCK_FLOATS, _in_blocks, theorem_schedule
 
 __all__ = [
     "BoundInputs",
@@ -149,20 +151,6 @@ def _block(suite, replicates) -> int:
     return max(1, _BLOCK_FLOATS // (replicates * suite.n_tasks * suite.dim))
 
 
-def _in_blocks(steps_pass, suite, replicates, *args):
-    """steps_pass(suite, replicates, *args, block) over blocks of _block steps,
-    with every floating-point error and warning raised; if that fails, again
-    with block 1 under the caller's error settings, to raise or warn where a
-    per-step pass does."""
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"), warnings.catch_warnings():
-            warnings.simplefilter("error")
-            return steps_pass(suite, replicates, *args, _block(suite, replicates))
-    except (ArithmeticError, Warning):
-        pass
-    return steps_pass(suite, replicates, *args, 1)
-
-
 def _lockstep(suite, schedule, w0, n_steps, replicates, seed, block=1, per_call=False):
     """Yield (start, eta, W, G, sel) for each block of k <= `block` steps
     t = start+1..start+k: eta (k,), the iterates W (k, R, d) before each
@@ -218,7 +206,8 @@ def verify_theorem(suite: QuadraticSuite, T_list, replicates: int, seed: int, w0
     consts = suite_constants(suite)
     schedule = theorem_schedule(consts.smoothness, consts.strong_convexity)
     w0 = np.asarray(w0, dtype=np.float64)
-    worst, gaps = _in_blocks(_theorem_pass, suite, replicates, consts, schedule, w0, T_list, seed)
+    theorem_pass = functools.partial(_theorem_pass, suite, replicates, consts, schedule, w0, T_list, seed)
+    worst, gaps = _in_blocks(theorem_pass, _block(suite, replicates))
     grad_bound = worst * GRAD_BOUND_SAFETY  # as estimate_grad_bound on the same pass
     inputs = BoundInputs(
         smoothness=consts.smoothness,
@@ -300,7 +289,8 @@ def verify_lemmas(suite: QuadraticSuite, n_steps: int, replicates: int, seed: in
     consts = suite_constants(suite)
     schedule = theorem_schedule(consts.smoothness, consts.strong_convexity)
     w0 = np.asarray(w0, dtype=np.float64)
-    return _in_blocks(_lemma_reports, suite, replicates, consts, schedule, w0, n_steps, seed)
+    lemma_pass = functools.partial(_lemma_reports, suite, replicates, consts, schedule, w0, n_steps, seed)
+    return _in_blocks(lemma_pass, _block(suite, replicates))
 
 
 def _lemma_reports(suite, replicates, consts, schedule, w0, n_steps, seed, block):

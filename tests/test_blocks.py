@@ -7,15 +7,19 @@ and every case compares with np.array_equal and np.signbit, so a changed
 zero sign fails too.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import same_bits
-from mtlopt import schemes
+from mtlopt import schemes, verify
+from mtlopt.cli import _sweep_cell, main
+from mtlopt.config import load_config
 from mtlopt.mlp import init_mlp_params, synthetic_mlp_suite
-from mtlopt.objectives import QuadraticSuite, QuadraticTask, five_task_suite
+from mtlopt.objectives import QuadraticSuite, QuadraticTask, five_task_suite, two_task_suite
 from mtlopt.optimizers import OptimizerRule
 from mtlopt.params import NonFiniteError, RngStream, l2_norm
 from mtlopt.schemes import ConstantLR, InverseTimeLR, SchemeConfig, run
@@ -267,3 +271,86 @@ def test_a_validation_abort_discards_a_later_training_abort_in_its_block(name):
 def test_a_step_size_that_overflows_aborts_as_before(lr, reason):
     config = SchemeConfig("ius", OptimizerRule("adam"), lr)
     assert _both(config, (), 300, seed=2).abort_reason == f"{reason} is non-finite"
+
+
+# ------------------------------------------------- attempts of the one failure rule
+
+CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
+FIVE_TASK_MOMENTUM_ETA_1_5 = {
+    "objective": {"family": "quadratic", "preset": "five_task"},
+    "scheme": {"kind": "ius", "n_groups": 2, "optimizer": {"kind": "momentum", "beta": 0.9},
+               "lr": {"kind": "constant", "eta": 1.5}},
+    "steps": 400,
+    "seeds": [0, 1, 2],
+}
+
+
+@pytest.fixture
+def attempts(monkeypatch):
+    """The block of each attempt of every _in_blocks call that run and the
+    verify passes make, one list per call."""
+    calls, real = [], schemes._in_blocks
+
+    def counting(attempt, block):
+        blocks = []
+        calls.append(blocks)
+
+        def recorded(b):
+            blocks.append(b)
+            return attempt(b)
+
+        return real(recorded, block)
+
+    monkeypatch.setattr(schemes, "_in_blocks", counting)
+    monkeypatch.setattr(verify, "_in_blocks", counting)
+    return calls
+
+
+def _write(tmp_path, payload):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_runs_that_finish_make_one_blocked_attempt(tmp_path, attempts):
+    # a replay keeps every byte, so only a count shows a spurious one
+    assert main(["run", str(CONFIGS_DIR / "two_task_run.json"), "--out", str(tmp_path / "shipped")]) == 0
+    assert attempts == [[128]] * 3
+    schemes_of_quad_run = [
+        {"kind": "sus", "optimizer": {"kind": "adam"}, "lr": {"kind": "constant", "eta": 0.01}},
+        {"kind": "ius", "n_groups": 2, "optimizer": {"kind": "momentum", "beta": 0.9},
+         "lr": {"kind": "constant", "eta": 0.01}},
+        {"kind": "io", "optimizer": {"kind": "adam"}, "lr": {"kind": "constant", "eta": 0.01}},
+    ]
+    for i, scheme in enumerate(schemes_of_quad_run):
+        cfg = _write(tmp_path, {"objective": {"family": "quadratic", "preset": "five_task"}, "scheme": scheme,
+                                "steps": 4000, "seeds": [0], "validation_every": 1})
+        assert main(["run", cfg, "--out", str(tmp_path / f"quad{i}")]) == 0
+    assert attempts == [[128]] * 6
+    # one cell of the shipped sweep: 25 steps of the MLP's 1284 parameters fill a block
+    cell = _sweep_cell(load_config(str(CONFIGS_DIR / "mlp_four_task.json")), 2, 0.01, 0)
+    assert math.isfinite(cell["best_val_loss"])
+    assert attempts == [[128]] * 6 + [[25]]
+
+
+def test_a_run_that_aborts_replays_once_step_by_step(tmp_path, attempts, capsys):
+    assert main(["run", _write(tmp_path, FIVE_TASK_MOMENTUM_ETA_1_5), "--out", str(tmp_path / "o")]) == 2
+    assert attempts == [[128, 1]] * 3
+    assert capsys.readouterr().err.splitlines() == [
+        "seed 0: aborted (step 99: validation loss is non-finite)",
+        "seed 1: aborted (step 99: training loss for unit 0+4 is non-finite)",
+        "seed 2: aborted (step 102: training loss for unit 1+2+4 is non-finite)",
+    ]
+
+
+def test_verify_passes_replay_only_when_a_block_fails(attempts):
+    suite = two_task_suite()
+    verify.verify_theorem(suite, [1, 10, 100], replicates=4, seed=0, w0=[0.0])
+    verify.verify_lemmas(suite, 5, replicates=4, seed=0, w0=[0.0])
+    block = verify._block(suite, 4)
+    assert attempts == [[block], [block]]
+    # the squared gradient norms overflow at the first step
+    huge = QuadraticSuite([QuadraticTask(k, [[1.0]], [float(k)], 1e308) for k in range(2)])
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="^overflow encountered in matmul$"):
+        verify.verify_theorem(huge, [1, 10, 100], replicates=2, seed=0, w0=[0.0])
+    assert attempts[2:] == [[verify._block(huge, 2), 1]]

@@ -499,8 +499,6 @@ def test_sweep_streams_rows_until_a_cell_fails(tmp_path, monkeypatch, capsys, wo
 
 def test_cells_finishing_out_of_order_leave_the_rows_before_the_failed_cell(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _LastToFirstPool)
-    # and as_completed reports them done last to first
-    monkeypatch.setattr(cli.concurrent.futures, "as_completed", lambda fs: reversed(list(fs)))
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     real_cell = cli._sweep_cell
 
@@ -686,6 +684,11 @@ _HALFWIDTH_ERROR = (
     "config error: config.objective.tasks[0]: task 0: noise half-width noise_sigma * sqrt(3 / d) is not finite\n"
 )
 
+_PRESET_OR_TASKS_ERROR = (
+    "config error: config.objective: the quadratic family needs exactly one of 'preset' or 'tasks'\n"
+)
+_INVERSE_TIME_PAIR_ERROR = "config error: config.scheme.lr: inverse_time needs both 'mu' and 'offset', or neither\n"
+
 # (command, edit of the command's small config, field the error names, extra
 # arguments); "<1e400>" is written as the bare literal 1e400, which JSON reads
 # as an infinity
@@ -758,6 +761,31 @@ BAD_CONFIGS = {
         "run", lambda c: _inverse_time(c, 2e-308, -0.9999999999999999), "config error: config.scheme.lr"
     ),
     "sweep etas 0": ("sweep", lambda c: None, "config error: --etas: ", "--etas=0"),
+    "preset and tasks": (
+        "run", lambda c: c["objective"].update(preset="two_task"), _PRESET_OR_TASKS_ERROR,
+    ),
+    "neither preset nor tasks": ("run", lambda c: c["objective"].pop("tasks"), _PRESET_OR_TASKS_ERROR),
+    "inverse_time mu only": (
+        "run", lambda c: c["scheme"].update(lr={"kind": "inverse_time", "mu": 1.0}), _INVERSE_TIME_PAIR_ERROR,
+    ),
+    "inverse_time offset only": (
+        "run", lambda c: c["scheme"].update(lr={"kind": "inverse_time", "offset": 1.0}), _INVERSE_TIME_PAIR_ERROR,
+    ),
+    "scheme and schemes": (
+        "run", lambda c: c.update(schemes=[c["scheme"]]),
+        "config error: config.schemes: give either 'scheme' or 'schemes', not both\n",
+    ),
+    "w0 of the wrong length": (
+        "run", lambda c: c.update(w0=[0.0, 0.0]), "config error: config.w0: expected 1 numbers, got 2\n",
+    ),
+    "sweep without a scheme": (
+        "sweep", lambda c: c.pop("scheme"), "config error: config: 'sweep' needs 'scheme' or 'schemes'\n",
+        "--etas=0.1",
+    ),
+    "sweep etas empty": ("sweep", lambda c: None, "config error: --etas: grid must be nonempty\n", "--etas="),
+    "sweep etas not a number": (
+        "sweep", lambda c: None, "config error: --etas: could not convert string to float: 'abc'\n", "--etas=abc",
+    ),
 }
 
 
@@ -774,6 +802,14 @@ def test_invalid_value_is_a_config_error_before_any_compute(tmp_path, capsys, ca
     assert "config error:" in err and field in err
     assert "Traceback" not in err
     assert not out.exists()  # rejected before the output directory is made
+
+
+def test_a_config_path_that_does_not_exist_is_a_config_error(tmp_path, capsys):
+    path, out = tmp_path / "missing.json", tmp_path / "o"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config: cannot read {path}: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("etas", ["0.01,nan", "inf"])

@@ -14,6 +14,7 @@ from helpers import loop_unit_value_and_gradient, same_bits
 from mtlopt.objectives import (
     QuadraticSuite,
     QuadraticTask,
+    TaskSuite,
     finite_difference_check,
     five_task_suite,
     suite_constants,
@@ -127,6 +128,22 @@ def test_finite_difference_zero_function():
     assert finite_difference_check(t, np.array([1.0]), np.zeros((1, 1)), 1e-5) == 0.0
 
 
+def test_finite_difference_rejects_a_nonpositive_step_and_a_difference_that_overflows():
+    class SteepTask(QuadraticTask):
+        def value(self, w, xi):
+            return 1e308 * float(w[0])
+
+        def gradient(self, w, xi):
+            return np.zeros_like(w)
+
+    t = SteepTask(0, [[1.0]], [0.0])
+    with pytest.raises(ValueError, match="^h must be positive$"):
+        finite_difference_check(t, np.array([0.0]), np.zeros((1, 1)), h=0.0)
+    # both values are finite, but 1e308 - (-1e308) overflows
+    with pytest.raises(FloatingPointError, match="^central difference underflowed or overflowed$"):
+        finite_difference_check(t, np.array([0.0]), np.zeros((1, 1)), h=1.0)
+
+
 def test_exact_gradient_zero_at_center():
     t = QuadraticTask(0, [[4.0, 1.0], [1.0, 3.0]], [2.0, -1.0])
     zero_noise = np.zeros((1, 2))
@@ -199,6 +216,11 @@ def test_suite_task_k_must_have_index_k():
         QuadraticSuite(swapped)
     with pytest.raises(ValueError, match="^task at position 0 has index 5; task k must have index k$"):
         QuadraticSuite([QuadraticTask(5, [[1.0]], [0.0])])
+
+
+def test_a_suite_needs_a_task():
+    with pytest.raises(ValueError, match="^suite must contain at least one task$"):
+        TaskSuite([])
 
 
 def test_quadratic_requires_symmetric_matrix():

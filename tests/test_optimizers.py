@@ -200,6 +200,12 @@ def test_apply_rejects_non_finite_gradient():
         apply(rule, state, np.array([1.0, np.nan]))
 
 
+def test_apply_rejects_a_gradient_of_the_wrong_shape():
+    rule = OptimizerRule("sgd")
+    with pytest.raises(ValueError, match=r"^gradient shape \(3,\) != state shape \(2,\)$"):
+        apply(rule, fresh_state(rule, 2), np.zeros(3))
+
+
 def _bits(x):
     return np.asarray(x, dtype=np.float64).view(np.uint64)
 

@@ -216,6 +216,16 @@ def test_grouping_forty_tasks_eight_groups():
     assert sorted(k for grp in g for k in grp) == list(range(40))
 
 
+@pytest.mark.parametrize("n_steps, w0, message", [
+    (0, [0.0, 0.0, 0.0], "^n_steps must be >= 1$"),
+    (10, [0.0, 0.0], "^w0 dimension 2 != suite dimension 3$"),
+])
+def test_run_rejects_no_steps_and_a_start_of_the_wrong_dimension(n_steps, w0, message):
+    config = SchemeConfig("sus", OptimizerRule("sgd"), ConstantLR(0.1))
+    with pytest.raises(ValueError, match=message):
+        run(config, five_task_suite(), w0, n_steps, seed=0)
+
+
 def test_grouping_rejects_bad_counts():
     gen = RngStream(0, "grouping").gen
     with pytest.raises(ValueError):

@@ -397,6 +397,18 @@ def test_verify_theorem_reads_a_step_before_its_update_overflows():
         verify_theorem(suite, [1, 2, 3], replicates=2, seed=1, w0=[1e308])
 
 
+def test_verify_lemmas_read_a_step_before_its_update_overflows():
+    # at curvature 1e-300 the first step size is 1e300, so the update of a
+    # replicate that selects task 1 overflows where its noise draw exceeds
+    # about 1.8e8 in magnitude, as seed 0's second replicate's does; a
+    # per-step pass fails first on that step's averaged candidate update,
+    # whose squared norm overflows, so the engine makes a block's last update
+    # only after the block is read
+    suite = QuadraticSuite([QuadraticTask(0, [[1e-300]], [0.0], 0.0), QuadraticTask(1, [[1e-300]], [0.0], 2e8)])
+    with np.errstate(over="raise", invalid="raise"), pytest.raises(FloatingPointError, match="in matmul$"):
+        verify_lemmas(suite, 3, replicates=2, seed=0, w0=[0.0])
+
+
 def test_verify_theorem_noiseless_single_task():
     # anisotropic curvature so the first step is not an exact Newton step
     suite = QuadraticSuite([QuadraticTask(0, [[2.0, 0.3], [0.3, 1.0]], [1.0, -1.0], 0.0)])
@@ -486,6 +498,15 @@ def test_verify_lemmas_equal_the_two_lemma_passes(make_suite, replicates, n_step
 def test_verify_lemmas_rejects_a_vacuous_call(n_steps, replicates, name):
     with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
         verify_lemmas(two_task_suite(), n_steps, replicates, 0, [0.0])
+
+
+@pytest.mark.parametrize("T_list, replicates, message", [
+    ([0, 10, 100], 2, "^every T must be >= 1$"),
+    ([1, 10, 100], 1, "^need at least 2 replicates for a standard error$"),
+])
+def test_verify_theorem_rejects_a_vacuous_call(T_list, replicates, message):
+    with pytest.raises(ValueError, match=message):
+        verify_theorem(two_task_suite(), T_list, replicates, 0, [0.0])
 
 
 def reference_lemmas(suite, n_steps, replicates, seed, w0):
