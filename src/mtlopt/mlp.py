@@ -183,21 +183,17 @@ class MLPSuite(TaskSuite):
         self.val_targets = [f(val_inputs) for f in targets]
         self.shared_mask = np.zeros(topology.dim, dtype=bool)
         self.shared_mask[: topology.trunk_size] = True
-        self._unit_masks = {}
 
     @property
     def dim(self) -> int:
         return self.topology.dim
 
     def unit_mask(self, unit) -> np.ndarray:
-        """The trunk plus the unit's heads, built once per unit, read-only."""
-        key = tuple(unit)
-        if key not in self._unit_masks:
-            mask = self._unit_masks[key] = self.shared_mask.copy()
-            for k in key:
-                mask[self.topology.head_slice(k)] = True
-            mask.flags.writeable = False
-        return self._unit_masks[key]
+        """The trunk plus the unit's heads."""
+        mask = self.shared_mask.copy()
+        for k in unit:
+            mask[self.topology.head_slice(k)] = True
+        return mask
 
     def unit_value_and_gradient(self, w: np.ndarray, unit, xi) -> tuple:
         """The per-task loop's sums from one trunk forward per unit: each task's

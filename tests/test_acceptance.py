@@ -13,17 +13,11 @@ import time
 import numpy as np
 import pytest
 
-from helpers import loop_unit_value_and_gradient, read_csv_body
+from helpers import ConstantGradientSuite, assert_same_run, equivalent_pairs, read_csv_body
 from mtlopt.cli import _sweep_cell, _sweep_summary, main
 from mtlopt.config import RunConfig
 from mtlopt.mlp import init_mlp_params, synthetic_mlp_suite
-from mtlopt.objectives import (
-    QuadraticSuite,
-    TaskSuite,
-    finite_difference_check,
-    five_task_suite,
-    two_task_suite,
-)
+from mtlopt.objectives import finite_difference_check, five_task_suite, two_task_suite
 from mtlopt.optimizers import OptimizerRule, fresh_state
 from mtlopt.params import RngStream
 from mtlopt.schemes import ConstantLR, SchemeConfig, run, step
@@ -118,48 +112,11 @@ def test_criterion_3_convergence_rate(theorem_reports):
     report_pass(3, "log-log rate slope within [-1.3, -0.7] on both suites")
 
 
-def _traces_bit_identical(a: RunTrace, b: RunTrace) -> bool:
-    return (
-        a.steps == b.steps
-        and a.labels == b.labels
-        and a.train_losses == b.train_losses
-        and a.displacements == b.displacements
-        and a.cumulative == b.cumulative
-        and a.val_steps == b.val_steps
-        and a.val_losses == b.val_losses
-        and np.array_equal(a.w_final, b.w_final)
-    )
-
-
 def test_criterion_4_exact_equivalences(tmp_path):
     suite = two_task_suite(0.5)
-    w0 = np.zeros(1)
-
-    def make(scheme, groups=None, opt=None):
-        return SchemeConfig(
-            scheme=scheme,
-            optimizer=opt or OptimizerRule("adam"),
-            lr=ConstantLR(0.05),
-            n_groups=groups,
-        )
-
-    def trace_of(cfg):
-        return run(cfg, suite, w0, 40, seed=17)
-
-    pairs = [
-        ("grouped n=1 (ius) vs sus", make("ius", groups=1), make("sus")),
-        ("grouped n=1 (io) vs sus", make("io", groups=1), make("sus")),
-        ("grouped n=N vs ius", make("ius", groups=2), make("ius")),
-        ("grouped n=N vs io", make("io", groups=2), make("io")),
-        (
-            "ius(sgd) vs io(sgd)",
-            make("ius", opt=OptimizerRule("sgd")),
-            make("io", opt=OptimizerRule("sgd")),
-        ),
-    ]
-    for label, cfg_a, cfg_b in pairs:
-        ta, tb = trace_of(cfg_a), trace_of(cfg_b)
-        assert _traces_bit_identical(ta, tb), label
+    for label, cfg_a, cfg_b, states in equivalent_pairs(suite.n_tasks):
+        ta, tb = run(cfg_a, suite, np.zeros(1), 40, seed=17), run(cfg_b, suite, np.zeros(1), 40, seed=17)
+        assert_same_run(ta, tb, states)
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
         write_trace_csv(ta, pa)
         write_trace_csv(tb, pb)
@@ -167,34 +124,8 @@ def test_criterion_4_exact_equivalences(tmp_path):
     report_pass(4, "grouping/scheme equivalences are bit-identical (zero tolerance)")
 
 
-class _ConstantGradientTask:
-    def __init__(self, index, slope):
-        self.index = index
-        self.slope = np.asarray(slope, dtype=np.float64)
-
-    def value(self, w, xi):
-        return float(self.slope @ w)
-
-    def gradient(self, w, xi):
-        return self.slope.copy()
-
-
-class _ConstantGradientSuite(TaskSuite):
-    def __init__(self, slopes):
-        super().__init__([_ConstantGradientTask(i, s) for i, s in enumerate(slopes)])
-
-    @property
-    def dim(self):
-        return 1
-
-    unit_value_and_gradient = loop_unit_value_and_gradient
-
-    def sample_minibatch(self, gen):
-        return None
-
-
 def test_criterion_5_optimizer_state_separation():
-    suite = _ConstantGradientSuite([[1.0], [-1.0]])
+    suite = ConstantGradientSuite([[1.0], [-1.0]])
     mom = OptimizerRule("momentum", beta=0.9)
     xi = None
     units = [(0,), (1,)]

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import same_bits
+from helpers import assert_same_run, same_bits
 from mtlopt import schemes, verify
 from mtlopt.cli import _sweep_cell, main
 from mtlopt.config import load_config
@@ -93,23 +93,6 @@ def _reference_run(config, suite, w0, n_steps, seed, validation_every=1):
         trace.best_val_step = trace.steps[-1] if trace.steps else 0
     trace.final_states = [s.to_dict() for s in states]
     return trace
-
-
-def _assert_same_run(got, ref):
-    assert (got.aborted, got.abort_reason) == (ref.aborted, ref.abort_reason)
-    assert got.steps == ref.steps and got.labels == ref.labels and got.val_steps == ref.val_steps
-    for column in ("train_losses", "displacements", "cumulative", "val_losses"):
-        assert same_bits(getattr(got, column), getattr(ref, column), equal_nan=True), column
-    assert len(got.val_task_losses) == len(ref.val_task_losses)
-    assert all(same_bits(a, b, equal_nan=True) for a, b in zip(got.val_task_losses, ref.val_task_losses))
-    assert (got.best_val_step, got.best_val_loss) == (ref.best_val_step, ref.best_val_loss)
-    for attr in ("w0", "w_best", "w_final"):
-        assert same_bits(getattr(got, attr), getattr(ref, attr), equal_nan=True), attr
-    assert len(got.final_states) == len(ref.final_states)
-    for a, b in zip(got.final_states, ref.final_states):
-        assert a["step"] == b["step"] and same_bits(a["m"], b["m"], equal_nan=True)
-        assert (a["v"] is None) == (b["v"] is None)
-        assert a["v"] is None or same_bits(a["v"], b["v"], equal_nan=True)
 
 
 # --------------------------------------------------------------- bulk draws
@@ -212,7 +195,7 @@ def _iterates(config, n_steps, seed):
 def _both(config, suite_args, n_steps, seed, validation_every=1):
     got = run(config, PoisonSuite(*suite_args), np.zeros(3), n_steps, seed, validation_every)
     ref = _reference_run(config, PoisonSuite(*suite_args), np.zeros(3), n_steps, seed, validation_every)
-    _assert_same_run(got, ref)
+    assert_same_run(got, ref)
     return got
 
 
@@ -239,12 +222,12 @@ def test_mlp_runs_across_blocks_keep_the_bits_of_the_per_step_loop():
     suite = synthetic_mlp_suite(n_tasks=4, hidden=(32, 32), batch_size=8, val_size=16)
     w0 = init_mlp_params(suite, RngStream(0, "init").gen)
     for config, every in ((IO_MOMENTUM, 5), (FRESH_RANDOM, 1), (FRESH_ROUND_ROBIN, 3), (SUS_SGD, 7)):
-        _assert_same_run(run(config, suite, w0, 60, 1, every), _reference_run(config, suite, w0, 60, 1, every))
+        assert_same_run(run(config, suite, w0, 60, 1, every), _reference_run(config, suite, w0, 60, 1, every))
 
 
 @pytest.mark.parametrize("bad_step", [0, 1, 64, 128, 129, 200, 256, 300])
 @pytest.mark.parametrize("name", ["ius_adam", "io_momentum_fixed", "fresh_uniform_random"])
-def test_a_validation_that_turns_non_finite_cuts_the_run_back_to_its_step(name, bad_step):
+def test_a_validation_that_turns_non_finite_aborts_the_run_at_its_step(name, bad_step):
     # steps 1-128, 129-256 and 257-300 are blocks: their first, middle and last steps
     validated, _ = _iterates(CONFIGS[name], 300, seed=6)
     trace = _both(CONFIGS[name], ({validated[bad_step].tobytes()},), 300, seed=6)
@@ -252,7 +235,7 @@ def test_a_validation_that_turns_non_finite_cuts_the_run_back_to_its_step(name, 
 
 
 @pytest.mark.parametrize("name", ["ius_adam", "io_momentum_fixed", "fresh_uniform_random"])
-def test_a_validation_abort_discards_a_later_training_abort_in_its_block(name):
+def test_a_validation_abort_ends_the_run_before_a_later_training_abort_in_its_block(name):
     validated, trained = _iterates(CONFIGS[name], 300, seed=6)
     updates_per_step = len(trained) // 300
     bad_update = trained[140 * updates_per_step - 1]  # the last update of step 140
@@ -268,7 +251,7 @@ def test_a_validation_abort_discards_a_later_training_abort_in_its_block(name):
 
 @pytest.mark.parametrize("lr, reason", [(InverseTimeLR(mu=1e-310, offset=0.0), "step 1: step size inf"),
                                         (InverseTimeLR(mu=1e6, offset=-200.0), "step 200: step size inf")])
-def test_a_step_size_that_overflows_aborts_as_before(lr, reason):
+def test_a_step_size_that_overflows_aborts_as_the_per_step_loop_does(lr, reason):
     config = SchemeConfig("ius", OptimizerRule("adam"), lr)
     assert _both(config, (), 300, seed=2).abort_reason == f"{reason} is non-finite"
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import loop_unit_value_and_gradient, same_bits
+from helpers import bits, empty_batch, loop_unit_value_and_gradient, noiseless_pair, same_bits
 from mtlopt.objectives import (
     QuadraticSuite,
     QuadraticTask,
@@ -23,14 +23,6 @@ from mtlopt.objectives import (
 from mtlopt.optimizers import OptimizerRule, fresh_state
 from mtlopt.params import DimensionMismatchError, RngStream
 from mtlopt.schemes import step
-
-
-def noiseless_pair():
-    return two_task_suite(noise_sigma=0.0)
-
-
-def empty_batch(suite):
-    return np.zeros((suite.n_tasks, suite.dim))
 
 
 def all_task_update(suite, w, xi):
@@ -265,10 +257,6 @@ def test_stacked_validation_equals_per_task_exact_values(suite):
             assert np.array_equal(suite.validation_task_losses(w), expected)
 
 
-def _bits(x):
-    return np.asarray(x, dtype=np.float64).view(np.uint64)
-
-
 @pytest.mark.parametrize("d", [1, 3, 5])
 def test_stacked_unit_oracle_equals_per_task_loop(d):
     # ten tasks, one with a zero center, so that r is -0.0 at w = -0.0; every
@@ -296,8 +284,8 @@ def test_stacked_unit_oracle_equals_per_task_loop(d):
             loss, g = suite.unit_value_and_gradient(w, unit, xi)
             ref_loss, ref_g = loop_unit_value_and_gradient(suite, w, unit, xi)
         assert type(loss) is float
-        assert _bits(loss) == _bits(ref_loss), (w, unit)
-        assert np.array_equal(_bits(g), _bits(ref_g)), (w, unit)
+        assert bits(loss) == bits(ref_loss), (w, unit)
+        assert np.array_equal(bits(g), bits(ref_g)), (w, unit)
 
 
 def test_unit_loss_adds_task_values_in_order():
@@ -388,10 +376,10 @@ def test_suite_constants_equal_the_per_task_computation():
         w_star = np.linalg.solve(sum(t.matrix for t in suite.tasks), sum(t.matrix @ t.center for t in suite.tasks))
         f_star = float(np.mean([0.5 * (w_star - t.center) @ (t.matrix @ (w_star - t.center)) for t in suite.tasks]))
         c = suite_constants(suite)
-        assert _bits(c.smoothness) == _bits(max(e[-1] for e in eigs))
-        assert _bits(c.strong_convexity) == _bits(min(e[0] for e in eigs))
-        assert np.array_equal(_bits(c.w_star), _bits(w_star))
-        assert _bits(c.f_star) == _bits(f_star) and _bits(c.gamma_het) == _bits(f_star)
+        assert bits(c.smoothness) == bits(max(e[-1] for e in eigs))
+        assert bits(c.strong_convexity) == bits(min(e[0] for e in eigs))
+        assert np.array_equal(bits(c.w_star), bits(w_star))
+        assert bits(c.f_star) == bits(f_star) and bits(c.gamma_het) == bits(f_star)
 
 
 def test_suite_constants_name_the_first_task_that_is_not_positive_definite():
@@ -410,7 +398,7 @@ def test_task_gradients_equal_each_task_gradient(d):
     G = suite.task_gradients(W, xi)
     assert G.shape == (9, 6, d)
     for r, k in itertools.product(range(9), range(6)):
-        assert np.array_equal(_bits(G[r, k]), _bits(suite.tasks[k].gradient(W[r], xi[r])))
+        assert np.array_equal(bits(G[r, k]), bits(suite.tasks[k].gradient(W[r], xi[r])))
 
 
 def check_one_task_oracle():
@@ -433,8 +421,8 @@ def check_one_task_oracle():
                 loss, g = suite.unit_value_and_gradient(w, (k,), xi)
                 ref_loss, ref_g = 0 + suite.tasks[k].value(w, xi), np.zeros(d) + suite.tasks[k].gradient(w, xi)
             assert type(loss) is float
-            assert _bits(loss) == _bits(ref_loss), (w, k)
-            assert np.array_equal(_bits(g), _bits(ref_g)), (w, k)
+            assert bits(loss) == bits(ref_loss), (w, k)
+            assert np.array_equal(bits(g), bits(ref_g)), (w, k)
 
 
 def test_one_task_oracle_equals_the_task_methods():

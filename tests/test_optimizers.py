@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import bits
 from mtlopt.optimizers import OptimizerRule, OptimizerState, apply, fresh_state
 from mtlopt.params import NonFiniteError
 
@@ -206,10 +207,6 @@ def test_apply_rejects_a_gradient_of_the_wrong_shape():
         apply(rule, fresh_state(rule, 2), np.zeros(3))
 
 
-def _bits(x):
-    return np.asarray(x, dtype=np.float64).view(np.uint64)
-
-
 def _extreme_gradients(gen, n, d):
     """Gradients whose entries span 1e-300 to 1e300 in both signs, with rows
     of signed zeros mixed in."""
@@ -258,22 +255,22 @@ def test_apply_leaves_its_inputs_alone_and_returns_the_textbook_direction(kind):
                 m, v = m_next, v_next
                 landed += 1
         assert given.m is old_m and given.v is old_v and given.step == t - 1
-        assert np.array_equal(_bits(g), _bits(g_before))
-        assert np.array_equal(_bits(old_m), _bits(m_before))
+        assert np.array_equal(bits(g), bits(g_before))
+        assert np.array_equal(bits(old_m), bits(m_before))
         if state is given:  # the update raised
             if kind == "adam":
-                assert np.array_equal(_bits(old_v), _bits(v_before))
+                assert np.array_equal(bits(old_v), bits(v_before))
             continue
-        assert np.array_equal(_bits(direction), _bits(want)), (t, g)
+        assert np.array_equal(bits(direction), bits(want)), (t, g)
         assert not np.shares_memory(direction, g) and not np.shares_memory(direction, state.m)
-        assert np.array_equal(_bits(state.m), _bits(m))
+        assert np.array_equal(bits(state.m), bits(m))
         assert state.step == t
         if kind != "sgd":
             assert state.m is not old_m
         if kind == "adam":
             assert state.v is not old_v and not np.shares_memory(state.v, state.m)
-            assert np.array_equal(_bits(old_v), _bits(v_before))
-            assert np.array_equal(_bits(state.v), _bits(v))
+            assert np.array_equal(bits(old_v), bits(v_before))
+            assert np.array_equal(bits(state.v), bits(v))
         else:
             assert state.v is None
     assert landed >= 20  # enough updates land for the bits to be checked

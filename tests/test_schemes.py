@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import loop_unit_value_and_gradient
+from helpers import (ConstantGradientSuite, assert_same_run, empty_batch, equivalent_pairs,
+                     loop_unit_value_and_gradient, noiseless_pair)
 from mtlopt.objectives import (
     QuadraticSuite,
     QuadraticTask,
@@ -31,14 +32,6 @@ from mtlopt.tracing import write_trace_csv, write_trace_meta
 SGD = OptimizerRule("sgd")
 
 
-def noiseless_pair():
-    return two_task_suite(noise_sigma=0.0)
-
-
-def empty_batch(suite):
-    return np.zeros((suite.n_tasks, suite.dim))
-
-
 def shared_unit(suite):
     """The one unit of the shared scheme: every task."""
     return [tuple(range(suite.n_tasks))]
@@ -53,35 +46,6 @@ def final_w(updates):
     """The parameters after the last update of a `step` generator."""
     *_, (_, _, w) = updates
     return w
-
-
-class ConstantGradientTask:
-    """F(w) = slope . w, so the stochastic gradient is a constant vector."""
-
-    def __init__(self, index, slope):
-        self.index = index
-        self.slope = np.asarray(slope, dtype=np.float64)
-
-    def value(self, w, xi):
-        return float(self.slope @ w)
-
-    def gradient(self, w, xi):
-        return self.slope.copy()
-
-
-class ConstantGradientSuite(TaskSuite):
-    def __init__(self, slopes):
-        super().__init__([ConstantGradientTask(i, s) for i, s in enumerate(slopes)])
-        self._dim = len(slopes[0])
-
-    @property
-    def dim(self):
-        return self._dim
-
-    unit_value_and_gradient = loop_unit_value_and_gradient
-
-    def sample_minibatch(self, gen):
-        return None
 
 
 class CountingSuite(QuadraticSuite):
@@ -281,19 +245,6 @@ def cfg(scheme, groups=None, opt=None, eta=0.05, order="round_robin"):
     )
 
 
-def traces_equal(a, b):
-    return (
-        a.steps == b.steps
-        and a.labels == b.labels
-        and a.train_losses == b.train_losses
-        and a.displacements == b.displacements
-        and a.cumulative == b.cumulative
-        and a.val_steps == b.val_steps
-        and a.val_losses == b.val_losses
-        and np.array_equal(a.w_final, b.w_final)
-    )
-
-
 def test_run_single_step_total_equals_shortest():
     suite = QuadraticSuite([QuadraticTask(0, [[1.0]], [2.0])])
     trace = run(cfg("sus", opt=SGD, eta=0.1), suite, np.zeros(1), 1, seed=0)
@@ -309,24 +260,14 @@ def test_run_deterministic_bit_identical():
     suite = two_task_suite(0.5)
     a = run(cfg("ius", groups=2), suite, np.zeros(1), 25, seed=3)
     b = run(cfg("ius", groups=2), suite, np.zeros(1), 25, seed=3)
-    assert traces_equal(a, b)
+    assert_same_run(a, b)
 
 
 @pytest.mark.parametrize("order", ["round_robin", "fixed", "uniform_random"])
 def test_forced_equivalences(order):
     suite = two_task_suite(0.5)
-    w0 = np.zeros(1)
-
-    def tr(c):
-        return run(c, suite, w0, 20, seed=11)
-
-    assert traces_equal(tr(cfg("ius", groups=1, order=order)), tr(cfg("sus", order=order)))
-    assert traces_equal(tr(cfg("io", groups=1, order=order)), tr(cfg("sus", order=order)))
-    assert traces_equal(tr(cfg("ius", groups=2, order=order)), tr(cfg("ius", order=order)))
-    assert traces_equal(tr(cfg("io", groups=2, order=order)), tr(cfg("io", order=order)))
-    assert traces_equal(
-        tr(cfg("ius", opt=SGD, order=order)), tr(cfg("io", opt=SGD, order=order))
-    )
+    for _, a, b, states in equivalent_pairs(suite.n_tasks, order):
+        assert_same_run(run(a, suite, np.zeros(1), 20, seed=11), run(b, suite, np.zeros(1), 20, seed=11), states)
 
 
 def test_round_robin_updates_every_task_once_per_step():
@@ -624,7 +565,7 @@ def test_fresh_minibatch_mode_changes_draws_but_stays_deterministic():
     b = run(fresh, suite, np.zeros(1), 10, seed=4)
     c = run(fresh, suite, np.zeros(1), 10, seed=4)
     assert not np.array_equal(a.w_final, b.w_final)
-    assert traces_equal(b, c)
+    assert_same_run(b, c)
 
 
 def test_scheme_config_validation():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import load_strict_json
+from helpers import assert_same_report, load_strict_json, report_json
 from mtlopt import schemes
 from mtlopt.cli import main
 from mtlopt.objectives import (
@@ -323,7 +323,8 @@ def test_verify_theorem_grad_bound_is_that_of_the_stand_alone_pre_run(monkeypatc
         report = verify_theorem(suite, [2, 40, 9], replicates=6, seed=4, w0=w0)
         results.append((report, estimate_grad_bound(suite, schedule, 40, 6, 4, w0)))
     assert results[0][0]["constants"]["grad_bound"] == results[0][1]
-    assert results[1] == results[0] and results[2] == results[0]
+    assert_same_report(results[1], results[0])
+    assert_same_report(results[2], results[0])
 
 
 @pytest.mark.parametrize("make_suite", [five_task_suite, two_task_suite])
@@ -489,9 +490,9 @@ def test_verify_lemmas_equal_the_two_lemma_passes(make_suite, replicates, n_step
     suite = make_suite()
     w0 = np.full(suite.dim, 0.5)
     lemma1, lemma2 = verify_lemmas(suite, n_steps, replicates, seed, w0)
-    assert (lemma1, lemma2) == reference_lemmas(suite, n_steps, replicates, seed, w0)
-    assert verify_lemma1(suite, n_steps, replicates, seed, w0) == lemma1
-    assert verify_lemma2(suite, n_steps, replicates, seed, w0) == lemma2
+    assert_same_report((lemma1, lemma2), reference_lemmas(suite, n_steps, replicates, seed, w0))
+    assert_same_report(verify_lemma1(suite, n_steps, replicates, seed, w0), lemma1)
+    assert_same_report(verify_lemma2(suite, n_steps, replicates, seed, w0), lemma2)
 
 
 @pytest.mark.parametrize("n_steps, replicates, name", [(0, 3, "n_steps"), (-3, 3, "n_steps"), (3, 0, "replicates")])
@@ -768,10 +769,10 @@ def test_runs_on_a_derived_schedule_exit_cleanly(payload):
 
 
 def _outcome(call):
-    """What a call gives: its result, as JSON text that keeps NaN, or the
-    type and message of the error or warning it raises."""
+    """What a call gives: its result as report_json text, or the type and
+    message of the error or warning it raises."""
     try:
-        return json.dumps(call(), sort_keys=True)
+        return report_json(call())
     except (ArithmeticError, RuntimeWarning) as exc:
         return type(exc).__name__, str(exc)
 
