@@ -251,6 +251,8 @@ class RunConfig:
             self.w0 = np.asarray(cfg["w0"])
 
         self.verify = {**_VERIFY_DEFAULTS, **cfg.get("verify", {})}
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(f"config.seeds: values must be distinct, got {self.seeds}")
         t_list = self.verify["T_list"]
         if len(set(t_list)) < len(t_list):
             raise ConfigError(f"config.verify.T_list: values must be distinct, got {t_list}")

@@ -147,37 +147,35 @@ def step(w, suite, units, rule, states, eta, xi, order, out=None):
     and the rows of the updates before it are already in `out`.
     """
     out = [] if out is None else out
-    slots = _slots(units, states)
-    masks = [suite.unit_mask(unit) for unit in units]
+    bound = _bind(suite, units, states)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _updates(w, suite.unit_value_and_gradient, units, masks, rule, states, slots, eta, xi, order, out)
+        return _updates(w, suite, bound, rule, states, eta, xi, order, out)
 
 
-def _slots(units, states):
-    """The index in `states` of each unit's optimizer state: one slot shared
-    by every unit, or one per unit."""
+def _bind(suite, units, states):
+    """One (unit, label, mask, slot) entry per unit: its label in traces and
+    errors, the coordinates its update may touch, and the index in `states`
+    of its optimizer state, one shared by every unit or one per unit."""
     if len(states) not in (1, len(units)):
         raise ValueError(f"need 1 or {len(units)} optimizer states, got {len(states)}")
-    return [0] * len(units) if len(states) == 1 else range(len(units))
+    return [(unit, "+".join(str(k) for k in unit), suite.unit_mask(unit), u if len(states) > 1 else 0)
+            for u, unit in enumerate(units)]
 
 
-def _updates(w, oracle, units, masks, rule, states, slots, eta, xi, order, out):
-    """The update loop of `step`, for a caller that holds its np.errstate
-    scope and has bound the suite's oracle, each unit's mask and each unit's
-    slot in `states`; returns `out`. The next state goes into its slot once
-    axpy has landed, so an update that raises has changed nothing."""
+def _updates(w, suite, bound, rule, states, eta, xi, order, out):
+    """The update loop of `step` over the unit table `bound` (_bind), for a
+    caller that holds its np.errstate scope; returns `out`."""
+    oracle = suite.unit_value_and_gradient
     fresh = callable(xi)
     for u in order:
         u = int(u)
-        unit = units[u]
+        unit, label, mask, slot = bound[u]
         loss, g = oracle(w, unit, xi() if fresh else xi)
         if not math.isfinite(loss):
-            label = "+".join(str(k) for k in unit)
             raise NonFiniteError(f"training loss for unit {label} is non-finite")
-        slot = slots[u]
         direction, state = optimizers.apply(rule, states[slot], g)
-        if masks[u] is not None:
-            direction = np.where(masks[u], direction, 0.0)
+        if mask is not None:
+            direction = np.where(mask, direction, 0.0)
         w = axpy(w, direction, -eta)
         states[slot] = state
         out.append((u, loss, w))
@@ -271,11 +269,7 @@ def _run(config, suite, w0, n_steps, seed, validation_every, extra_meta, block):
     raises NonFiniteError when block > 1, and at block 1 aborts the run."""
     w = w0.copy()
     units, states = _materialize_units(config, suite, seed)
-    labels = ["+".join(str(k) for k in unit) for unit in units]
-    # what `step` derives on each call, derived once for the whole run
-    oracle = suite.unit_value_and_gradient
-    masks = [suite.unit_mask(unit) for unit in units]
-    slots = _slots(units, states)
+    bound = _bind(suite, units, states)
     shared_mask = suite.shared_mask
     data_gen = RngStream(seed, "data").gen
     order_gen = RngStream(seed, "task-order").gen
@@ -316,7 +310,7 @@ def _run(config, suite, w0, n_steps, seed, validation_every, extra_meta, block):
                     xi = batches.__next__ if fresh else next(batches)
                     landed = []
                     try:
-                        _updates(w, oracle, units, masks, config.optimizer, states, slots, eta, xi, order, landed)
+                        _updates(w, suite, bound, config.optimizer, states, eta, xi, order, landed)
                     finally:  # an aborted step keeps the rows of the updates before the failure
                         for u, loss, w_new in landed:
                             step_vec = w_new - w
@@ -326,7 +320,7 @@ def _run(config, suite, w0, n_steps, seed, validation_every, extra_meta, block):
                             norm = math.sqrt(float(step_vec.dot(step_vec)))
                             if not math.isfinite(norm):
                                 norm = l2_norm(step_vec)
-                            trace.add_row(t, labels[u], float(loss), norm)
+                            trace.add_row(t, bound[u][1], float(loss), norm)
                             w = w_new
                     if validation_every and t % validation_every == 0:
                         kept.append((t, w))

@@ -155,7 +155,7 @@ def five_task_sweep_config():
 
 
 def test_sweep_deterministic_and_worker_independent(tmp_path):
-    ascending = write_config(tmp_path, two_task_config(steps=6, seeds=[0, 1, 1]), "ascending.json")
+    ascending = write_config(tmp_path, two_task_config(steps=6, seeds=[0, 1, 2]), "ascending.json")
     five_task = write_config(tmp_path, five_task_sweep_config(), "five_task.json")
     for cfg in [ascending, five_task]:
         serial, parallel = Path(cfg).with_suffix(".serial"), Path(cfg).with_suffix(".parallel")
@@ -164,7 +164,7 @@ def test_sweep_deterministic_and_worker_independent(tmp_path):
         for name in ["sweep.csv", "sweep_summary.json"]:
             assert (serial / name).read_bytes() == (parallel / name).read_bytes()
     # rows come in scheme, eta, seed order, whatever order the rates and seeds are given in
-    shuffled = write_config(tmp_path, two_task_config(steps=6, seeds=[1, 0, 1]), "shuffled.json")
+    shuffled = write_config(tmp_path, two_task_config(steps=6, seeds=[2, 0, 1]), "shuffled.json")
     for workers in ["1", "2"]:
         out = tmp_path / f"shuffled{workers}"
         assert main(["sweep", shuffled, "--etas", "0.08,0.02", "--out", str(out), "--workers", workers]) == 0
@@ -728,6 +728,10 @@ BAD_CONFIGS = {
         "sweep", lambda c: c.update(seeds=[0, 1]), "--seed-offset", f"--seed-offset={2**64 - 1}", "--etas=0.1"
     ),
     "verify seed offset 2**64": ("verify", lambda c: None, "--seed-offset", f"--seed-offset={2**64}"),
+    # a repeated seed's run would overwrite its own trace and count twice in the summary
+    "seeds repeated": (
+        "run", lambda c: c.update(seeds=[1, 1]), "config error: config.seeds: values must be distinct, got [1, 1]\n",
+    ),
     # the repeated rate's cells would run twice and count as extra seeds in the summary
     "sweep etas repeated": ("sweep", lambda c: None, "config error: --etas: ", "--etas=0.05,0.05"),
     # the pool size is clamped from above only; these ran one cell at a time

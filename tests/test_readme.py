@@ -6,9 +6,9 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def quick_start_code() -> str:
-    """The python block under the "Library quick start" heading, cut as CI's
-    awk step cuts it: from the first ```python line after the heading to the
-    first bare ``` line after it."""
+    """The python block under the "Library quick start" heading: from the
+    first ```python line after the heading to the first bare ``` line after
+    it."""
     lines = README.read_text(encoding="utf-8").splitlines()
     start = next(i for i, line in enumerate(lines) if line.startswith("## Library quick start"))
     fence = next(i for i in range(start, len(lines)) if lines[i].startswith("```python"))
