@@ -6,7 +6,6 @@ failure beyond statistical slack, 4 a sweep cell raised an error.
 """
 
 import argparse
-import concurrent.futures
 import csv
 import functools
 import os
@@ -113,7 +112,9 @@ def _cell_rows(cfg: RunConfig, cells, results):
             traceback.print_exc()
             # A dead worker's BrokenProcessPool fails every pending cell, whichever
             # one it ran. Its base BrokenExecutor is tested: the sequential path
-            # never loads concurrent.futures.process, which defines it.
+            # never loads concurrent.futures.process, which defines it, and
+            # loads concurrent.futures itself only here, on its failure path.
+            import concurrent.futures
             if isinstance(exc, concurrent.futures.BrokenExecutor):
                 missing = "; ".join(_cell_name(cfg, c) for c in cells[n:])
                 print(f"a sweep worker process died; cells without a row: {missing}", file=sys.stderr)
@@ -193,7 +194,10 @@ def cmd_sweep(cfg: RunConfig, etas, out_dir: Path, seed_offset: int = 0, workers
 
     # a process pool forks all of its workers at once
     workers = min(workers, len(cells), os.cpu_count() or 1)
-    pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        import concurrent.futures  # here, not at the top: 6-7 ms of every command's start-up
+        pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
     try:
         results = (map if pool is None else pool.map)(functools.partial(_sweep_cell, cfg), *zip(*cells))
         rows = _write_sweep_csv(csv_path, header_meta, _cell_rows(cfg, cells, results))

@@ -6,7 +6,7 @@ the next state, which is what lets a scheme hold one shared state or one
 independent state per task, and commit a state only once its update lands.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -41,6 +41,21 @@ class OptimizerRule:
                 raise ValueError(f"{name} must be in [0, 1), got {b}")
         if self.eps <= 0.0:
             raise ValueError(f"eps must be positive, got {self.eps}")
+        # apply's constant operands as read-only 0-d float64 arrays: a Python
+        # float operand adds about 0.25 µs to a ufunc call on numpy 2.4, and
+        # the products keep their bits. They are attributes, not fields, so
+        # asdict, describe(), ==, hash and repr do not see them, and
+        # dataclasses.replace, which calls __init__, builds them anew.
+        for name, value in (("_beta", self.beta), ("_beta1", self.beta1), ("_one_minus_beta1", 1.0 - self.beta1),
+                            ("_beta2", self.beta2), ("_one_minus_beta2", 1.0 - self.beta2), ("_eps", self.eps)):
+            const = np.array(value, dtype=np.float64)
+            const.flags.writeable = False
+            object.__setattr__(self, name, const)
+
+    def __reduce__(self):
+        # rebuilt through __init__, as dataclasses.replace does: an unpickled
+        # array would be writeable
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 class OptimizerState(NamedTuple):
@@ -91,22 +106,22 @@ def apply(rule: OptimizerRule, state: OptimizerState, g: np.ndarray) -> tuple:
     if rule.kind == "sgd":
         return g.copy(), _new_state(OptimizerState, (state.m, None, t))
     if rule.kind == "momentum":
-        m = rule.beta * state.m + g
+        m = rule._beta * state.m + g
         return m.copy(), _new_state(OptimizerState, (m, None, t))
     # adam: each moment is a fresh array, built in place from its first
     # temporary; one scratch array, tmp, holds each gradient term and then
     # the denominator
-    m = rule.beta1 * state.m
-    tmp = (1.0 - rule.beta1) * g
+    m = rule._beta1 * state.m
+    tmp = rule._one_minus_beta1 * g
     m += tmp
-    v = rule.beta2 * state.v
-    np.multiply(1.0 - rule.beta2, g, tmp)  # out passed positionally: less dispatch
+    v = rule._beta2 * state.v
+    np.multiply(rule._one_minus_beta2, g, tmp)  # out passed positionally: less dispatch
     tmp *= g
     v += tmp
     out = m / (1.0 - rule.beta1**t)
     np.divide(v, 1.0 - rule.beta2**t, tmp)  # v_hat
     np.sqrt(tmp, tmp)
-    tmp += rule.eps
+    tmp += rule._eps
     out /= tmp
     # A second moment that overflowed, in v or in v_hat, leaves a direction
     # entry m_hat / inf = 0 (or NaN), and every later step on that coordinate

@@ -436,7 +436,7 @@ class _LastToFirstPool(_InlinePool):
 
 @pytest.mark.parametrize("cpus, expected", [(64, 3), (2, 2)])
 def test_sweep_workers_clamped_to_cells_and_cpus(tmp_path, monkeypatch, cpus, expected):
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_InlinePool, "requested", [])
     cfg = write_config(tmp_path, two_task_config(steps=3))
@@ -449,7 +449,7 @@ def test_sweep_workers_clamped_to_cells_and_cpus(tmp_path, monkeypatch, cpus, ex
 @pytest.mark.parametrize("workers", [1, 2])
 def test_no_sweep_cell_builds_a_config(tmp_path, monkeypatch, workers):
     # main loads the config once; every cell, in a pool worker too, runs on it
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     calls = []
     real_init = RunConfig.__init__
@@ -469,7 +469,7 @@ def test_no_sweep_cell_builds_a_config(tmp_path, monkeypatch, workers):
 def _sweep_failing_at_second_cell(tmp_path, monkeypatch, workers, error):
     """Exit code of a three-cell sweep whose second cell (seed 1) raises `error`."""
     if workers > 1:  # the sequential path must work without touching the pool
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     real_cell = cli._sweep_cell
     calls = []
@@ -498,7 +498,7 @@ def test_sweep_streams_rows_until_a_cell_fails(tmp_path, monkeypatch, capsys, wo
 
 
 def test_cells_finishing_out_of_order_leave_the_rows_before_the_failed_cell(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _LastToFirstPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _LastToFirstPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     real_cell = cli._sweep_cell
 
@@ -530,6 +530,15 @@ def failing_second_cell(*args):
 real_cell, cli._sweep_cell = cli._sweep_cell, failing_second_cell
 sys.exit(cli.main(["sweep", sys.argv[1], "--etas", "0.05", "--out", sys.argv[2], "--workers", "1"]))
 """
+
+
+def test_importing_the_cli_loads_no_concurrent_futures():
+    # only a sweep with more than one worker needs a process pool
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    code = "import sys, mtlopt.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_sequential_sweep_failure_exits_4_in_a_fresh_interpreter(tmp_path):

@@ -1,3 +1,7 @@
+import json
+import pickle
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import bits
 from mtlopt.optimizers import OptimizerRule, OptimizerState, apply, fresh_state
 from mtlopt.params import NonFiniteError
+from mtlopt.schemes import ConstantLR, SchemeConfig
 
 
 def gradient_sequences():
@@ -217,14 +222,28 @@ def _extreme_gradients(gen, n, d):
     return gs
 
 
+# The ways a rule reaches apply: built, made by dataclasses.replace from a
+# rule with other hyperparameters, or unpickled, as a sweep worker gets it.
+# Each must carry operands that match the rule's fields.
+_RULE_ROUTES = {
+    "built": lambda rule: rule,
+    "replaced": lambda rule: replace(OptimizerRule(rule.kind, beta=0.3, beta1=0.1, beta2=0.5, eps=1.0),
+                                     **{k: v for k, v in asdict(rule).items() if k != "kind"}),
+    "pickled": lambda rule: pickle.loads(pickle.dumps(rule)),
+}
+
+
+@pytest.mark.parametrize("route", _RULE_ROUTES)
 @pytest.mark.parametrize("kind", ["sgd", "momentum", "adam"])
-def test_apply_leaves_its_inputs_alone_and_returns_the_textbook_direction(kind):
+def test_apply_leaves_its_inputs_alone_and_returns_the_textbook_direction(kind, route):
     # the contract schemes.step and run's snapshots rely on: the state passed
     # in keeps its m and v objects, their bits and its step, g keeps its
     # bits, and the next state holds new moment arrays; the direction and
-    # moments equal the textbook expressions below bit for bit. A gradient
-    # whose adam second moment overflows, in v or in v_hat, raises instead.
-    rule = OptimizerRule(kind, beta=0.7, beta1=0.8, beta2=0.95, eps=1e-6)
+    # moments equal the textbook expressions below, with Python-float
+    # operands, bit for bit. A gradient whose adam second moment overflows,
+    # in v or in v_hat, raises instead.
+    rule = _RULE_ROUTES[route](OptimizerRule(kind, beta=0.7, beta1=0.8, beta2=0.95, eps=1e-6))
+    assert rule == OptimizerRule(kind, beta=0.7, beta1=0.8, beta2=0.95, eps=1e-6)
     gen = np.random.default_rng(["sgd", "momentum", "adam"].index(kind))
     state = fresh_state(rule, 4)
     m, v = state.m.copy(), None if state.v is None else state.v.copy()
@@ -274,3 +293,25 @@ def test_apply_leaves_its_inputs_alone_and_returns_the_textbook_direction(kind):
         else:
             assert state.v is None
     assert landed >= 20  # enough updates land for the bits to be checked
+
+
+def test_rule_operands_stay_out_of_the_fields():
+    # apply's 0-d operands are not fields: equality, hashing, repr, asdict
+    # and the describe() that trace meta embeds see the five fields only
+    rule = OptimizerRule("adam", beta1=0.8)
+    others = [pickle.loads(pickle.dumps(rule)), replace(OptimizerRule("adam", beta1=0.5), beta1=0.8)]
+    for other in others:
+        assert other == rule and hash(other) == hash(rule)
+        assert repr(other) == "OptimizerRule(kind='adam', beta=0.9, beta1=0.8, beta2=0.999, eps=1e-08)"
+    assert {rule, *others} == {rule}
+    assert asdict(rule) == {"kind": "adam", "beta": 0.9, "beta1": 0.8, "beta2": 0.999, "eps": 1e-08}
+    described = json.dumps(SchemeConfig("io", rule, ConstantLR(0.01)).describe())
+    assert described == (
+        '{"scheme": "io", "n_groups": null, "task_order": "round_robin", "optimizer": {"kind": "adam", '
+        '"beta": 0.9, "beta1": 0.8, "beta2": 0.999, "eps": 1e-08}, "lr": {"kind": "constant", "eta": 0.01}, '
+        '"fresh_minibatch_per_task": false}'
+    )
+    for r in (rule, *others):
+        operands = (r._beta, r._beta1, r._one_minus_beta1, r._beta2, r._one_minus_beta2, r._eps)
+        assert [x.item() for x in operands] == [0.9, 0.8, 1.0 - 0.8, 0.999, 1.0 - 0.999, 1e-08]
+        assert all(x.shape == () and x.dtype == np.float64 and not x.flags.writeable for x in operands)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from helpers import load_strict_json, read_csv_body
-from mtlopt import schemes
+from mtlopt import schemes, tracing
 from mtlopt.objectives import QuadraticSuite, QuadraticTask, five_task_suite, two_task_suite
 from mtlopt.optimizers import OptimizerRule
 from mtlopt.params import l2_norm
@@ -183,22 +183,80 @@ def _reference_csv(trace, path):
             writer.writerow([fmt(x) for x in row])
 
 
-def test_csv_bytes_equal_csv_writer_reference(tmp_path):
+def _reference_fstring_csv(trace, path):
+    """write_trace_csv as it was before it wrote a chunk of rows at a time,
+    one f-string per row: its second byte reference."""
+    last_row_of_step = {s: i for i, s in enumerate(trace.steps)}
+    val_at_row = {last_row_of_step[s]: v for s, v in zip(trace.val_steps, trace.val_losses)
+                  if s in last_row_of_step}
+    columns = zip(trace.steps, trace.labels, trace.train_losses, trace.displacements, trace.cumulative)
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.write(f"# config: {json.dumps(trace.meta, sort_keys=True)}\n")
+        f.write("step,task_or_group,train_loss,val_loss,displacement,cumulative_total\r\n")
+        for i, (step, label, loss, disp, cum) in enumerate(columns):
+            val = val_at_row.get(i)
+            f.write(f"{step},{label},{loss!r},{'' if val is None else repr(val)},{disp!r},{cum!r}\r\n")
+
+
+_EDGE_FLOATS = [-0.0, 5e-324, 1e-5, 1e16, math.inf, math.nan, -math.inf]
+
+
+def _synthetic_trace(n_rows):
+    """n_rows rows of three units per step, so that steps straddle the
+    writer's chunks, with a validation at step 0 (which has no row), at every
+    other step and one step past the last row. Every float column holds each
+    edge float, and one loss is an np.float64."""
+    gen = np.random.default_rng(n_rows)
+
+    def floats(n, shift):
+        values = (gen.uniform(-10.0, 10.0, n) * 10.0 ** gen.integers(-300, 300, n)).tolist()
+        for i in range(min(n, len(_EDGE_FLOATS))):
+            values[i] = _EDGE_FLOATS[(i + shift) % len(_EDGE_FLOATS)]
+        return values
+
+    steps = [1 + r // 3 for r in range(n_rows)]
+    last = steps[-1] if steps else 0
+    val_steps = [0, *range(2, last + 1, 2), last + 1]
+    trace = RunTrace(meta={"rows": n_rows}, steps=steps, labels=[("0", "1+2", "3")[r % 3] for r in range(n_rows)],
+                     train_losses=floats(n_rows, 0), displacements=floats(n_rows, 2),
+                     cumulative=floats(n_rows, 4), val_steps=val_steps, val_losses=floats(len(val_steps), 6))
+    if n_rows:
+        trace.train_losses[n_rows // 2] = np.float64(trace.train_losses[n_rows // 2])
+    return trace
+
+
+def _run_traces():
     three_tasks = QuadraticSuite(five_task_suite().tasks[:3])
     grouped = SchemeConfig("ius", OptimizerRule("momentum", beta=0.9), ConstantLR(0.05), n_groups=2)
+    per_task = SchemeConfig("io", OptimizerRule("adam"), ConstantLR(0.05))
     divergent = SchemeConfig("io", OptimizerRule("sgd"), ConstantLR(50.0))
     traces = [
         # groups (0, 2) and (1,); val_loss only every third step
         run(grouped, three_tasks, np.zeros(3), 12, seed=1, validation_every=3),
+        # five updates and a validation per step, over three chunks of rows
+        run(per_task, five_task_suite(), np.zeros(3), 60, seed=2),
         # diverges to floats of every exponent, then aborts mid-run
         run(divergent, two_task_suite(), np.array([1000.0]), 300, seed=0, validation_every=1000),
         # aborts at step 0, before any row
         run(divergent, two_task_suite(), np.array([1e200]), 5, seed=0),
     ]
     assert "0+2" in traces[0].labels and traces[0].val_steps == [0, 3, 6, 9, 12]
-    assert traces[1].aborted and traces[1].steps
-    assert traces[2].aborted and not traces[2].steps
-    for i, trace in enumerate(traces):
+    assert len(traces[1].steps) == 300 > 2 * tracing._CSV_CHUNK_ROWS
+    assert traces[2].aborted and traces[2].steps
+    assert traces[3].aborted and not traces[3].steps
+    return traces
+
+
+def test_csv_bytes_equal_both_references(tmp_path):
+    chunk = tracing._CSV_CHUNK_ROWS
+    synthetic = [_synthetic_trace(n) for n in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3)]
+    edges = {repr(x) for x in _EDGE_FLOATS}
+    last = synthetic[-1]
+    for column in (last.train_losses, last.val_losses, last.displacements, last.cumulative):
+        assert edges <= set(map(repr, column))
+    for i, trace in enumerate(_run_traces() + synthetic):
         write_trace_csv(trace, tmp_path / f"trace{i}.csv")
         _reference_csv(trace, tmp_path / f"ref{i}.csv")
-        assert (tmp_path / f"trace{i}.csv").read_bytes() == (tmp_path / f"ref{i}.csv").read_bytes()
+        _reference_fstring_csv(trace, tmp_path / f"fstring{i}.csv")
+        written = (tmp_path / f"trace{i}.csv").read_bytes()
+        assert written == (tmp_path / f"ref{i}.csv").read_bytes() == (tmp_path / f"fstring{i}.csv").read_bytes(), i
