@@ -59,24 +59,39 @@ class MLPTopology:
         n_trunk = len(self.hidden)
         return parts[:n_trunk], parts[n_trunk:]
 
-    def forward_trunk(self, trunk, x: np.ndarray):
-        """Activations of every trunk layer, input first, given trunk views.
-        Each layer's activation is a new array; x is never written."""
+    def forward_trunk(self, w: np.ndarray, x: np.ndarray):
+        """Activations of every trunk layer, input first, each layer's W and b
+        read from the flat parameter vector w through `layout`. Each layer's
+        activation is a new array; neither w nor x is written."""
         activations = [x]
         h = x
-        for w_mat, b in trunk:
-            h = h @ w_mat  # the bits of np.tanh(h @ w_mat + b), without temporaries
-            h += b
+        for w_slice, w_shape, b_slice in self.layout[: len(self.hidden)]:
+            h = h @ w[w_slice].reshape(w_shape)  # the bits of np.tanh(h @ W + b), without temporaries
+            h += w[b_slice]
             np.tanh(h, out=h)
             activations.append(h)
         return activations
 
     def heads_value(self, w, x, heads):
         """The loss of each (k, y) in `heads`, in turn, from one trunk forward:
-        the forward half of heads_value_and_gradient, with the same bits."""
+        the forward half of heads_value_and_gradient, with the same bits.
+
+        Each loss is the mean squared error of head k on the last activations,
+        with the bits of np.mean((h @ W_k + b_k - y) ** 2): np.mean is
+        add.reduce over every entry divided by the count, and ** 2 is r * r;
+        the division of a Python float rounds as np.float64's does.
+        """
+        h = self.forward_trunk(w, x)[-1]
         n_trunk = len(self.hidden)
-        h = self.forward_trunk([_view(w, entry) for entry in self.layout[:n_trunk]], x)[-1]
-        return [_head_loss(h, _view(w, self.layout[n_trunk + k]), y) for k, y in heads]
+        losses = []
+        for k, y in heads:
+            w_slice, w_shape, b_slice = self.layout[n_trunk + k]
+            r = h @ w[w_slice].reshape(w_shape)
+            r += w[b_slice]
+            r -= y
+            r *= r
+            losses.append(float(np.add.reduce(r, axis=None)) / r.size)
+        return losses
 
     def heads_value_and_gradient(self, w, x, heads):
         """The loss of each (k, y) in `heads`, in turn, and the sum of their
@@ -87,8 +102,7 @@ class MLPTopology:
         gradient through out=, and each later head adds its term in turn.
         """
         n_trunk = len(self.hidden)
-        trunk = [_view(w, entry) for entry in self.layout[:n_trunk]]
-        activations = self.forward_trunk(trunk, x)
+        activations = self.forward_trunk(w, x)
         h_last = activations[-1]
 
         grad = np.zeros(w.shape)
@@ -99,7 +113,7 @@ class MLPTopology:
             d_pred = h_last @ w_head  # the residual h_last @ w_head + b_head - y
             d_pred += b_head
             d_pred -= y
-            losses.append(float((d_pred * d_pred).sum() / d_pred.size))  # the ops of _head_loss
+            losses.append(float(np.add.reduce(d_pred * d_pred, axis=None)) / d_pred.size)  # as heads_value
             d_pred *= 2.0  # the bits of 2.0 * residual / n
             d_pred /= y.shape[0]
             np.matmul(h_last.T, d_pred, out=g_w_head)
@@ -112,6 +126,7 @@ class MLPTopology:
             a *= a
             np.subtract(1.0, a, out=a)
             g_w, g_b = _view(grad, self.layout[i])
+            w_t = _view(w, self.layout[i])[0].T if i else None  # the gradient with respect to x is not needed
             for j, d_z in enumerate(d_hs):
                 d_z *= a  # d_z = d_h * slope, in place: d_h is not read again
                 if j:
@@ -120,28 +135,14 @@ class MLPTopology:
                 else:
                     np.matmul(activations[i].T, d_z, out=g_w)
                     d_z.sum(axis=0, out=g_b)
-                if i:  # the gradient with respect to the input x is not needed
-                    d_hs[j] = d_z @ trunk[i][0].T
+                if i:
+                    d_hs[j] = d_z @ w_t
         return losses, grad
 
 
 def _view(w, entry):
     w_slice, w_shape, b_slice = entry
     return w[w_slice].reshape(w_shape), w[b_slice]
-
-
-def _head_loss(h, head, y) -> float:
-    """Mean squared error of one linear head on last-layer activations h.
-
-    The bits of np.mean((h @ w_head + b_head - y) ** 2): np.mean is add.reduce
-    over every entry divided by the count, and ** 2 is r * r.
-    """
-    w_head, b_head = head
-    r = h @ w_head
-    r += b_head
-    r -= y
-    r *= r
-    return float(r.sum() / r.size)
 
 
 class _SinusoidTarget:
@@ -166,7 +167,7 @@ class MLPTask:
 
     def value(self, w, xi) -> float:
         x, targets = xi
-        return self.topology.heads_value(w, x, [(self.index, targets[self.index])])[0]
+        return self.topology.heads_value(w, x, ((self.index, targets[self.index]),))[0]
 
     def gradient(self, w, xi) -> np.ndarray:
         x, targets = xi

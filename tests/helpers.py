@@ -140,3 +140,53 @@ class ConstantGradientSuite(TaskSuite):
 
     def sample_minibatch(self, gen):
         return None
+
+
+def loop_finite_difference_check(task, w, xi, h):
+    """finite_difference_check as first written, on numpy scalars with
+    np.isfinite: the reference whose bits the check must return."""
+    analytic = task.gradient(w, xi)
+    worst = 0.0
+    probe = w.astype(np.float64, copy=True)
+    for i in range(w.size):
+        orig = probe[i]
+        probe[i] = orig + h
+        f_plus = task.value(probe, xi)
+        probe[i] = orig - h
+        f_minus = task.value(probe, xi)
+        probe[i] = orig
+        diff = (f_plus - f_minus) / (2.0 * h)
+        if not np.isfinite(diff):
+            raise FloatingPointError("central difference underflowed or overflowed")
+        err = abs(analytic[i] - diff) / max(1.0, abs(analytic[i]))
+        worst = max(worst, err)
+    return worst
+
+
+class ProbeRecordingTask:
+    """A task that records, for each value call, the array it was given and
+    the coordinates where that array differs from w, with their values."""
+
+    def __init__(self, task, w):
+        self.task, self.w = task, w.astype(np.float64, copy=True)
+        self.probes, self.moves = [], []
+
+    def gradient(self, w, xi):
+        return self.task.gradient(w, xi)
+
+    def value(self, probe, xi):
+        moved = np.flatnonzero(probe != self.w)
+        self.probes.append(probe)
+        self.moves.append((moved.tolist(), probe[moved].tolist()))
+        return self.task.value(probe, xi)
+
+    def assert_probed(self, h):
+        """Exactly 2*dim value calls on one probe array: call 2i moved
+        coordinate i alone to w[i] + h, call 2i + 1 to w[i] - h, and each
+        coordinate was restored before the next, the last one by the end."""
+        expected = []
+        for i, orig in enumerate(self.w.tolist()):
+            expected += [([i], [orig + h]), ([i], [orig - h])]
+        assert self.moves == expected
+        assert all(p is self.probes[0] for p in self.probes)
+        assert same_bits(self.probes[0], self.w)

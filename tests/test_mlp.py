@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import loop_unit_value_and_gradient, same_bits
+from helpers import ProbeRecordingTask, loop_finite_difference_check, loop_unit_value_and_gradient, same_bits
 from mtlopt import schemes
 from mtlopt.mlp import MLPTopology, init_mlp_params, synthetic_mlp_suite
 from mtlopt.objectives import finite_difference_check, two_task_suite
@@ -309,8 +309,7 @@ def test_forward_trunk_writes_neither_input_nor_parameters():
     w = init_mlp_params(suite, RngStream(3, "init").gen)
     x, _ = suite.sample_minibatch(RngStream(3, "data").gen)
     w_before, x_before = w.copy(), x.copy()
-    trunk, _ = topology.unpack(w)
-    activations = topology.forward_trunk(trunk, x)
+    activations = topology.forward_trunk(w, x)
     assert activations[0] is x and len(activations) == len(SHIPPED_MLP["hidden"]) + 1
     assert not any(np.shares_memory(a, b) for a in activations[1:] for b in (x, w))
     for a, b in zip(activations[1:], activations[2:]):
@@ -320,3 +319,21 @@ def test_forward_trunk_writes_neither_input_nor_parameters():
         topology.heads_value_and_gradient(w, x, [(k, x[:, :1])])
         topology.heads_value(w, x, [(k, x[:, :1])])
     assert same_bits(w, w_before) and same_bits(x, x_before)
+
+
+@pytest.mark.parametrize("k", range(SHIPPED_MLP["n_tasks"]))
+def test_finite_difference_check_keeps_the_bits_and_probes_of_the_loop(k):
+    # each head of the shipped MLP at 3 points: the bits of the numpy-scalar
+    # loop, as a float, from 2*dim value calls on one probe array that moves
+    # one coordinate by +h, then by -h, then restores it
+    suite = synthetic_mlp_suite(**SHIPPED_MLP)
+    gen = RngStream(k, "data").gen
+    base = init_mlp_params(suite, RngStream(k, "init").gen)
+    for _ in range(3):
+        xi = suite.sample_minibatch(gen)
+        w = base + 0.2 * gen.normal(size=suite.dim)
+        task = ProbeRecordingTask(suite.tasks[k], w)
+        got = finite_difference_check(task, w, xi, h=1e-5)
+        assert type(got) is float and got > 0.0
+        assert same_bits(got, loop_finite_difference_check(suite.tasks[k], w, xi, 1e-5))
+        task.assert_probed(1e-5)

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bits, empty_batch, loop_unit_value_and_gradient, noiseless_pair, same_bits
+from helpers import (ProbeRecordingTask, bits, empty_batch, loop_finite_difference_check, loop_unit_value_and_gradient,
+                     noiseless_pair, same_bits)
 from mtlopt.objectives import (
     QuadraticSuite,
     QuadraticTask,
@@ -108,6 +109,24 @@ def test_finite_difference_random_points_quadratic():
             assert finite_difference_check(t, w, xi, h=1e-5) <= 1e-5
 
 
+@pytest.mark.parametrize("factory", [two_task_suite, five_task_suite])
+def test_finite_difference_check_keeps_the_bits_and_probes_of_the_loop(factory):
+    # the shipped presets, every task, at steps small and large: the bits of
+    # the numpy-scalar loop, as a float, from 2*dim value calls on one probe
+    # array that moves one coordinate by +h, then by -h, then restores it
+    suite = factory()
+    gen = RngStream(31, "data").gen
+    for h in (1e-5, 1e-2, 0.37):
+        for _ in range(5):
+            xi = suite.sample_minibatch(gen)
+            w = gen.normal(scale=2.0, size=suite.dim)
+            for t in suite.tasks:
+                task = ProbeRecordingTask(t, w)
+                got = finite_difference_check(task, w, xi, h=h)
+                assert type(got) is float and same_bits(got, loop_finite_difference_check(t, w, xi, h))
+                task.assert_probed(h)
+
+
 def test_finite_difference_zero_function():
     class ZeroTask(QuadraticTask):
         def value(self, w, xi):
@@ -134,6 +153,17 @@ def test_finite_difference_rejects_a_nonpositive_step_and_a_difference_that_over
     # both values are finite, but 1e308 - (-1e308) overflows
     with pytest.raises(FloatingPointError, match="^central difference underflowed or overflowed$"):
         finite_difference_check(t, np.array([0.0]), np.zeros((1, 1)), h=1.0)
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_finite_difference_rejects_a_gradient_of_another_size(size):
+    class MisshapenTask(QuadraticTask):
+        def gradient(self, w, xi):
+            return np.zeros(size)
+
+    t = MisshapenTask(0, [[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
+    with pytest.raises(ValueError):
+        finite_difference_check(t, np.zeros(2), np.zeros((1, 2)), 1e-5)
 
 
 def test_exact_gradient_zero_at_center():
