@@ -59,29 +59,51 @@ class MLPTopology:
         n_trunk = len(self.hidden)
         return parts[:n_trunk], parts[n_trunk:]
 
-    def forward_trunk(self, w: np.ndarray, x: np.ndarray):
+    def forward_trunk(self, w: np.ndarray, x: np.ndarray, memo=None):
         """Activations of every trunk layer, input first, each layer's W and b
         read from the flat parameter vector w through `layout`. Each layer's
-        activation is a new array; neither w nor x is written."""
+        activation is a new array; neither w nor x is written.
+
+        `memo`, a list [keys, activations] that the caller keeps, starting as
+        [[], []], holds the last call made with it: each leading layer whose
+        input and parameters have that call's exact bytes reuses its
+        activation, and the trunk runs from the first layer that differs.
+        Memoised activations are shared between calls, so a caller that
+        passes a memo must not write them.
+        """
+        trunk = self.layout[: len(self.hidden)]
         activations = [x]
-        h = x
-        for w_slice, w_shape, b_slice in self.layout[: len(self.hidden)]:
+        if memo is not None:
+            # bytes, not values: -0.0 == 0.0 and NaN != NaN; with the
+            # dtypes, and x's shape and strides, which pick the matmul kernel
+            keys = [(x.dtype, x.shape, x.strides, w.dtype, x.tobytes())]
+            keys += [w[w_slice.start:b_slice.stop].tobytes() for w_slice, _, b_slice in trunk]
+            same = len(keys)
+            while keys[:same] != memo[0][:same]:
+                same -= 1
+            activations += memo[1][1:same]  # layer i is reused when keys 0 to i + 1 are
+            trunk = trunk[len(activations) - 1:]
+        h = activations[-1]
+        for w_slice, w_shape, b_slice in trunk:
             h = h @ w[w_slice].reshape(w_shape)  # the bits of np.tanh(h @ W + b), without temporaries
             h += w[b_slice]
             np.tanh(h, out=h)
             activations.append(h)
+        if memo is not None:
+            memo[:] = keys, activations
         return activations
 
-    def heads_value(self, w, x, heads):
+    def heads_value(self, w, x, heads, memo=None):
         """The loss of each (k, y) in `heads`, in turn, from one trunk forward:
         the forward half of heads_value_and_gradient, with the same bits.
+        `memo` goes to forward_trunk; no loss writes the activations.
 
         Each loss is the mean squared error of head k on the last activations,
         with the bits of np.mean((h @ W_k + b_k - y) ** 2): np.mean is
         add.reduce over every entry divided by the count, and ** 2 is r * r;
         the division of a Python float rounds as np.float64's does.
         """
-        h = self.forward_trunk(w, x)[-1]
+        h = self.forward_trunk(w, x, memo)[-1]
         n_trunk = len(self.hidden)
         losses = []
         for k, y in heads:
@@ -159,15 +181,22 @@ class _SinusoidTarget:
 
 
 class MLPTask:
-    """One task's value and gradient, for finite_difference_check."""
+    """One task's value and gradient, for finite_difference_check.
+
+    `value` keeps its last call's trunk in a memo of its own, so a call
+    recomputes only the layers from the first one whose input or parameters
+    changed: a probe that moves a head coordinate reruns no trunk layer. The
+    memo never reaches `gradient`, whose kernel writes its activations.
+    """
 
     def __init__(self, index: int, topology: MLPTopology):
         self.index = index
         self.topology = topology
+        self._memo = [[], []]
 
     def value(self, w, xi) -> float:
         x, targets = xi
-        return self.topology.heads_value(w, x, ((self.index, targets[self.index]),))[0]
+        return self.topology.heads_value(w, x, ((self.index, targets[self.index]),), self._memo)[0]
 
     def gradient(self, w, xi) -> np.ndarray:
         x, targets = xi

@@ -251,8 +251,10 @@ def finite_difference_check(task, w: np.ndarray, xi, h: float = 1e-5) -> float:
     |analytic - fd| / max(1, |analytic|), worked on Python floats, which give
     the bits of the same arithmetic on numpy scalars.
     """
-    if h <= 0:
+    if not h > 0:  # NaN included
         raise ValueError("h must be positive")
+    if h == math.inf:
+        raise ValueError("h must be finite")
     analytic = task.gradient(w, xi).tolist()
     probe = w.astype(np.float64, copy=True)
     two_h = 2.0 * h

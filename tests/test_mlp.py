@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import ProbeRecordingTask, loop_finite_difference_check, loop_unit_value_and_gradient, same_bits
+from helpers import ProbeRecordingTask, bits, loop_finite_difference_check, loop_unit_value_and_gradient, same_bits
 from mtlopt import schemes
-from mtlopt.mlp import MLPTopology, init_mlp_params, synthetic_mlp_suite
+from mtlopt.mlp import MLPTask, MLPTopology, init_mlp_params, synthetic_mlp_suite
 from mtlopt.objectives import finite_difference_check, two_task_suite
 from mtlopt.optimizers import OptimizerRule
 from mtlopt.params import RngStream
@@ -294,9 +294,9 @@ def test_one_trunk_forward_per_unit(monkeypatch, scheme, n_groups, forwards):
     calls = []
     forward = MLPTopology.forward_trunk
 
-    def counted(self, trunk, x):
-        calls.append(x)
-        return forward(self, trunk, x)
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return forward(self, *args, **kwargs)
 
     monkeypatch.setattr(MLPTopology, "forward_trunk", counted)
     rows = schemes.step(w, suite, units, config.optimizer, states, 0.01, xi, range(len(units)))
@@ -321,6 +321,20 @@ def test_forward_trunk_writes_neither_input_nor_parameters():
     assert same_bits(w, w_before) and same_bits(x, x_before)
 
 
+class _FreshTask:
+    """Task k's oracles from a new MLPTask for every call, so a reference
+    that shares no value memo with the task under test."""
+
+    def __init__(self, k, topology):
+        self.k, self.topology = k, topology
+
+    def value(self, w, xi):
+        return MLPTask(self.k, self.topology).value(w, xi)
+
+    def gradient(self, w, xi):
+        return MLPTask(self.k, self.topology).gradient(w, xi)
+
+
 @pytest.mark.parametrize("k", range(SHIPPED_MLP["n_tasks"]))
 def test_finite_difference_check_keeps_the_bits_and_probes_of_the_loop(k):
     # each head of the shipped MLP at 3 points: the bits of the numpy-scalar
@@ -335,5 +349,102 @@ def test_finite_difference_check_keeps_the_bits_and_probes_of_the_loop(k):
         task = ProbeRecordingTask(suite.tasks[k], w)
         got = finite_difference_check(task, w, xi, h=1e-5)
         assert type(got) is float and got > 0.0
-        assert same_bits(got, loop_finite_difference_check(suite.tasks[k], w, xi, 1e-5))
+        assert same_bits(got, loop_finite_difference_check(_FreshTask(k, suite.topology), w, xi, 1e-5))
         task.assert_probed(1e-5)
+
+
+# ------------------------------------------------- the value memo, bit for bit
+# MLPTask.value reuses each leading trunk layer whose input and parameters
+# have its last call's exact bytes; every value must keep the bits of the
+# memo-free reference.
+
+
+def _point(shape, seed):
+    suite = synthetic_mlp_suite(**shape, batch_size=7, val_size=7)
+    w = init_mlp_params(suite, RngStream(seed, "init").gen)
+    w += 0.2 * RngStream(seed, "perturb").gen.normal(size=suite.dim)
+    return suite, w, suite.sample_minibatch(RngStream(seed, "data").gen)
+
+
+def _assert_reference_value(task, w, xi):
+    x, targets = xi
+    expected = _reference_value(task.topology, w, task.index, x, targets[task.index])
+    assert bits(task.value(w, xi)) == bits(expected)
+
+
+@pytest.mark.parametrize("shape", [SHIPPED_MLP, SHAPES[2]])
+def test_value_memo_keeps_the_bits_of_every_probe_of_a_point(shape):
+    # the probe sequence of finite_difference_check, one probe array moved in
+    # place: first-layer probes rerun the trunk, later ones reuse its start
+    suite, w, xi = _point(shape, 3)
+    for task in suite.tasks:
+        probe = w.copy()
+        for i, orig in enumerate(w.tolist()):
+            for moved in (orig + 1e-5, orig - 1e-5):
+                probe[i] = moved
+                _assert_reference_value(task, probe, xi)
+            probe[i] = orig
+
+
+def test_value_memo_sees_an_input_rewritten_in_place():
+    suite, w, (x, targets) = _point(SHIPPED_MLP, 4)
+    task = suite.tasks[1]
+    _assert_reference_value(task, w, (x, targets))
+    x[...] = RngStream(5, "data").gen.uniform(-1.0, 1.0, size=x.shape)
+    _assert_reference_value(task, w, (x, targets))
+
+
+def test_value_memo_sees_the_same_bytes_in_another_shape_or_dtype():
+    suite, w, (x, targets) = _point(SHIPPED_MLP, 4)
+    task = suite.tasks[2]
+    _assert_reference_value(task, w, (x, targets))
+    with pytest.raises(ValueError):  # the memo-free forward raises on it
+        task.value(w, (x.reshape(-1, 1), targets))
+    _assert_reference_value(task, w, (x, targets))
+    _assert_reference_value(task, w, (x.view(np.int64), targets))
+    _assert_reference_value(task, w.view(np.int64), (x, targets))
+    _assert_reference_value(task, w, (np.asfortranarray(x), targets))
+
+
+def test_forward_memo_reuses_exact_bytes_only():
+    # a zero's sign and a NaN's bits: == says -0.0 equals 0.0 and NaN differs
+    # from itself, so the memo must compare bytes; a reused layer is the same
+    # array as the last call's
+    suite, w, (x, _) = _point(SHIPPED_MLP, 6)
+    topology = suite.topology
+    w[5] = 0.0
+    memo = [[], []]
+    last = topology.forward_trunk(w, x, memo)
+    for coordinate, value, reused in [(5, -0.0, 0), (5, -0.0, 2), (5, 0.0, 0), (100, np.nan, 1),
+                                      (100, np.nan, 2), (0, np.nan, 0), (0, np.nan, 2)]:
+        w[coordinate] = value
+        got = topology.forward_trunk(w, x, memo)
+        assert [a is b for a, b in zip(got[1:], last[1:])] == [i < reused for i in range(2)]
+        assert all(same_bits(a, b, equal_nan=True) for a, b in zip(got, topology.forward_trunk(w, x)))
+        last = got
+
+
+def test_value_memo_keeps_the_bits_of_nan_parameters():
+    suite, w, xi = _point(SHIPPED_MLP, 7)
+    task = suite.tasks[0]
+    for i in (3, 500, suite.topology.head_slice(0).start):  # each layer in turn
+        w[i] = np.nan
+        _assert_reference_value(task, w, xi)
+        _assert_reference_value(task, w, xi)
+
+
+def test_value_memo_survives_a_gradient_call():
+    # the gradient kernel squares its activations in place: they must never be
+    # the memo's
+    suite, w, (x, targets) = _point(SHIPPED_MLP, 8)
+    task = suite.tasks[3]
+    _assert_reference_value(task, w, (x, targets))
+    assert same_bits(task.gradient(w, (x, targets)), _reference_gradient(suite.topology, w, 3, x, targets[3]))
+    _assert_reference_value(task, w, (x, targets))
+
+
+def test_tasks_of_one_suite_keep_their_own_memo():
+    suite, w, xi = _point(SHIPPED_MLP, 9)
+    _, v, zeta = _point(SHIPPED_MLP, 10)
+    for task, point, batch in [(0, w, xi), (1, v, zeta), (0, w, xi), (1, w, zeta), (0, v, xi), (1, v, zeta)]:
+        _assert_reference_value(suite.tasks[task], point, batch)

@@ -166,6 +166,19 @@ def test_finite_difference_rejects_a_gradient_of_another_size(size):
         finite_difference_check(t, np.zeros(2), np.zeros((1, 2)), 1e-5)
 
 
+@pytest.mark.parametrize("h, message", [(math.nan, "positive"), (-math.nan, "positive"), (0.0, "positive"),
+                                        (-1.0, "positive"), (-math.inf, "positive"), (math.inf, "finite")])
+def test_finite_difference_rejects_a_step_that_is_not_positive_and_finite_before_any_probe(h, message):
+    # NaN passes a test of h <= 0, and h = inf gave a warning and a misleading
+    # FloatingPointError
+    suite = five_task_suite()
+    w = RngStream(3, "init").gen.normal(size=suite.dim)
+    task = ProbeRecordingTask(suite.tasks[1], w)
+    with pytest.raises(ValueError, match=f"^h must be {message}$"):
+        finite_difference_check(task, w, suite.sample_minibatch(RngStream(3, "data").gen), h)
+    assert task.probes == []
+
+
 def test_exact_gradient_zero_at_center():
     t = QuadraticTask(0, [[4.0, 1.0], [1.0, 3.0]], [2.0, -1.0])
     zero_noise = np.zeros((1, 2))
