@@ -30,15 +30,22 @@ from .schemes import (
     theorem_schedule,
 )
 from .tracing import RunTrace, covered_distances
-from .verify import (
-    BoundInputs,
-    estimate_grad_bound,
-    fit_rate,
-    theorem_bound,
-    verify_lemma1,
-    verify_lemma2,
-    verify_lemmas,
-    verify_theorem,
-)
+
+# loaded on first use, so that `run` and `sweep` never import the verifier
+_VERIFY_NAMES = {"BoundInputs", "estimate_grad_bound", "fit_rate", "theorem_bound", "verify_lemma1",
+                 "verify_lemma2", "verify_lemmas", "verify_theorem"}
+
+
+def __getattr__(name):
+    if name in _VERIFY_NAMES:
+        from . import verify
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _VERIFY_NAMES)
+
 
 __version__ = "0.1.0"
+__all__ = sorted(name for name in globals() if not name.startswith("_")) + sorted(_VERIFY_NAMES)

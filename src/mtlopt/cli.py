@@ -6,17 +6,15 @@ failure beyond statistical slack, 4 a sweep cell raised an error.
 """
 
 import argparse
-import csv
 import functools
 import os
 import sys
-import traceback
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import schemes, verify as verify_mod
+from . import schemes
 from .config import ConfigError, RunConfig, load_config
 from .objectives import QuadraticSuite, suite_constants
 from .tracing import config_comment, covered_distances, write_json, write_trace_csv, write_trace_meta
@@ -109,6 +107,7 @@ def _cell_rows(cfg: RunConfig, cells, results):
         try:
             row = next(results)
         except Exception as exc:
+            import traceback  # here, not at the top: only a failed cell prints one
             traceback.print_exc()
             # A dead worker's BrokenProcessPool fails every pending cell, whichever
             # one it ran. Its base BrokenExecutor is tested: the sequential path
@@ -127,6 +126,8 @@ def _cell_rows(cfg: RunConfig, cells, results):
 def _write_sweep_csv(path: Path, header_meta: dict, rows) -> list:
     """Write `rows` under the config header, flushing each one as it arrives so
     that partial results survive an interruption; returns the rows written."""
+    import csv  # here, not at the top: only a sweep writes through it
+
     written = []
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write(config_comment(header_meta))
@@ -220,6 +221,8 @@ def cmd_sweep(cfg: RunConfig, etas, out_dir: Path, seed_offset: int = 0, workers
 
 
 def cmd_verify(cfg: RunConfig, out_dir: Path, seed_offset: int = 0) -> int:
+    from . import verify  # here, not at the top: 4-6 ms of the other commands' start-up
+
     if not isinstance(cfg.suite, QuadraticSuite):
         raise ConfigError("config.objective.family: verification requires the quadratic family")
     seed = cfg.run_seeds(seed_offset)[0]
@@ -233,9 +236,9 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, seed_offset: int = 0) -> int:
                 suite_constants(cfg.suite)
             except ValueError as exc:
                 raise ConfigError(f"config.objective.tasks: {exc}") from exc
-            theorem = verify_mod.verify_theorem(cfg.suite, v["T_list"], v["replicates"], seed, w0)
+            theorem = verify.verify_theorem(cfg.suite, v["T_list"], v["replicates"], seed, w0)
             check = "per-step inequalities"
-            lemma1, lemma2 = verify_mod.verify_lemmas(cfg.suite, v["lemma_steps"], v["lemma_replicates"], seed, w0)
+            lemma1, lemma2 = verify.verify_lemmas(cfg.suite, v["lemma_steps"], v["lemma_replicates"], seed, w0)
     except ArithmeticError as exc:  # overflow, or a division by a square that underflowed
         print(f"numerical abort in the {check} check: {exc}", file=sys.stderr)
         return 2
@@ -250,7 +253,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, seed_offset: int = 0) -> int:
         rate_pass = True
         rate_note = "exact convergence (all gap estimates are zero)"
     else:
-        slope = verify_mod.fit_rate(theorem)
+        slope = verify.fit_rate(theorem)
         if stochastic:
             rate_pass = lo <= slope <= hi
             rate_note = f"slope {slope:.4f} in [{lo}, {hi}]"

@@ -59,60 +59,24 @@ class MLPTopology:
         n_trunk = len(self.hidden)
         return parts[:n_trunk], parts[n_trunk:]
 
-    def forward_trunk(self, w: np.ndarray, x: np.ndarray, memo=None):
+    def forward_trunk(self, w: np.ndarray, x: np.ndarray):
         """Activations of every trunk layer, input first, each layer's W and b
         read from the flat parameter vector w through `layout`. Each layer's
-        activation is a new array; neither w nor x is written.
-
-        `memo`, a list [keys, activations] that the caller keeps, starting as
-        [[], []], holds the last call made with it: each leading layer whose
-        input and parameters have that call's exact bytes reuses its
-        activation, and the trunk runs from the first layer that differs.
-        Memoised activations are shared between calls, so a caller that
-        passes a memo must not write them.
-        """
-        trunk = self.layout[: len(self.hidden)]
+        activation is a new array; neither w nor x is written."""
         activations = [x]
-        if memo is not None:
-            # bytes, not values: -0.0 == 0.0 and NaN != NaN; with the
-            # dtypes, and x's shape and strides, which pick the matmul kernel
-            keys = [(x.dtype, x.shape, x.strides, w.dtype, x.tobytes())]
-            keys += [w[w_slice.start:b_slice.stop].tobytes() for w_slice, _, b_slice in trunk]
-            same = len(keys)
-            while keys[:same] != memo[0][:same]:
-                same -= 1
-            activations += memo[1][1:same]  # layer i is reused when keys 0 to i + 1 are
-            trunk = trunk[len(activations) - 1:]
-        h = activations[-1]
-        for w_slice, w_shape, b_slice in trunk:
-            h = h @ w[w_slice].reshape(w_shape)  # the bits of np.tanh(h @ W + b), without temporaries
-            h += w[b_slice]
-            np.tanh(h, out=h)
-            activations.append(h)
-        if memo is not None:
-            memo[:] = keys, activations
+        for w_slice, w_shape, b_slice in self.layout[: len(self.hidden)]:
+            activations.append(_layer(activations[-1], w[w_slice].reshape(w_shape), w[b_slice]))
         return activations
 
-    def heads_value(self, w, x, heads, memo=None):
+    def heads_value(self, w, x, heads):
         """The loss of each (k, y) in `heads`, in turn, from one trunk forward:
-        the forward half of heads_value_and_gradient, with the same bits.
-        `memo` goes to forward_trunk; no loss writes the activations.
-
-        Each loss is the mean squared error of head k on the last activations,
-        with the bits of np.mean((h @ W_k + b_k - y) ** 2): np.mean is
-        add.reduce over every entry divided by the count, and ** 2 is r * r;
-        the division of a Python float rounds as np.float64's does.
-        """
-        h = self.forward_trunk(w, x, memo)[-1]
-        n_trunk = len(self.hidden)
+        the forward half of heads_value_and_gradient, with the same bits."""
+        h = self.forward_trunk(w, x)[-1]
+        layout = self.layout[len(self.hidden):]
         losses = []
         for k, y in heads:
-            w_slice, w_shape, b_slice = self.layout[n_trunk + k]
-            r = h @ w[w_slice].reshape(w_shape)
-            r += w[b_slice]
-            r -= y
-            r *= r
-            losses.append(float(np.add.reduce(r, axis=None)) / r.size)
+            w_slice, w_shape, b_slice = layout[k]
+            losses.append(_head_loss(h, w[w_slice].reshape(w_shape), w[b_slice], y))
         return losses
 
     def heads_value_and_gradient(self, w, x, heads):
@@ -135,7 +99,7 @@ class MLPTopology:
             d_pred = h_last @ w_head  # the residual h_last @ w_head + b_head - y
             d_pred += b_head
             d_pred -= y
-            losses.append(float(np.add.reduce(d_pred * d_pred, axis=None)) / d_pred.size)  # as heads_value
+            losses.append(float(np.add.reduce(d_pred * d_pred, axis=None)) / d_pred.size)  # as _head_loss
             d_pred *= 2.0  # the bits of 2.0 * residual / n
             d_pred /= y.shape[0]
             np.matmul(h_last.T, d_pred, out=g_w_head)
@@ -167,6 +131,26 @@ def _view(w, entry):
     return w[w_slice].reshape(w_shape), w[b_slice]
 
 
+def _layer(h, w_mat, b):
+    """A trunk layer's activation, a new array with the bits of
+    np.tanh(h @ W + b), without temporaries."""
+    h = h @ w_mat
+    h += b
+    return np.tanh(h, out=h)
+
+
+def _head_loss(h, w_head, b_head, y):
+    """A head's mean squared error on the last activations h, with the bits of
+    np.mean((h @ W + b - y) ** 2): np.mean is add.reduce over every entry
+    divided by the count, and ** 2 is r * r; the division of a Python float
+    rounds as np.float64's does."""
+    r = h @ w_head
+    r += b_head
+    r -= y
+    r *= r
+    return float(np.add.reduce(r, axis=None)) / r.size
+
+
 class _SinusoidTarget:
     """Smooth random function: amplitude-weighted mixture of sinusoids."""
 
@@ -183,20 +167,59 @@ class _SinusoidTarget:
 class MLPTask:
     """One task's value and gradient, for finite_difference_check.
 
-    `value` keeps its last call's trunk in a memo of its own, so a call
-    recomputes only the layers from the first one whose input or parameters
-    changed: a probe that moves a head coordinate reruns no trunk layer. The
-    memo never reaches `gradient`, whose kernel writes its activations.
+    `value` keeps a memo of its last call, so a call recomputes only the trunk
+    layers from the first one whose input or parameters changed: a probe that
+    moves a head coordinate reruns no trunk layer. The memo compares exact
+    bytes (x's, with its dtype, shape and strides, then each trunk layer's W
+    and b as one run of w), never values: -0.0 == 0.0 and NaN != NaN. It reads
+    w through views bound on the first call with that array, and bound again,
+    dropping the memo, only for another array or a dtype or shape set in
+    place, since the probe loop moves one array in place. The memo never
+    reaches `gradient`, whose kernel writes its activations, and a pickled
+    task carries none of it.
     """
 
     def __init__(self, index: int, topology: MLPTopology):
         self.index = index
         self.topology = topology
-        self._memo = [[], []]
+        self._w = None
+
+    def __reduce__(self):
+        return MLPTask, (self.index, self.topology)
+
+    def _bind(self, w):
+        """Views of w: each trunk layer's run, W and b, then this head's W and b."""
+        layout = self.topology.layout
+        n_trunk = len(self.topology.hidden)
+        layers = [(w[entry[0].start:entry[2].stop], *_view(w, entry))  # W and b are one run of w
+                  for entry in layout[:n_trunk]]
+        self._layers, self._head = layers, _view(w, layout[n_trunk + self.index])
+        self._keys = [None] * (n_trunk + 1)  # x's, then each layer's run's
+        self._activations = [None] * n_trunk
+        self._w, self._dtype, self._shape = w, w.dtype, w.shape
 
     def value(self, w, xi) -> float:
         x, targets = xi
-        return self.topology.heads_value(w, x, ((self.index, targets[self.index]),), self._memo)[0]
+        if w is not self._w or w.dtype is not self._dtype or w.shape != self._shape:  # either may be set in place
+            self._bind(w)
+        keys, activations = self._keys, self._activations
+        key = (x.dtype, x.shape, x.strides, x.tobytes())
+        same = key == keys[0]
+        keys[0] = key
+        h = x
+        try:
+            for i, (run, w_mat, b) in enumerate(self._layers):
+                key = run.tobytes()
+                if same and key == keys[i + 1]:  # the input and every layer so far unchanged
+                    h = activations[i]
+                else:
+                    same = False
+                    keys[i + 1] = key
+                    h = activations[i] = _layer(h, w_mat, b)
+        except BaseException:
+            self._w = None  # a layer that raised leaves its key without its activation
+            raise
+        return _head_loss(h, *self._head, targets[self.index])
 
     def gradient(self, w, xi) -> np.ndarray:
         x, targets = xi

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from helpers import load_strict_json, read_csv_body
-from mtlopt import cli
+import mtlopt
+from mtlopt import cli, verify
 from mtlopt.cli import main
 from mtlopt.config import ConfigError, RunConfig
 
@@ -262,8 +263,31 @@ def test_verify_overflow_is_a_numerical_abort(tmp_path, capsys):
     out = tmp_path / "v"
     assert main(["verify", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("numerical abort in the convergence bound check: overflow") and err.count("\n") == 1
+    assert err == "numerical abort in the convergence bound check: overflow encountered in matmul\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma", [1e308, 5e307])
+def test_verify_noise_overflow_aborts_with_one_message(tmp_path, capsys, sigma):
+    # the twin of CI's shell check: such a noise overflows a squared gradient
+    # norm at the bound's first step, so the blocked pass replays step by step.
+    # The noise draw scales by twice the half-width h where 2h is finite: 1e308
+    # (h = 1.73e308 > DBL_MAX/2) takes the fallback that doubles the draw
+    # instead, and 5e307 (h = 8.66e307 < DBL_MAX/2) the main branch
+    tasks = [{"matrix": [[1.0]], "center": [c], "noise_sigma": sigma} for c in (0.0, 1.0)]
+    payload = {
+        "objective": {"family": "quadratic", "tasks": tasks},
+        "seeds": [0],
+        "verify": {"T_list": [1, 10, 100], "replicates": 2, "lemma_steps": 3, "lemma_replicates": 2},
+    }
+    cfg = write_config(tmp_path, payload)
+    errs = []
+    for run in "ab":
+        out = tmp_path / run
+        assert main(["verify", cfg, "--out", str(out)]) == 2
+        errs.append(capsys.readouterr().err)
+        assert not out.exists()
+    assert errs[0] == errs[1] == "numerical abort in the convergence bound check: overflow encountered in matmul\n"
 
 
 @pytest.mark.parametrize("w0, bound", [(1e154, "bound"), (7e153, "max-form bound")])
@@ -289,7 +313,7 @@ def test_verify_bound_overflow_is_a_numerical_abort(tmp_path, capsys, w0, bound)
 def test_verify_exits_3_when_exactly_one_verdict_fails(tmp_path, monkeypatch, verdict):
     # small_verify_config passes all four verdicts; each one failing alone
     # must fail the whole check
-    real_theorem, real_lemmas = cli.verify_mod.verify_theorem, cli.verify_mod.verify_lemmas
+    real_theorem, real_lemmas = verify.verify_theorem, verify.verify_lemmas
 
     def failing_lemmas(*args):
         reports = dict(zip(("lemma1", "lemma2"), real_lemmas(*args)))
@@ -297,11 +321,11 @@ def test_verify_exits_3_when_exactly_one_verdict_fails(tmp_path, monkeypatch, ve
         return reports["lemma1"], reports["lemma2"]
 
     if verdict == "theorem":
-        monkeypatch.setattr(cli.verify_mod, "verify_theorem", lambda *args: {**real_theorem(*args), "all_pass": False})
+        monkeypatch.setattr(verify, "verify_theorem", lambda *args: {**real_theorem(*args), "all_pass": False})
     elif verdict == "rate":
-        monkeypatch.setattr(cli.verify_mod, "fit_rate", lambda report: cli.RATE_SLOPE_RANGE[1] + 0.1)
+        monkeypatch.setattr(verify, "fit_rate", lambda report: cli.RATE_SLOPE_RANGE[1] + 0.1)
     else:
-        monkeypatch.setattr(cli.verify_mod, "verify_lemmas", failing_lemmas)
+        monkeypatch.setattr(verify, "verify_lemmas", failing_lemmas)
     out = tmp_path / "v"
     assert main(["verify", write_config(tmp_path, small_verify_config()), "--out", str(out)]) == 3
     report = json.loads((out / "verification.json").read_text())
@@ -314,7 +338,7 @@ def test_the_rate_gate_holds_both_ends_of_its_range(tmp_path, monkeypatch, end):
     # a slope exactly at lo or hi passes; one ulp outside fails
     edge = cli.RATE_SLOPE_RANGE[end]
     for slope, code in ((edge, 0), (np.nextafter(edge, (-np.inf, np.inf)[end]), 3)):
-        monkeypatch.setattr(cli.verify_mod, "fit_rate", lambda report: float(slope))
+        monkeypatch.setattr(verify, "fit_rate", lambda report: float(slope))
         out = tmp_path / f"v{code}"
         assert main(["verify", write_config(tmp_path, small_verify_config()), "--out", str(out)]) == code
         report = json.loads((out / "verification.json").read_text())
@@ -532,13 +556,39 @@ sys.exit(cli.main(["sweep", sys.argv[1], "--etas", "0.05", "--out", sys.argv[2],
 """
 
 
-def test_importing_the_cli_loads_no_concurrent_futures():
-    # only a sweep with more than one worker needs a process pool
+def test_importing_the_cli_loads_no_concurrent_futures(tmp_path):
+    # only a sweep with more than one worker needs a process pool, only a
+    # failed sweep cell prints a traceback, only a sweep writes through csv and
+    # only `verify` runs the verifier: importing the CLI and a `run` load none
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    code = "import sys, mtlopt.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    code = ("import sys, mtlopt.cli\n"
+            "loaded = lambda: sorted(m for m in sys.modules\n"
+            "                        if m.split('.')[0] in ('concurrent', 'csv', 'traceback') or m == 'mtlopt.verify')\n"
+            "print(loaded())\n"
+            "mtlopt.cli.main(['run', sys.argv[1], '--out', sys.argv[2]])\n"
+            "print(loaded())\n")
+    cfg = write_config(tmp_path, minimal_run_config())
+    proc = subprocess.run([sys.executable, "-c", code, cfg, str(tmp_path / "o")], capture_output=True, text=True,
+                          env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    lines = proc.stdout.splitlines()
+    assert lines[0] == lines[-1] == "[]" and len(lines) == 3
+
+
+_VERIFY_NAMES = {"BoundInputs", "estimate_grad_bound", "fit_rate", "theorem_bound", "verify_lemma1", "verify_lemma2",
+                 "verify_lemmas", "verify_theorem"}
+
+
+def test_the_package_exports_the_verify_names_it_loads_lazily():
+    # `from mtlopt import *`, attribute access and dir() see them as before
+    namespace = {}
+    exec("from mtlopt import *", namespace)
+    for name in _VERIFY_NAMES:
+        assert namespace[name] is getattr(mtlopt, name) is getattr(verify, name)
+    assert namespace["run"] is mtlopt.run and namespace["RunTrace"] is mtlopt.RunTrace
+    assert _VERIFY_NAMES <= set(dir(mtlopt))
+    with pytest.raises(AttributeError):
+        mtlopt.no_such_name
 
 
 def test_sequential_sweep_failure_exits_4_in_a_fresh_interpreter(tmp_path):

@@ -1,10 +1,11 @@
 import itertools
+import pickle
 
 import numpy as np
 import pytest
 
 from helpers import ProbeRecordingTask, bits, loop_finite_difference_check, loop_unit_value_and_gradient, same_bits
-from mtlopt import schemes
+from mtlopt import mlp, schemes
 from mtlopt.mlp import MLPTask, MLPTopology, init_mlp_params, synthetic_mlp_suite
 from mtlopt.objectives import finite_difference_check, two_task_suite
 from mtlopt.optimizers import OptimizerRule
@@ -355,8 +356,8 @@ def test_finite_difference_check_keeps_the_bits_and_probes_of_the_loop(k):
 
 # ------------------------------------------------- the value memo, bit for bit
 # MLPTask.value reuses each leading trunk layer whose input and parameters
-# have its last call's exact bytes; every value must keep the bits of the
-# memo-free reference.
+# have its last call's exact bytes, read through views it binds once per
+# array; every value must keep the bits of the memo-free reference.
 
 
 def _point(shape, seed):
@@ -398,30 +399,80 @@ def test_value_memo_sees_the_same_bytes_in_another_shape_or_dtype():
     suite, w, (x, targets) = _point(SHIPPED_MLP, 4)
     task = suite.tasks[2]
     _assert_reference_value(task, w, (x, targets))
-    with pytest.raises(ValueError):  # the memo-free forward raises on it
-        task.value(w, (x.reshape(-1, 1), targets))
+    for _ in range(2):  # the memo-free forward raises on it, each time
+        with pytest.raises(ValueError):
+            task.value(w, (x.reshape(-1, 1), targets))
     _assert_reference_value(task, w, (x, targets))
     _assert_reference_value(task, w, (x.view(np.int64), targets))
     _assert_reference_value(task, w.view(np.int64), (x, targets))
     _assert_reference_value(task, w, (np.asfortranarray(x), targets))
+    w.dtype = np.int64  # in place: the same array, read otherwise
+    _assert_reference_value(task, w, (x, targets))
+    w.dtype = np.float64
+    w.shape = (2, -1)
+    for _ in range(2):  # the memo-free forward raises on it, each time
+        with pytest.raises(ValueError):
+            task.value(w, (x, targets))
 
 
-def test_forward_memo_reuses_exact_bytes_only():
+def test_value_memo_reuses_exact_bytes_only(monkeypatch):
     # a zero's sign and a NaN's bits: == says -0.0 equals 0.0 and NaN differs
-    # from itself, so the memo must compare bytes; a reused layer is the same
-    # array as the last call's
-    suite, w, (x, _) = _point(SHIPPED_MLP, 6)
-    topology = suite.topology
+    # from itself, so the memo must compare bytes; a reused layer's activation
+    # is the same array as the last call's
+    suite, w, xi = _point(SHIPPED_MLP, 6)
+    task = suite.tasks[1]
+    layer, calls = mlp._layer, []
+
+    def recorded(h, w_mat, b):
+        calls.append((h, layer(h, w_mat, b)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(mlp, "_layer", recorded)
     w[5] = 0.0
-    memo = [[], []]
-    last = topology.forward_trunk(w, x, memo)
+    _assert_reference_value(task, w, xi)
+    last = [a for _, a in calls]
     for coordinate, value, reused in [(5, -0.0, 0), (5, -0.0, 2), (5, 0.0, 0), (100, np.nan, 1),
                                       (100, np.nan, 2), (0, np.nan, 0), (0, np.nan, 2)]:
         w[coordinate] = value
-        got = topology.forward_trunk(w, x, memo)
-        assert [a is b for a, b in zip(got[1:], last[1:])] == [i < reused for i in range(2)]
-        assert all(same_bits(a, b, equal_nan=True) for a, b in zip(got, topology.forward_trunk(w, x)))
-        last = got
+        calls.clear()
+        _assert_reference_value(task, w, xi)
+        assert len(calls) == 2 - reused
+        if 0 < reused < 2:
+            assert calls[0][0] is last[reused - 1]
+        last = last[:reused] + [a for _, a in calls]
+
+
+def test_value_binds_each_array_it_is_given():
+    # views bound to one array read its in-place moves; another array, the
+    # first one again, an equal-bytes copy and the rows of one stack (a freed
+    # row's id may come back for the next) each get views of their own
+    suite, w, xi = _point(SHIPPED_MLP, 11)
+    _, v, _ = _point(SHIPPED_MLP, 12)
+    task = suite.tasks[2]
+    moved = [7, 500, suite.topology.head_slice(2).start]  # a first-layer, a second-layer and a head coordinate
+    for point in (w, v, w, None):
+        point = w.copy() if point is None else point
+        _assert_reference_value(task, point, xi)
+        point[moved] += 0.5
+        _assert_reference_value(task, point, xi)
+    stack = np.stack([w, v, w + 0.25])
+    for row in (0, 1, 2, 1, 0):
+        _assert_reference_value(task, stack[row], xi)
+
+
+def test_a_pickled_suite_carries_no_memo():
+    # a sweep's pool workers get the loaded RunConfig, with its suite, pickled:
+    # a used task pickles as a new one, and its copy reads its own arrays
+    suite, w, xi = _point(SHIPPED_MLP, 13)
+    fresh = pickle.dumps(suite)
+    for task in suite.tasks:
+        _assert_reference_value(task, w, xi)
+    assert pickle.dumps(suite) == fresh
+    copy = pickle.loads(pickle.dumps(suite))
+    for task in copy.tasks:
+        _assert_reference_value(task, w, xi)
+        w[[3, 400]] += 0.5
+        _assert_reference_value(task, w, xi)
 
 
 def test_value_memo_keeps_the_bits_of_nan_parameters():
