@@ -23,12 +23,14 @@ class MLPTopology:
 
     `layout` is computed once, at construction: one (W slice, W shape,
     b slice) entry per layer, trunk layers in order, then one per head.
+    `trunk_size`, the number of trunk parameters, is where the heads start.
     """
 
     input_dim: int
     hidden: tuple
     n_tasks: int
     layout: tuple = field(init=False, repr=False, compare=False)
+    trunk_size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         widths = (self.input_dim, *self.hidden)
@@ -40,10 +42,7 @@ class MLPTopology:
             layout.append((slice(offset, w_stop), w_shape, slice(w_stop, b_stop)))
             offset = b_stop
         object.__setattr__(self, "layout", tuple(layout))
-
-    @property
-    def trunk_size(self) -> int:
-        return self.head_slice(0).start
+        object.__setattr__(self, "trunk_size", layout[len(self.hidden)][0].start)
 
     @property
     def dim(self) -> int:
@@ -81,49 +80,109 @@ class MLPTopology:
 
     def heads_value_and_gradient(self, w, x, heads):
         """The loss of each (k, y) in `heads`, in turn, and the sum of their
-        gradients, from one trunk forward shared by the heads' distinct tasks.
+        gradients, from one trunk forward and one backward shared by the
+        heads' distinct tasks.
 
-        Each head backpropagates on its own, layer by layer, with the bits of
-        a backward of its own: the first head writes each trunk block of the
-        gradient through out=, and each later head adds its term in turn.
+        Several heads run the backward once, over (H, batch, width) stacks
+        with one slice per head in the order of `heads`. Each slice of a
+        stacked product makes the BLAS call of one head's own product, on
+        operands that start on the same 16-byte boundary, so each head's
+        terms have the bits of a backward of its own. Each trunk block of the
+        gradient is the first head's term plus each later head's in turn,
+        from one reduction over the head axis. One head keeps no head axis:
+        its 2-D arrays take its terms straight into the gradient, and its
+        head block reads its own views of w, which measured 2-3 µs faster
+        than the stack's indexing on the shipped MLP's 42 µs call.
         """
-        n_trunk = len(self.hidden)
         activations = self.forward_trunk(w, x)
         h_last = activations[-1]
-
+        trunk = self.trunk_size
         grad = np.zeros(w.shape)
-        losses, d_hs = [], []
-        for k, y in heads:
-            w_head, b_head = _view(w, self.layout[n_trunk + k])
-            g_w_head, g_b_head = _view(grad, self.layout[n_trunk + k])
-            d_pred = h_last @ w_head  # the residual h_last @ w_head + b_head - y
-            d_pred += b_head
-            d_pred -= y
-            losses.append(float(np.add.reduce(d_pred * d_pred, axis=None)) / d_pred.size)  # as _head_loss
-            d_pred *= 2.0  # the bits of 2.0 * residual / n
-            d_pred /= y.shape[0]
-            np.matmul(h_last.T, d_pred, out=g_w_head)
-            d_pred.sum(axis=0, out=g_b_head)
-            d_hs.append(d_pred @ w_head.T)
-        for i in reversed(range(n_trunk)):
+        if len(heads) == 1:
+            ((k, y),) = heads
+            w_slice, w_shape, b_slice = self.layout[len(self.hidden) + k]
+            w_heads = w[w_slice].reshape(w_shape)
+            r = h_last @ w_heads  # the residual h_last @ W + b - y
+            r += w[b_slice]
+            r -= y
+            losses = [float(np.add.reduce(r * r, axis=None)) / r.size]  # as _head_loss
+            r *= 2.0  # the bits of 2.0 * residual / n
+            r /= y.shape[0]
+            np.matmul(h_last.T, r, out=grad[w_slice].reshape(w_shape))
+            np.add.reduce(r, axis=0, out=grad[b_slice])
+            terms, pad = grad[:trunk], False
+        else:
+            ks, ys = zip(*heads)
+            rows, pick = _head_rows(ks)
+            y = np.array(ys)
+            batch = y.shape[-2]
+            pad = batch % 2  # a stack's slices may start 8 bytes off 16
+            width = h_last.shape[1]
+            params = w[trunk:].reshape(self.n_tasks, width + 1)[rows]  # each head's W, then its b
+            # the residuals h_last @ W + b - y; each head's product reads its
+            # own view of w, as OpenBLAS's Prescott ddot rounds by alignment
+            r = h_last @ params[:, :width, None]
+            if pick is not None:
+                r, params = r[pick], params[pick]
+            if pad:
+                r = _aligned(r)
+            w_heads = params[:, :width, None]
+            r += params[:, None, width:]
+            r -= y
+            losses = [s / batch for s in np.add.reduce(r * r, axis=-2).ravel().tolist()]  # as _head_loss
+            r *= 2.0
+            r /= batch
+            grad_heads = grad[trunk:].reshape(self.n_tasks, width + 1)[rows]
+            g_heads = grad_heads if pick is None else np.empty(params.shape)
+            np.matmul(h_last.T, r, out=g_heads[:, :width, None])
+            np.add.reduce(r, axis=-2, out=g_heads[:, width:])
+            if pick is not None:
+                grad_heads[pick] = g_heads
+            terms = np.empty((len(ks), trunk))
+        d = r @ w_heads.swapaxes(-1, -2)  # d_h; a K=1 product, whose zeros are all +0.0
+        lead = d.shape[:-2]
+        for i in reversed(range(len(self.hidden))):
+            if pad:
+                d = _aligned(d)
             # the tanh slope 1.0 - a ** 2, once per layer and in place: the
             # activation a = activations[i + 1] is not read again
             a = activations[i + 1]
             a *= a
             np.subtract(1.0, a, out=a)
-            g_w, g_b = _view(grad, self.layout[i])
-            w_t = _view(w, self.layout[i])[0].T if i else None  # the gradient with respect to x is not needed
-            for j, d_z in enumerate(d_hs):
-                d_z *= a  # d_z = d_h * slope, in place: d_h is not read again
-                if j:
-                    g_w += activations[i].T @ d_z
-                    g_b += d_z.sum(axis=0)
-                else:
-                    np.matmul(activations[i].T, d_z, out=g_w)
-                    d_z.sum(axis=0, out=g_b)
-                if i:
-                    d_hs[j] = d_z @ w_t
+            d *= a  # d_z = d_h * slope, in place: d_h is not read again
+            w_slice, w_shape, b_slice = self.layout[i]
+            np.matmul(activations[i].T, d, out=terms[..., w_slice].reshape(lead + w_shape))
+            np.add.reduce(d, axis=-2, out=terms[..., b_slice])
+            if i:  # the gradient with respect to x is not needed
+                d = d @ w[w_slice].reshape(w_shape).T
+        if lead:
+            # a row of two or more floats keeps the head axis outermost, so
+            # numpy adds the rows strictly in turn (a lone column would be
+            # summed pairwise); from -0.0, the first row keeps its bits
+            np.add.reduce(terms, axis=0, out=grad[:trunk], initial=-0.0)
         return losses, grad
+
+
+def _head_rows(ks):
+    """Where heads ks, two or more, sit in the (n_tasks, width + 1) stack of
+    heads, as (rows, pick): the slice from the lowest to the highest and,
+    unless they are that slice in order, the index array that picks them
+    from it in order."""
+    lo, hi = min(ks), max(ks)
+    rows = slice(lo, hi + 1)
+    return rows, None if ks == tuple(range(lo, hi + 1)) else np.array(ks) - lo
+
+
+def _aligned(stack):
+    """The (H, ...) stack, or a copy of it whose slices each start 16 bytes
+    after the last, as a fresh array of one slice starts: OpenBLAS's
+    Prescott ddot rounds operands 8 bytes off 16 otherwise."""
+    size = stack[0].size
+    if size % 2 == 0:
+        return stack
+    out = np.empty((len(stack), size + 1))[:, :size].reshape(stack.shape)
+    out[...] = stack
+    return out
 
 
 def _view(w, entry):

@@ -153,29 +153,36 @@ def step(w, suite, units, rule, states, eta, xi, order, out=None):
 
 
 def _bind(suite, units, states):
-    """One (unit, label, mask, slot) entry per unit: its label in traces and
-    errors, the coordinates its update may touch, and the index in `states`
-    of its optimizer state, one shared by every unit or one per unit."""
+    """One (unit, label, off, slot) entry per unit: its label in traces and
+    errors, the index of the coordinates its update may not touch (None when
+    it may touch all of them), and the index in `states` of its optimizer
+    state, one shared by every unit or one per unit."""
     if len(states) not in (1, len(units)):
         raise ValueError(f"need 1 or {len(units)} optimizer states, got {len(states)}")
-    return [(unit, "+".join(str(k) for k in unit), suite.unit_mask(unit), u if len(states) > 1 else 0)
-            for u, unit in enumerate(units)]
+    masks = [suite.unit_mask(unit) for unit in units]
+    return [(unit, "+".join(str(k) for k in unit), None if mask is None or mask.all() else np.flatnonzero(~mask),
+             u if len(states) > 1 else 0)
+            for u, (unit, mask) in enumerate(zip(units, masks))]
 
 
 def _updates(w, suite, bound, rule, states, eta, xi, order, out):
     """The update loop of `step` over the unit table `bound` (_bind), for a
-    caller that holds its np.errstate scope; returns `out`."""
+    caller that holds its np.errstate scope; returns `out`.
+
+    An update zeroes its unit's off coordinates in the direction in place,
+    with the bits of np.where(mask, direction, 0.0): optimizers.apply
+    returns a fresh direction, which no state or gradient shares."""
     oracle = suite.unit_value_and_gradient
     fresh = callable(xi)
     for u in order:
         u = int(u)
-        unit, label, mask, slot = bound[u]
+        unit, label, off, slot = bound[u]
         loss, g = oracle(w, unit, xi() if fresh else xi)
         if not math.isfinite(loss):
             raise NonFiniteError(f"training loss for unit {label} is non-finite")
         direction, state = optimizers.apply(rule, states[slot], g)
-        if mask is not None:
-            direction = np.where(mask, direction, 0.0)
+        if off is not None:
+            direction[off] = 0.0
         w = axpy(w, direction, -eta)
         states[slot] = state
         out.append((u, loss, w))

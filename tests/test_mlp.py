@@ -262,6 +262,37 @@ def test_unit_oracle_keeps_the_bits_of_the_per_task_loop(shape, weights):
             assert same_bits(g, ref_g)
 
 
+@pytest.mark.parametrize("shape", SHAPES + [{"n_tasks": 3, "input_dim": 1, "hidden": (1, 1)}])
+@pytest.mark.parametrize("batch", [1, 7, 13, 32])
+@pytest.mark.parametrize("weights", ["normal", "saturated", "zero"])
+def test_unit_oracle_keeps_the_bits_of_the_reference_kernels(shape, batch, weights):
+    # the stacked backward against the reference kernels, which share no code
+    # with it: each task's reference value added to 0 and its reference
+    # gradient to zeros, in unit order, signed zeros included. Layers of
+    # width 1 make BLAS dot products, whose bits depend on the operands'
+    # alignment under OpenBLAS's Prescott kernels, as do the heads' products
+    # at batch 1. From 8 rows numpy sums a column pairwise, so batches 13 and
+    # 32 (the shipped one) check the order of the loss and bias reductions,
+    # and 13 the padding of odd-sized slices there too
+    suite = synthetic_mlp_suite(**shape, batch_size=batch, val_size=batch)
+    topology, n = suite.topology, suite.n_tasks
+    w = init_mlp_params(suite, RngStream(batch, "init").gen)
+    w += 0.1 * RngStream(batch, "perturb").gen.normal(size=suite.dim)
+    w *= {"normal": 1.0, "saturated": 50.0, "zero": 0.0}[weights]
+    units = [u for size in range(1, n + 1) for u in itertools.combinations(range(n), size)]
+    units.append(tuple(reversed(range(n))))
+    for draw in range(2):
+        x, targets = xi = suite.sample_minibatch(RngStream(draw, "data").gen)
+        for unit in units:
+            ref_loss, ref_g = 0, np.zeros(suite.dim)
+            for k in unit:
+                ref_loss += _reference_value(topology, w, k, x, targets[k])
+                ref_g += _reference_gradient(topology, w, k, x, targets[k])
+            loss, g = suite.unit_value_and_gradient(w, unit, xi)
+            assert loss == ref_loss and type(loss) is float
+            assert same_bits(g, ref_g), unit
+
+
 def test_unit_oracle_keeps_the_zero_signs_of_the_loop_whatever_the_kernel_gives(monkeypatch):
     # a BLAS kernel may give -0.0 where this host's gives 0.0; the unit's sum
     # must still be zeros plus each task's gradient, whose zeros are all 0.0

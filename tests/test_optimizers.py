@@ -129,6 +129,21 @@ def test_interleaved_states_match_isolated_runs():
         np.testing.assert_array_equal(x, y)
 
 
+@pytest.mark.parametrize("kind", ["sgd", "momentum", "adam"])
+def test_apply_returns_a_direction_that_shares_no_memory(kind):
+    # schemes zero a unit's off coordinates in the direction in place, so it
+    # must share no memory with g, with any array of the state passed in or
+    # with any array of the state returned
+    rule = OptimizerRule(kind)
+    state = fresh_state(rule, 5)
+    for g in np.random.default_rng(8).normal(size=(4, 5)):
+        given = state
+        direction, state = apply(rule, given, g)
+        arrays = [a for a in (g, given.m, given.v, state.m, state.v) if a is not None]
+        assert len(arrays) == (5 if kind == "adam" else 3)
+        assert not any(np.shares_memory(direction, a) for a in arrays)
+
+
 def copy_state(state):
     """An independent copy of a state's m, v and step."""
     return OptimizerState(state.m.copy(), None if state.v is None else state.v.copy(), state.step)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from helpers import (ConstantGradientSuite, assert_same_run, empty_batch, equivalent_pairs,
-                     loop_unit_value_and_gradient, noiseless_pair)
+                     loop_unit_value_and_gradient, noiseless_pair, same_bits)
+from mtlopt.mlp import init_mlp_params, synthetic_mlp_suite
 from mtlopt.objectives import (
     QuadraticSuite,
     QuadraticTask,
@@ -18,7 +19,7 @@ from mtlopt.objectives import (
     two_task_suite,
 )
 from mtlopt.optimizers import OptimizerRule, apply, fresh_state
-from mtlopt.params import NonFiniteError, RngStream, l2_norm
+from mtlopt.params import NonFiniteError, RngStream, axpy, l2_norm
 from mtlopt.schemes import (
     ConstantLR,
     InverseTimeLR,
@@ -260,6 +261,30 @@ def test_grouped_step_state_count_validation():
             np.array([0.0]), suite, grouping, SGD,
             [fresh_state(SGD, 1)] * 3, 0.1, empty_batch(suite), [0, 1],
         ))
+
+
+def test_masked_updates_keep_the_shared_state_of_a_masked_copy():
+    # an update zeroes its unit's off coordinates in the direction itself:
+    # the shared momentum state of an MLP's ius units, each masking the
+    # other tasks' heads, must keep the bits of a loop that masks a copy with
+    # np.where, which a direction that shares the state's memory fails
+    suite = synthetic_mlp_suite(n_tasks=3, input_dim=2, hidden=(8,), batch_size=4, val_size=4)
+    rule = OptimizerRule("momentum", beta=0.9)
+    units = make_grouping(3, 3, RngStream(0, "grouping").gen)
+    states = [fresh_state(rule, suite.dim)]
+    w = init_mlp_params(suite, RngStream(0, "init").gen)
+    ref_w, ref_state = w.copy(), states[0]
+    gen = RngStream(0, "data").gen
+    for order in ([2, 0, 1], [1, 2, 0], [0, 1, 2], [2, 1, 0]):
+        xi = suite.sample_minibatch(gen)
+        w = final_w(step(w, suite, units, rule, states, 0.05, xi, order))
+        for u in order:
+            _, g = suite.unit_value_and_gradient(ref_w, units[u], xi)
+            direction, ref_state = apply(rule, ref_state, g)
+            ref_w = axpy(ref_w, np.where(suite.unit_mask(units[u]), direction, 0.0), -0.05)
+    assert states[0].step == ref_state.step == 12
+    assert same_bits(states[0].m, ref_state.m) and same_bits(w, ref_w)
+    assert np.count_nonzero(ref_state.m[~suite.shared_mask]) == suite.dim - suite.topology.trunk_size
 
 
 # ---------------------------------------------------------------- run loop
@@ -608,6 +633,27 @@ def test_huge_displacement_is_recorded_finite_without_a_warning():
     (displacement,) = trace.displacements
     assert math.isfinite(displacement) and displacement > 1e160
     assert displacement == l2_norm(trace.w_final - w0)
+
+
+@pytest.mark.parametrize("shared", ["trunk", "every third"])
+def test_displacements_are_the_norms_of_each_update_over_the_shared_coordinates(monkeypatch, shared):
+    # each update's displacement is the norm of its step over the shared
+    # coordinates, for the MLP's trunk and for a mask that is not one run
+    suite = synthetic_mlp_suite(n_tasks=3, input_dim=2, hidden=(4,), batch_size=4, val_size=4)
+    if shared == "every third":
+        suite.shared_mask = np.arange(suite.dim) % 3 == 0
+    seen, oracle = [], suite.unit_value_and_gradient
+
+    def recording(w, unit, xi):
+        seen.append(w.copy())
+        return oracle(w, unit, xi)
+
+    monkeypatch.setattr(suite, "unit_value_and_gradient", recording)
+    trace = run(cfg("ius"), suite, init_mlp_params(suite, RngStream(0, "init").gen), 2, seed=0)
+    ws = seen + [trace.w_final]
+    assert len(trace.displacements) == len(seen) == 6
+    for displacement, w, w_next in zip(trace.displacements, ws, ws[1:]):
+        assert same_bits(displacement, l2_norm((w_next - w)[suite.shared_mask]))
 
 
 @pytest.mark.parametrize("config", [cfg("sus"), cfg("ius", groups=2, opt=OptimizerRule("momentum", beta=0.9)),
